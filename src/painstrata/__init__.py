@@ -1,76 +1,3 @@
 """Exact stratum classification and verification for Painleve parameter spaces."""
 
-from .exactnum import (
-    ComplexRational,
-    Lattice,
-    ParameterParseError,
-    format_cgauss,
-    lattice_member,
-    parse_cgauss,
-)
-from .models import (
-    ConstraintError,
-    Family,
-    FamilyInstance,
-    GroupWord,
-    P3Generator,
-    P4Generator,
-    Related,
-    SpecialValue,
-    SystemRHS,
-    Unknown,
-    apply_generator,
-    apply_word,
-    birational_pv,
-    imp_slope_rhs,
-    in_fundamental_region_p4,
-    orbit_search,
-    p2_second_order_rhs,
-    reduce_to_fundamental_region_p4,
-    riccati_curve,
-    system_rhs,
-    xc_first_integral,
-)
-from .numverify import (
-    IntegrationSpec,
-    Trajectory,
-    conservation_drift,
-    export_csv,
-    integrate,
-    log_relation_drift,
-    residual_second_order,
-)
-from .ratfunc import Polynomial, RationalFunction
-from .strata import (
-    Classification,
-    Conflict,
-    Exact,
-    OUT_OF_SCOPE,
-    Range,
-    ROOTS,
-    XcReport,
-    classify,
-    classify_xc,
-    p6_stratum,
-)
-from .symbolic import (
-    Contained,
-    Conserved,
-    DiffVar,
-    ExprSyntaxError,
-    FirstOrderCurve,
-    NotConserved,
-    NotContained,
-    UnsupportedExponentError,
-    canonical_equal,
-    parse_expression,
-    partial_derivative,
-    quotient_of_partials,
-    rf,
-    to_rational_function,
-    total_derivative,
-    verify_first_integral,
-    verify_subvariety,
-)
-
 __version__ = "0.1.0"

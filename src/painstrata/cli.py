@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -204,6 +205,8 @@ def cmd_verify_qop(args) -> int:
 
 
 def cmd_verify_log_relation(args) -> int:
+    if not math.isfinite(args.c):
+        raise ParameterParseError(f"--c must be a finite number, got {args.c!r}")
     settings = {
         "c": args.c,
         "t0": args.t0,

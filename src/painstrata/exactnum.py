@@ -106,19 +106,12 @@ class ComplexRational:
             raise ValueError(f"{self} has a nonzero imaginary part")
         return self.re
 
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
     def lex_key(self) -> tuple[Fraction, Fraction]:
         """(Re, Im) ordered pair; 'Re >= 0 with Im tie-break' is lex >= (0,0)."""
         return (self.re, self.im)
 
     def __str__(self) -> str:
         return format_cgauss(self)
-
-    @classmethod
-    def from_rational(cls, value) -> "ComplexRational":
-        return cls(Fraction(value))
 
 
 class Lattice(enum.Enum):
@@ -144,19 +137,28 @@ def lattice_member(z: ComplexRational, lattice: Lattice) -> bool:
 
 
 # Wire grammar: rational ('+'|'-') rational 'i' | rational 'i' | rational,
-# with rational = optional sign, integer, optional '/' positive-integer.
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_FULL = re.compile(rf"^(?P<re>{_RAT})(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?$")
+# with rational = optional sign, integer, optional '/' positive-integer, and
+# integers spelled in ASCII digits.
+_RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_FULL = re.compile(rf"^(?P<re>{_RAT})(?:(?P<sign>[+-])(?P<im>[0-9]+(?:/[0-9]+)?)i)?$")
 _IMAG = re.compile(rf"^(?P<im>{_RAT})i$")
+
+
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:   # past the interpreter's integer-string length limit
+        raise ParameterParseError(
+            f"integer of {len(digits)} digits is too long to parse") from None
 
 
 def _parse_rational(token: str) -> Fraction:
     if "/" in token:
         num, den = token.split("/", 1)
-        if int(den) == 0:
+        if _parse_int(den) == 0:
             raise ParameterParseError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        return Fraction(_parse_int(num), _parse_int(den))
+    return Fraction(_parse_int(token))
 
 
 def parse_cgauss(text: str) -> ComplexRational:

@@ -119,9 +119,6 @@ class FamilyInstance:
                 raise ParameterParseError(f"unknown family {family!r}") from None
         return cls(family, tuple(parse_coord(tok) for tok in tokens))
 
-    def is_concrete(self) -> bool:
-        return all(isinstance(p, ComplexRational) for p in self.params)
-
 
 # --------------------------------------------------------------------------
 # Affine transformation groups for the third and fourth families.
@@ -378,11 +375,6 @@ class SystemRHS:
                     out.add(v)
         return out
 
-    def reversed(self) -> "SystemRHS":
-        """Negated field; only meaningful for autonomous systems."""
-        return SystemRHS(self.family, self.variables,
-                         tuple(-f for f in self.rhs), self.t_singularities)
-
 
 _SYSTEM_TEMPLATES = {
     Family.PII: (
@@ -487,11 +479,3 @@ def xc_first_integral(c: int, convention: str = "y_minus_one") -> RationalFuncti
 def imp_slope_rhs(c: int) -> RationalFunction:
     """The slope field  y*(y-1)/(x*(c*y + y - c))  of the plane curve family."""
     return rf(f"y*(y-1)/(x*({c}*y + y - {c}))", variables=("x", "y"))
-
-
-# The fourth family also has a scalar form in the literature, but the printed
-# equation mixes the scalar variable with a system variable in one term, so it
-# is recorded only as text and never used for verification.
-P4_SCALAR_RHS_TEXT = "(y')^2/(2*y) + 3/2*y^3 + 4*t*q^2 + 2*(t^2 - a)*y + b/y"
-P4_SCALAR_NOTE = ("scalar form is typo-suspect (a stray q^2 appears in the "
-                  "y-equation); use the (q, p) system for any verification")

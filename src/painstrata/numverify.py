@@ -10,12 +10,13 @@ real regions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .models import SystemRHS
 from .ratfunc import RationalFunction
-from .symbolic import DiffVar, FirstOrderCurve, T_NAME, _as_rational
+from .symbolic import DiffVar, FirstOrderCurve, T_NAME
 
 BLOWUP = "BlowUp"
 POLE_PROXIMITY = "PoleProximity"
@@ -26,6 +27,9 @@ DEFAULT_BLOWUP_THRESHOLD = 1e8
 
 # step-size collapse bound, relative to the window length
 _MIN_STEP_FACTOR = 1e-13
+# the smallest relative tolerance an RK45 step can honour in double precision
+# (the floor scipy's RK45 applies)
+_MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 
 class SingularInitialState(ValueError):
@@ -89,8 +93,14 @@ class IntegrationSpec:
     def __post_init__(self):
         object.__setattr__(self, "initial_state",
                            tuple(float(x) for x in self.initial_state))
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not _finite((self.t0, self.t1, *self.initial_state)):
+            raise ValueError("the window and the initial state must be finite")
+        if not (_finite((self.rel_tol, self.abs_tol)) and self.abs_tol > 0):
+            raise ValueError("tolerances must be positive and finite")
+        if self.rel_tol < _MIN_REL_TOL:
+            raise ValueError(f"relative tolerance must be at least {_MIN_REL_TOL!r}")
+        if not self.blowup_threshold > 0:
+            raise ValueError("the blow-up threshold must be positive")
         if not self.t1 > self.t0:
             raise ValueError("need t1 > t0")
         if len(self.initial_state) != len(self.system.variables):
@@ -249,7 +259,7 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
 
 
 def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
-                          target_rhs) -> float:
+                          target_rhs: RationalFunction) -> float:
     """Max residual of the implied second derivative against a target.
 
     The trajectory must come from integrating the curve as a one-dimensional
@@ -262,7 +272,7 @@ def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
     y0 = DiffVar(curve.variable, 0)
     y1 = DiffVar(curve.variable, 1)
     g = curve.rhs
-    target = _as_rational(target_rhs).substitute({y1: g})
+    target = target_rhs.substitute({y1: g})
     implied = g.partial(y0) * g + g.partial(T_NAME)
     g_imp = compile_rf(implied, traj.variables)
     g_tgt = compile_rf(target, traj.variables)

@@ -125,9 +125,6 @@ class Polynomial:
                     deg = e
         return deg
 
-    def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
-
     def leading(self) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -238,7 +235,7 @@ class Polynomial:
 
     def substitute_values(self, env: Mapping) -> "Polynomial":
         """Replace some variables by exact rational values."""
-        out = ZERO
+        out: dict = {}
         for m, c in self.terms.items():
             coeff = c
             rest = []
@@ -247,8 +244,9 @@ class Polynomial:
                     coeff *= Fraction(env[var]) ** e
                 else:
                     rest.append((var, e))
-            out = out + _raw({tuple(rest): coeff})
-        return out
+            mono = tuple(rest)
+            out[mono] = out.get(mono, Fraction(0)) + coeff
+        return _raw(out)
 
     def as_univariate(self, var) -> dict[int, "Polynomial"]:
         """View as a univariate polynomial in ``var`` with Polynomial coefficients."""
@@ -429,9 +427,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def variables(self) -> set:
         return self.num.variables() | self.den.variables()
 
@@ -534,7 +529,6 @@ class RationalFunction:
 
 
 RF_ZERO = RationalFunction(ZERO)
-RF_ONE = RationalFunction(ONE)
 
 
 def _as_rf(value):
@@ -560,10 +554,6 @@ def _poly_sub(p: Polynomial, rf_map: Mapping) -> RationalFunction:
     return total
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def poly_to_str(p: Polynomial) -> str:
     """Canonical printer emitting the shared expression grammar."""
     if p.is_zero():
@@ -575,11 +565,11 @@ def poly_to_str(p: Polynomial) -> str:
         factors = ["*".join(f"{v}^{e}" if e > 1 else f"{v}" for v, e in m)] if m else []
         mag = abs(c)
         if not factors:
-            body = _frac_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = factors[0]
         else:
-            body = f"{_frac_str(mag)}*{factors[0]}"
+            body = f"{mag}*{factors[0]}"
         if i == 0:
             pieces.append(body if c > 0 else f"-{body}")
         else:

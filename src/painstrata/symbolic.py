@@ -8,9 +8,10 @@ over Q(parameter symbols).
 
 from __future__ import annotations
 
+import operator
+import string
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
 from .ratfunc import (
     DivisionByZeroExpression,
@@ -55,125 +56,6 @@ class UnsupportedExponentError(ExprSyntaxError):
     """
 
 
-class Expr:
-    """Base AST node; supports operator syntax for building fixtures."""
-
-    def __add__(self, other):
-        return Add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return Add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(_as_expr(other), self)
-
-    def __pow__(self, exp: int):
-        return Pow(self, exp)
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __str__(self) -> str:
-        return expr_to_str(self)
-
-
-@dataclass(frozen=True)
-class Num(Expr):
-    value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class TSym(Expr):
-    """The distinguished element with derivative 1."""
-
-
-@dataclass(frozen=True)
-class Param(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    var: DiffVar
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exp: int
-
-    def __post_init__(self):
-        if not isinstance(self.exp, int) or self.exp < 0:
-            raise ValueError("powers carry non-negative integer exponents; "
-                             "write negative powers with division")
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    a: Expr
-
-
-T = TSym()
-
-
-def _as_expr(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Num(Fraction(value))
-    raise TypeError(f"cannot treat {value!r} as an expression")
-
-
-def var(name: str, order: int = 0) -> Var:
-    return Var(DiffVar(name, order))
-
-
-def param(name: str) -> Param:
-    return Param(name)
-
-
 # --------------------------------------------------------------------------
 # Parsing.  Grammar (EBNF); explicit '*' is required, juxtaposition is not
 # multiplication:
@@ -185,11 +67,55 @@ def param(name: str) -> Param:
 #   atom    = integer | name , { "'" } | "(" , expr , ")" ;
 #   name    = letter , { letter | digit | "_" } ;
 #
-# Names resolve to t, a declared parameter, or a differential variable;
-# primes raise the derivative order.
+# Letters and digits are ASCII.  Names resolve to t, a declared parameter, or
+# a differential variable; primes raise the derivative order.
 # --------------------------------------------------------------------------
 
+_SPACE = frozenset(" \t\n\r\f\v")
+_DIGITS = frozenset(string.digits)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
+
+Builder = Callable[[], RationalFunction]
+
+
+def _leaf(value) -> Builder:
+    return lambda: RationalFunction.variable(value)
+
+
+def _chain(first: Builder, rest: list) -> Builder:
+    """A left-associative run of binary operations, built in source order
+    by a loop, so a long sum or product does not deepen the call stack."""
+    if not rest:
+        return first
+
+    def build():
+        acc = first()
+        for op, right in rest:
+            acc = op(acc, right())
+        return acc
+    return build
+
+
+def _divide_at(pos: int):
+    def divide(num, den):
+        if den.is_zero():
+            raise ExprSyntaxError("division by an identically-zero expression", pos)
+        return num / den
+    return divide
+
+
+_ADDITIVE = {"+": operator.add, "-": operator.sub}
+
+
 class _Parser:
+    """Recursive descent that yields canonical forms.
+
+    Each rule returns a zero-argument builder rather than a value, and
+    :meth:`parse` runs the root builder only once the whole text has been
+    read, so a syntax error is reported before any polynomial arithmetic.
+    """
+
     def __init__(self, text: str, params: Sequence[str], variables):
         self.text = text
         self.pos = 0
@@ -202,7 +128,7 @@ class _Parser:
         raise ExprSyntaxError(message, self.pos if pos is None else pos)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _SPACE:
             self.pos += 1
 
     def peek(self) -> str:
@@ -214,48 +140,36 @@ class _Parser:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def parse(self) -> Expr:
-        e = self.expr()
+    def parse(self) -> RationalFunction:
+        build = self.expr()
         if self.peek():
             self.error(f"unexpected {self.peek()!r}")
-        return e
+        return build()
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                e = Add(e, self.term())
-            elif ch == "-":
-                self.pos += 1
-                e = Sub(e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                e = Mul(e, self.unary())
-            elif ch == "/":
-                self.pos += 1
-                e = Div(e, self.unary())
-            else:
-                return e
-
-    def unary(self) -> Expr:
-        negate = False
-        while self.peek() in "+-":
-            if self.peek() == "-":
-                negate = not negate
+    def expr(self) -> Builder:
+        first, rest = self.term(), []
+        while (ch := self.peek()) in _ADDITIVE:
             self.pos += 1
-        e = self.power()
-        return Neg(e) if negate else e
+            rest.append((_ADDITIVE[ch], self.term()))
+        return _chain(first, rest)
 
-    def power(self) -> Expr:
+    def term(self) -> Builder:
+        first, rest = self.unary(), []
+        while (ch := self.peek()) in ("*", "/"):
+            op = operator.mul if ch == "*" else _divide_at(self.pos)
+            self.pos += 1
+            rest.append((op, self.unary()))
+        return _chain(first, rest)
+
+    def unary(self) -> Builder:
+        negate = False
+        while (ch := self.peek()) in _ADDITIVE:
+            negate ^= ch == "-"
+            self.pos += 1
+        build = self.power()
+        return (lambda: -build()) if negate else build
+
+    def power(self) -> Builder:
         base = self.atom()
         if self.peek() == "^":
             self.pos += 1
@@ -263,42 +177,47 @@ class _Parser:
             ch = self.peek()
             if ch == "-":
                 self.error("negative exponents must be written with division", exp_pos)
-            if ch.isalpha() or ch == "_":
+            if ch in _NAME_START:
                 raise UnsupportedExponentError(
                     "exponent must be an integer literal; for non-integer "
                     "exponents use the numeric log-relation check", exp_pos)
-            if not ch.isdigit():
+            if ch not in _DIGITS:
                 self.error("expected an integer exponent", exp_pos)
-            return Pow(base, self.integer())
+            exp = self.integer()
+            return lambda: base() ** exp
         return base
 
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos]
+        try:
+            return int(digits)
+        except ValueError:   # past the interpreter's integer-string length limit
+            self.error(f"integer of {len(digits)} digits is too long to parse", start)
 
-    def atom(self) -> Expr:
+    def atom(self) -> Builder:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            e = self.expr()
+            build = self.expr()
             self.expect(")")
-            return e
-        if ch.isdigit():
-            return Num(Fraction(self.integer()))
-        if ch.isalpha() or ch == "_":
+            return build
+        if ch in _DIGITS:
+            value = self.integer()
+            return lambda: RationalFunction.constant(value)
+        if ch in _NAME_START:
             return self.name()
         self.error("expected a number, a name or '('")
 
-    def name(self) -> Expr:
+    def name(self) -> Builder:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
+        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
             self.pos += 1
         ident = self.text[start:self.pos]
         order = 0
@@ -308,146 +227,31 @@ class _Parser:
         if ident == T_NAME:
             if order:
                 self.error("the time element does not take primes", start)
-            return T
+            return _leaf(T_NAME)
         if ident in self.params:
             if order:
                 self.error(f"parameter {ident!r} is a constant and takes no primes",
                            start)
-            return Param(ident)
+            return _leaf(ident)
         if self.variables is not None and ident not in self.variables:
             self.error(f"unknown symbol {ident!r}", start)
-        return Var(DiffVar(ident, order))
-
-
-def parse_expression(text: str, params: Sequence[str] = (),
-                     variables: Sequence[str] | None = None) -> Expr:
-    """Parse the documented grammar; unknown names become differential
-    variables unless an explicit ``variables`` whitelist is given."""
-    return _Parser(text, params, variables).parse()
-
-
-# Printer precedences: +/- are 1, */ are 2, ^ is 3, atoms are 4.
-def _precedence(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return 1
-    if isinstance(e, (Mul, Div)):
-        return 2
-    if isinstance(e, Neg):
-        return 1
-    if isinstance(e, Pow):
-        return 3
-    if isinstance(e, Num):
-        if e.value < 0:
-            return 1
-        return 4 if e.value.denominator == 1 else 2
-    return 4
-
-
-def _wrap(e: Expr, min_prec: int) -> str:
-    s = expr_to_str(e)
-    return f"({s})" if _precedence(e) < min_prec else s
-
-
-def expr_to_str(e: Expr) -> str:
-    """Canonical printer; emits the same grammar the parser reads."""
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, TSym):
-        return T_NAME
-    if isinstance(e, Param):
-        return e.name
-    if isinstance(e, Var):
-        return str(e.var)
-    if isinstance(e, Add):
-        return f"{_wrap(e.a, 1)} + {_wrap(e.b, 2)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.a, 1)} - {_wrap(e.b, 2)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.a, 2)}*{_wrap(e.b, 3)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.a, 2)}/{_wrap(e.b, 3)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, 4)}^{e.exp}"
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.a, 2)}"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# --------------------------------------------------------------------------
-# The derivation and lowering to canonical rational functions.
-# --------------------------------------------------------------------------
-
-def total_derivative(e: Expr) -> Expr:
-    """Apply the derivation: t goes to 1, parameters to 0, primes go up."""
-    if isinstance(e, Num) or isinstance(e, Param):
-        return Num(Fraction(0))
-    if isinstance(e, TSym):
-        return Num(Fraction(1))
-    if isinstance(e, Var):
-        return Var(e.var.raised())
-    if isinstance(e, Add):
-        return Add(total_derivative(e.a), total_derivative(e.b))
-    if isinstance(e, Sub):
-        return Sub(total_derivative(e.a), total_derivative(e.b))
-    if isinstance(e, Mul):
-        return Add(Mul(total_derivative(e.a), e.b), Mul(e.a, total_derivative(e.b)))
-    if isinstance(e, Div):
-        return Div(Sub(Mul(total_derivative(e.a), e.b),
-                       Mul(e.a, total_derivative(e.b))),
-                   Pow(e.b, 2))
-    if isinstance(e, Pow):
-        if e.exp == 0:
-            return Num(Fraction(0))
-        if e.exp == 1:
-            return total_derivative(e.base)
-        return Mul(Mul(Num(Fraction(e.exp)), Pow(e.base, e.exp - 1)),
-                   total_derivative(e.base))
-    if isinstance(e, Neg):
-        return Neg(total_derivative(e.a))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def to_rational_function(e: Expr) -> RationalFunction:
-    """Lower an AST to canonical form; t and parameters stay symbolic."""
-    if isinstance(e, Num):
-        return RationalFunction.constant(e.value)
-    if isinstance(e, TSym):
-        return RationalFunction.variable(T_NAME)
-    if isinstance(e, Param):
-        return RationalFunction.variable(e.name)
-    if isinstance(e, Var):
-        return RationalFunction.variable(e.var)
-    if isinstance(e, Add):
-        return to_rational_function(e.a) + to_rational_function(e.b)
-    if isinstance(e, Sub):
-        return to_rational_function(e.a) - to_rational_function(e.b)
-    if isinstance(e, Mul):
-        return to_rational_function(e.a) * to_rational_function(e.b)
-    if isinstance(e, Div):
-        return to_rational_function(e.a) / to_rational_function(e.b)
-    if isinstance(e, Pow):
-        return to_rational_function(e.base) ** e.exp
-    if isinstance(e, Neg):
-        return -to_rational_function(e.a)
-    raise TypeError(f"not an expression node: {e!r}")
+        return _leaf(DiffVar(ident, order))
 
 
 def rf(text: str, params: Sequence[str] = (),
        variables: Sequence[str] | None = None) -> RationalFunction:
-    """Parse straight to canonical form."""
-    return to_rational_function(parse_expression(text, params, variables))
+    """Parse the documented grammar straight to canonical form.
 
-
-ExprLike = Union[Expr, RationalFunction]
-
-
-def _as_rational(e: ExprLike) -> RationalFunction:
-    return e if isinstance(e, RationalFunction) else to_rational_function(e)
-
-
-def canonical_equal(a: ExprLike, b: ExprLike) -> bool:
-    """True iff a - b normalizes to the zero rational function."""
-    return (_as_rational(a) - _as_rational(b)).is_zero()
+    ``t`` and the declared ``params`` stay symbolic; other names become
+    differential variables unless an explicit ``variables`` whitelist is
+    given.  Every malformed input, division by an identically-zero
+    expression included, raises :class:`ExprSyntaxError`.
+    """
+    parser = _Parser(text, params, variables)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply", parser.pos) from None
 
 
 def total_derivative_rf(f: RationalFunction) -> RationalFunction:
@@ -460,13 +264,6 @@ def total_derivative_rf(f: RationalFunction) -> RationalFunction:
             out = out + f.partial(v)
         # remaining symbols are parameters, which are constants
     return out
-
-
-def partial_derivative(f: RationalFunction, v) -> RationalFunction:
-    """Formal partial derivative with canonical output."""
-    if isinstance(v, str):
-        v = DiffVar(v, 0)
-    return f.partial(v)
 
 
 # --------------------------------------------------------------------------
@@ -510,15 +307,13 @@ class NotConserved:
 
 
 def verify_subvariety(curve: FirstOrderCurve,
-                      second_order_rhs: ExprLike) -> Contained | NotContained:
-    """Check that solutions of the curve satisfy  v'' = second_order_rhs.
+                      target: RationalFunction) -> Contained | NotContained:
+    """Check that solutions of the curve satisfy  v'' = target.
 
     The curve relation is differentiated once, the first derivative is
     eliminated by substituting the curve right side, and the result is
     compared against the target with the same substitution applied.
     """
-    target = _as_rational(second_order_rhs)
-    y0 = DiffVar(curve.variable, 0)
     y1 = DiffVar(curve.variable, 1)
     for v in target.variables():
         if isinstance(v, DiffVar) and (v.name != curve.variable or v.order > 1):
@@ -534,11 +329,13 @@ def verify_subvariety(curve: FirstOrderCurve,
 
 def verify_first_integral(f: RationalFunction,
                           field_rhs: Mapping) -> Conserved | NotConserved:
-    """Check that f is constant along the flow of an autonomous field."""
-    rhs = {}
-    for key, value in field_rhs.items():
-        dv = DiffVar(key, 0) if isinstance(key, str) else key
-        rhs[dv] = _as_rational(value)
+    """Check that f is constant along the flow of an autonomous field.
+
+    ``field_rhs`` maps variable names (or order-zero :class:`DiffVar`) to
+    rational functions.
+    """
+    rhs = {DiffVar(key, 0) if isinstance(key, str) else key: value
+           for key, value in field_rhs.items()}
     residual = RF_ZERO
     for v in f.variables():
         if isinstance(v, DiffVar):

@@ -1,3 +1,7 @@
+import contextlib
+import signal
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -8,3 +12,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def within():
+    """``with within(seconds):`` fails the block if it runs longer, so a hang
+    fails its test instead of stalling the suite (SIGALRM; main thread)."""
+    @contextlib.contextmanager
+    def guard(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    return guard

@@ -239,3 +239,71 @@ class TestEntryPoint:
              "--c", "1.5"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+class TestInputValidation:
+    """Inputs outside the grammars or the numeric domain: each yields one
+    typed document with the documented exit code, never a traceback, a hang
+    or a meaningless result."""
+
+    def test_division_by_zero_expression(self, capsys):
+        code, (doc,) = run(capsys, ["verify", "integral", "--c", "1",
+                                    "--expr", "1/(y-y)"])
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
+        assert "identically-zero" in doc["error"]["message"]
+        assert "position 1" in doc["error"]["message"]
+
+    def test_missing_operand(self, capsys, within):
+        with within(5):
+            code, (doc,) = run(capsys, ["verify", "qop", "--c", "1", "--expr", "y +"])
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--family", "p2", "--params", "١"],
+        ["classify", "--family", "p3", "--params", "1,２"],
+        ["verify", "integral", "--c", "1", "--expr", "y^²"],
+        ["verify", "qop", "--c", "1", "--expr", "x*y + ١"],
+    ])
+    def test_non_ascii_digits(self, capsys, argv):
+        code, (doc,) = run(capsys, argv)
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
+
+    def test_sweep_oversized_token_fails_only_its_line(self, capsys, tmp_path):
+        batch = tmp_path / "batch.txt"
+        batch.write_text(f"p2 {'1' * 5000}\np3 1,1\n")
+        code, docs = run(capsys, ["sweep", "--in", str(batch)])
+        assert code == EXIT_OK
+        assert len(docs) == 2
+        assert docs[0]["error"]["kind"] == "parse"
+        assert docs[0]["error"]["line"] == 1
+        assert docs[1]["stratum"] == "D1"
+
+    def test_simulate_infinite_window(self, capsys, within):
+        with within(5):
+            code, (doc,) = run(capsys, [
+                "simulate", "--family", "xc", "--params", "2", "--init", "1,0.5",
+                "--t0", "0", "--t1", "inf"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"]["kind"] == "constraint"
+
+    @pytest.mark.parametrize("extra", [
+        ["--init", "nan,0.5"],
+        ["--tol", "1e-30"],
+        ["--blowup-threshold", "-1"],
+    ])
+    def test_simulate_numeric_inputs(self, capsys, extra):
+        argv = ["simulate", "--family", "xc", "--params", "2", "--init", "1,0.5",
+                "--t0", "0", "--t1", "0.3"]
+        code, (doc,) = run(capsys, argv + extra)
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"]["kind"] == "constraint"
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_log_relation_non_finite_coupling(self, capsys, c):
+        code, (doc,) = run(capsys, ["verify", "log-relation", f"--c={c}"])
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
+        assert "--c" in doc["error"]["message"]

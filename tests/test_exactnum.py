@@ -50,6 +50,23 @@ class TestParse:
         with pytest.raises(ParameterParseError, match="3/0"):
             parse_cgauss("2+3/0i")
 
+    @pytest.mark.parametrize("text", [
+        "\u0661",          # Arabic-Indic one
+        "\uff13/2",        # fullwidth three
+        "1/\u0662",
+        "1+\u0663i",
+    ])
+    def test_ascii_digits_only(self, text):
+        with pytest.raises(ParameterParseError, match="malformed"):
+            parse_cgauss(text)
+
+    @pytest.mark.parametrize("text", [
+        "1" * 5000, "-1/" + "3" * 5000, "2+" + "9" * 5000 + "i",
+    ], ids=["integer", "denominator", "imaginary"])
+    def test_oversized_integer(self, text):
+        with pytest.raises(ParameterParseError, match="5000 digits"):
+            parse_cgauss(text)
+
     @given(cgauss)
     def test_round_trip(self, z):
         assert parse_cgauss(format_cgauss(z)) == z

@@ -288,8 +288,3 @@ class TestFixtures:
             xc_first_integral(-1)
         with pytest.raises(ValueError):
             xc_first_integral(2, "sideways")
-
-    def test_scalar_form_shipped_with_warning_only(self):
-        from painstrata.models import P4_SCALAR_NOTE, P4_SCALAR_RHS_TEXT
-        assert "q^2" in P4_SCALAR_RHS_TEXT
-        assert "typo" in P4_SCALAR_NOTE

@@ -82,8 +82,8 @@ class TestIntegrator:
     def test_time_reversal_sanity(self):
         sys = xc_system(2)
         fwd = integrate(IntegrationSpec(sys, 0.0, 0.3, (1.0, 0.5)))
-        back = integrate(IntegrationSpec(sys.reversed(), 0.0, 0.3,
-                                         fwd.terminal_state))
+        negated = SystemRHS(sys.family, sys.variables, tuple(-f for f in sys.rhs))
+        back = integrate(IntegrationSpec(negated, 0.0, 0.3, fwd.terminal_state))
         assert fwd.completed and back.completed
         assert max(abs(a - b) for a, b in
                    zip(back.terminal_state, (1.0, 0.5))) < 1e-7
@@ -115,6 +115,30 @@ class TestIntegrator:
             IntegrationSpec(one_dim("y"), 0.0, 1.0, (1.0,), rel_tol=0.0)
         with pytest.raises(ValueError):
             IntegrationSpec(one_dim("y"), 1.0, 0.0, (1.0,))
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("t1", math.inf, "finite"),
+        ("t0", -math.inf, "finite"),
+        ("t1", math.nan, "finite"),
+        ("initial_state", (math.nan,), "finite"),
+        ("initial_state", (math.inf,), "finite"),
+        ("rel_tol", 1e-30, "at least"),
+        ("rel_tol", math.nan, "finite"),
+        ("abs_tol", math.nan, "finite"),
+        ("abs_tol", math.inf, "finite"),
+        ("blowup_threshold", -1.0, "blow-up threshold"),
+        ("blowup_threshold", 0.0, "blow-up threshold"),
+        ("blowup_threshold", math.nan, "blow-up threshold"),
+    ])
+    def test_numeric_input_validation(self, field, value, match):
+        spec = {"t0": 0.0, "t1": 1.0, "initial_state": (1.0,)}
+        spec[field] = value
+        with pytest.raises(ValueError, match=match):
+            IntegrationSpec(one_dim("y"), **spec)
+
+    def test_tolerance_floor_admits_the_documented_range(self):
+        for tol in (1e-8, 1e-12, 2.3e-14):
+            IntegrationSpec(one_dim("y"), 0.0, 1.0, (1.0,), rel_tol=tol, abs_tol=tol)
 
 
 class TestResiduals:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from painstrata.ratfunc import DivisionByZeroExpression, RationalFunction
@@ -13,85 +13,60 @@ from painstrata.symbolic import (
     DiffVar,
     ExprSyntaxError,
     FirstOrderCurve,
-    Num,
     NotConserved,
     NotContained,
-    Param,
-    T,
     UnsupportedExponentError,
-    Var,
-    canonical_equal,
-    expr_to_str,
-    parse_expression,
-    partial_derivative,
     quotient_of_partials,
     rf,
-    to_rational_function,
-    total_derivative,
+    total_derivative_rf,
     verify_first_integral,
     verify_subvariety,
 )
 
-
-def free_leaves(e):
-    if isinstance(e, (Num,)):
-        return set()
-    if isinstance(e, (Param, Var)) or e is T or type(e).__name__ == "TSym":
-        return {e}
-    out = set()
-    for name in ("a", "b", "base"):
-        child = getattr(e, name, None)
-        if child is not None and not isinstance(child, int):
-            out |= free_leaves(child)
-    return out
+Y, Y1, Y2 = DiffVar("y", 0), DiffVar("y", 1), DiffVar("y", 2)
+X = DiffVar("x", 0)
 
 
 class TestParser:
     def test_polynomial_leaves(self):
-        e = parse_expression("2*y^3 + t*y + a", params=["a"])
-        leaves = free_leaves(e)
-        assert Var(DiffVar("y", 0)) in leaves
-        assert Param("a") in leaves
-        assert T in leaves
+        assert rf("2*y^3 + t*y + a", params=["a"]).variables() == {Y, "a", "t"}
 
     def test_primes(self):
-        e = parse_expression("y' - y^2 - t/2")
-        assert Var(DiffVar("y", 1)) in free_leaves(e)
-        e2 = parse_expression("y''")
-        assert free_leaves(e2) == {Var(DiffVar("y", 2))}
+        assert Y1 in rf("y' - y^2 - t/2").variables()
+        assert rf("y''").variables() == {Y2}
 
     def test_juxtaposition_rejected(self):
         with pytest.raises(ExprSyntaxError) as err:
-            parse_expression("y(y-1)/x")
+            rf("y(y-1)/x")
         assert err.value.pos == 1
 
     def test_unknown_symbol_with_whitelist(self):
         with pytest.raises(ExprSyntaxError, match="unknown symbol 'z'"):
-            parse_expression("z + 1", variables=["x", "y"])
-        parse_expression("x + 1", variables=["x", "y"])
+            rf("z + 1", variables=["x", "y"])
+        assert rf("x + 1", variables=["x", "y"]).variables() == {X}
 
     def test_symbolic_exponent(self):
         with pytest.raises(UnsupportedExponentError, match="log-relation"):
-            parse_expression("y^c*(y-1)/x", params=["c"])
+            rf("y^c*(y-1)/x", params=["c"])
 
     def test_negative_exponent(self):
         with pytest.raises(ExprSyntaxError, match="division"):
-            parse_expression("y^-2")
+            rf("y^-2")
 
     def test_prime_on_t_and_params(self):
         with pytest.raises(ExprSyntaxError):
-            parse_expression("t'")
+            rf("t'")
         with pytest.raises(ExprSyntaxError):
-            parse_expression("a'", params=["a"])
+            rf("a'", params=["a"])
 
     def test_error_positions(self):
         with pytest.raises(ExprSyntaxError) as err:
-            parse_expression("y + * 2")
+            rf("y + * 2")
         assert err.value.pos == 4
 
     def test_unary_minus_chain(self):
-        assert canonical_equal(parse_expression("--y"), parse_expression("y"))
-        assert canonical_equal(parse_expression("-y + y"), Num(Fraction(0)))
+        assert rf("--y") == rf("y")
+        assert rf("-y + y") == RationalFunction.constant(0)
 
     @pytest.mark.parametrize("text", [
         "2*y^3 + t*y + a",
@@ -100,51 +75,116 @@ class TestParser:
         "y''*y - t^4",
     ])
     def test_printer_round_trip(self, text):
-        e = parse_expression(text, params=["a"])
-        again = parse_expression(expr_to_str(e), params=["a"])
-        assert canonical_equal(e, again)
+        f = rf(text, params=["a"])
+        assert rf(str(f), params=["a"]) == f
+
+    @pytest.mark.parametrize("text", ["y +", "", "  ", "(y -", "y * -"])
+    def test_missing_operand(self, text, within):
+        with within(2), pytest.raises(ExprSyntaxError, match="expected"):
+            rf(text)
+
+    @pytest.mark.parametrize("text, pos", [
+        ("y^\u00b2", 2),           # superscript two
+        ("y + \u0661", 4),         # Arabic-Indic one
+        ("\uff59 + 1", 0),         # fullwidth y
+        ("y\u00e9", 1),            # a name stops at the first non-ASCII letter
+        ("y +\u00a01", 3),         # no-break space
+    ])
+    def test_grammar_is_ascii(self, text, pos):
+        with pytest.raises(ExprSyntaxError) as err:
+            rf(text)
+        assert err.value.pos == pos
+
+    def test_oversized_integer(self):
+        with pytest.raises(ExprSyntaxError, match="5000 digits") as err:
+            rf("y + " + "7" * 5000)
+        assert err.value.pos == 4
+
+    def test_long_chains(self):
+        assert rf(" + ".join(["y"] * 3000)) == rf("3000*y")
+        assert rf("*".join(["y"] * 3000) + "/" + "/".join(["y"] * 2998)) == rf("y^2")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ExprSyntaxError, match="nests too deeply"):
+            rf("(" * 5000 + "y" + ")" * 5000)
+
+    def test_syntax_error_precedes_arithmetic(self, within):
+        # expanding the power alone would take far longer than the bound
+        with within(2), pytest.raises(ExprSyntaxError) as err:
+            rf("(x+y+1)^100000 + )")
+        assert err.value.pos == 17
 
 
-exprs = st.recursive(
-    st.sampled_from([
-        Num(Fraction(2)), Num(Fraction(-1, 2)), Num(Fraction(3)),
-        T, Param("a"), Var(DiffVar("y", 0)), Var(DiffVar("y", 1)),
-        Var(DiffVar("x", 0)),
-    ]),
-    lambda children: st.one_of(
-        st.tuples(children, children).map(lambda ab: ab[0] + ab[1]),
-        st.tuples(children, children).map(lambda ab: ab[0] - ab[1]),
-        st.tuples(children, children).map(lambda ab: ab[0] * ab[1]),
-        children.map(lambda a: a ** 2),
-        children.map(lambda a: -a),
-    ),
-    max_leaves=8,
-)
+def _wrap(template):
+    return lambda ab: template.format(*ab)
+
+
+def grammar_texts(leaves):
+    """Grammar text built from the given leaves; every operand is
+    parenthesized, so the parse follows the generated tree."""
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda children: st.one_of(
+            st.tuples(children, children).map(_wrap("({}) + ({})")),
+            st.tuples(children, children).map(_wrap("({}) - ({})")),
+            st.tuples(children, children).map(_wrap("({})*({})")),
+            children.map(lambda a: f"({a})^2"),
+            children.map(lambda a: f"-({a})"),
+        ),
+        max_leaves=8,
+    )
+
+
+def with_quotients(texts):
+    return st.one_of(texts, st.tuples(texts, texts).map(_wrap("({})/({})")))
+
+
+texts = grammar_texts(["2", "(-1/2)", "3", "t", "a", "y", "y'", "x"])
+plane_texts = grammar_texts(["2", "(-1/2)", "3", "0", "t", "a", "y", "x"])
+
+
+def _rf_or_reject(text, **kw):
+    try:
+        return rf(text, **kw)
+    except ExprSyntaxError as exc:
+        assert "identically-zero" in str(exc)
+        assume(False)
 
 
 class TestDerivation:
     def test_rules(self):
-        assert canonical_equal(total_derivative(T), Num(Fraction(1)))
-        assert canonical_equal(total_derivative(Param("a")), Num(Fraction(0)))
-        e = parse_expression("y^2 + t/2")
-        assert canonical_equal(total_derivative(e), parse_expression("2*y*y' + 1/2"))
-        assert canonical_equal(total_derivative(Var(DiffVar("y", 1))),
-                               Var(DiffVar("y", 2)))
+        assert total_derivative_rf(rf("t")) == RationalFunction.constant(1)
+        assert total_derivative_rf(rf("a", params=["a"])).is_zero()
+        assert total_derivative_rf(rf("y^2 + t/2")) == rf("2*y*y' + 1/2")
+        assert total_derivative_rf(rf("y'")) == rf("y''")
 
     def test_quotient_rule(self):
-        e = parse_expression("y/t")
-        assert canonical_equal(total_derivative(e),
-                               parse_expression("(y'*t - y)/t^2"))
+        assert total_derivative_rf(rf("y/t")) == rf("(y'*t - y)/t^2")
 
-    @given(exprs, exprs)
+    @given(with_quotients(texts), with_quotients(texts))
     def test_leibniz(self, a, b):
-        assert canonical_equal(total_derivative(a * b),
-                               a * total_derivative(b) + b * total_derivative(a))
+        fa, fb = _rf_or_reject(a, params=["a"]), _rf_or_reject(b, params=["a"])
+        assert total_derivative_rf(fa * fb) == (
+            fa * total_derivative_rf(fb) + fb * total_derivative_rf(fa))
 
-    @given(exprs, exprs)
+    @given(with_quotients(texts), with_quotients(texts))
     def test_additive(self, a, b):
-        assert canonical_equal(total_derivative(a + b),
-                               total_derivative(a) + total_derivative(b))
+        fa, fb = _rf_or_reject(a, params=["a"]), _rf_or_reject(b, params=["a"])
+        assert total_derivative_rf(fa + fb) == (
+            total_derivative_rf(fa) + total_derivative_rf(fb))
+
+
+class TestCanonicalForm:
+    @given(with_quotients(texts))
+    def test_printer_round_trip_random(self, text):
+        f = _rf_or_reject(text, params=["a"])
+        assert rf(str(f), params=["a"]) == f
+
+    @given(with_quotients(plane_texts))
+    def test_sympy_oracle(self, text):
+        sympy = pytest.importorskip("sympy")
+        f = _rf_or_reject(text, params=["a"])
+        assert sympy.cancel(sympy.S(text) - sympy.S(str(f))) == 0
 
 
 class TestPartials:
@@ -152,35 +192,35 @@ class TestPartials:
     # checked against central finite differences below
     def test_frozen(self):
         F = rf("y^2*(y-1)/x")
-        assert partial_derivative(F, "x") == rf("-y^2*(y-1)/x^2")
-        assert partial_derivative(F, "y") == rf("y*(3*y-2)/x")
-        assert partial_derivative(rf("5"), "x").is_zero()
+        assert F.partial(X) == rf("-y^2*(y-1)/x^2")
+        assert F.partial(Y) == rf("y*(3*y-2)/x")
+        assert rf("5").partial(X).is_zero()
 
     def test_finite_difference_oracle(self):
         F = rf("y^2*(y-1)/x")
-        fx = partial_derivative(F, "x")
+        fx = F.partial(X)
         h = 1e-6
         for x0, y0 in [(1.3, 0.4), (0.7, 2.1), (-1.1, 0.9)]:
             def val(x, y):
-                env = {DiffVar("x", 0): Fraction(x), DiffVar("y", 0): Fraction(y)}
-                return float(F.evaluate(env))
+                return float(F.evaluate({X: Fraction(x), Y: Fraction(y)}))
             numeric = (val(x0 + h, y0) - val(x0 - h, y0)) / (2 * h)
-            exact = float(fx.evaluate({DiffVar("x", 0): Fraction(x0),
-                                       DiffVar("y", 0): Fraction(y0)}))
+            exact = float(fx.evaluate({X: Fraction(x0), Y: Fraction(y0)}))
             assert abs(numeric - exact) < 1e-5 * max(1.0, abs(exact))
 
 
 class TestCanonicalEqual:
     def test_examples(self):
-        assert canonical_equal(parse_expression("(y+1)^2"),
-                               parse_expression("y^2 + 2*y + 1"))
-        assert canonical_equal(parse_expression("y'*x"), parse_expression("x*y'"))
-        assert not canonical_equal(parse_expression("y^3"),
-                                   parse_expression("y*y*y + 1"))
+        assert rf("(y+1)^2") == rf("y^2 + 2*y + 1")
+        assert rf("y'*x") == rf("x*y'")
+        assert rf("y^3") != rf("y*y*y + 1")
 
     def test_division_by_zero_expression(self):
-        with pytest.raises(DivisionByZeroExpression):
-            canonical_equal(parse_expression("1/(y - y)"), Num(Fraction(0)))
+        with pytest.raises(ExprSyntaxError, match="identically-zero") as err:
+            rf("1/(y - y)")
+        assert err.value.pos == 1
+        with pytest.raises(ExprSyntaxError) as err:
+            rf("x + y/(x - x)^2")
+        assert err.value.pos == 5
 
 
 class TestSubvariety:
@@ -268,10 +308,11 @@ class TestQuotientOfPartials:
 
 
 class TestLowering:
-    def test_to_rational_function(self):
-        f = to_rational_function(parse_expression("(y^2 - 1)/(y - 1)"))
+    def test_parse_cancels_common_factor(self):
+        f = rf("(y^2 - 1)/(y - 1)")
         assert f == rf("y + 1")
+        assert str(f) == "y + 1"
 
     def test_params_stay_symbolic(self):
-        f = to_rational_function(parse_expression("a*y + a", params=["a"]))
+        f = rf("a*y + a", params=["a"])
         assert "a" in f.variables()
