@@ -132,7 +132,7 @@ def lattice_member(z: ComplexRational, lattice: Lattice) -> bool:
     if lattice is Lattice.TWO_INTEGERS:
         return r.denominator == 1 and r.numerator % 2 == 0
     if lattice is Lattice.HALF_PLUS_INTEGERS:
-        return (r - Fraction(1, 2)).denominator == 1
+        return r.denominator == 2
     raise TypeError(f"unknown lattice {lattice!r}")
 
 

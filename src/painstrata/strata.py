@@ -140,83 +140,46 @@ CITATIONS = {
 _SM_NOTE = "strongly minimal"
 
 
-def _diff(a: Coord, b: Coord):
+def _diff(a: Coord, b: Coord) -> Coord:
     if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
-        return None
+        return SpecialValue.GENERIC
     return a - b
 
 
-def _sum(a: Coord, b: Coord):
+def _sum(a: Coord, b: Coord) -> Coord:
     if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
-        return None
+        return SpecialValue.GENERIC
     return a + b
 
 
-def _member(value, lattice: Lattice) -> bool:
-    """Lattice membership extended to generic values (never members)."""
-    return value is not None and lattice_member(value, lattice)
+def _member(value: Coord, lattice: Lattice) -> bool:
+    """Lattice membership extended to tagged values (never members)."""
+    return not isinstance(value, SpecialValue) and lattice_member(value, lattice)
 
 
 # --------------------------------------------------------------------------
-# The sixth family: 24 roots, integer-offset hyperplanes, rank strata.
+# The sixth family: roots +-e_i +- e_j, integer-offset hyperplanes, rank strata.
 # --------------------------------------------------------------------------
 
 Root4 = tuple[int, int, int, int]
 
-
-def _build_roots() -> tuple[Root4, ...]:
-    roots = []
-    for i, j in itertools.combinations(range(4), 2):
-        for si in (1, -1):
-            for sj in (1, -1):
-                root = [0, 0, 0, 0]
-                root[i] = si
-                root[j] = sj
-                roots.append(tuple(root))
-    return tuple(sorted(roots, reverse=True))
-
-
-ROOTS: tuple[Root4, ...] = _build_roots()
-assert len(ROOTS) == 24
-
 _P6_STRATUM_BY_RANK = ("generic", "M", "P", "L", "D")
 
 
-def root_inner(v: Sequence[Coord], root: Root4):
-    """Exact inner product; None when a generic coordinate is involved."""
-    total = ComplexRational()
-    for c, r in zip(v, root):
-        if not r:
-            continue
-        if isinstance(c, SpecialValue):
-            return None
-        total = total + c * r
-    return total
-
-
 def integral_roots(v: Sequence[Coord]) -> list[Root4]:
-    """Roots whose inner product with v is a (real) integer."""
-    return [root for root in ROOTS
-            if _member(root_inner(v, root), Lattice.INTEGERS)]
+    """Roots +-e_i +- e_j whose inner product with v is a (real) integer.
 
-
-def _rank_and_pivots(rows: Sequence[Root4]) -> tuple[int, list[Root4]]:
-    """Rank of the Q-span by exact elimination, plus one independent subset."""
-    basis: list[tuple[int, list[Fraction]]] = []
-    witnesses: list[Root4] = []
-    for root in rows:
-        row = [Fraction(x) for x in root]
-        for piv, brow in basis:
-            if row[piv]:
-                factor = row[piv] / brow[piv]
-                row = [a - factor * b for a, b in zip(row, brow)]
-        piv = next((i for i, a in enumerate(row) if a), None)
-        if piv is not None:
-            basis.append((piv, row))
-            witnesses.append(root)
-            if len(basis) == 4:
-                break
-    return len(basis), witnesses
+    Twelve pair tests, v_i - v_j in Z and v_i + v_j in Z for i < j; each
+    test that passes contributes a root and its negative.
+    """
+    roots = []
+    for i, j in itertools.combinations(range(4), 2):
+        for sign, value in ((-1, _diff(v[i], v[j])), (1, _sum(v[i], v[j]))):
+            if _member(value, Lattice.INTEGERS):
+                root = [0, 0, 0, 0]
+                root[i], root[j] = 1, sign
+                roots += (tuple(root), tuple(-x for x in root))
+    return roots
 
 
 @dataclass(frozen=True)
@@ -233,11 +196,39 @@ def p6_stratum(v: Sequence[Coord]) -> P6Stratum:
     the set of roots with integer inner product; since the hyperplane offsets
     range over all integers, this matches the unions-of-intersections picture
     with 2, 3 or 4 independent hyperplanes.
+
+    The roots are the edges of a signed graph on the four coordinates (e_i -
+    e_j positive, e_i + e_j negative), and the rank of their span is 4 minus
+    the number of balanced components (Zaslavsky, *Signed graphs*, Discrete
+    Appl. Math. 4, 1982).  One union-find pass with sign parities finds a
+    spanning forest and, per unbalanced component, one edge closing a
+    negative cycle; together they are the independent witnesses.
     """
     if len(v) != 4:
         raise ConstraintError("expected four coordinates")
-    rank, witnesses = _rank_and_pivots(integral_roots(v))
-    return P6Stratum(_P6_STRATUM_BY_RANK[rank], tuple(witnesses), rank)
+    parent, parity = [0, 1, 2, 3], [0, 0, 0, 0]   # parity: sign relative to parent
+    forest, unbalancing = [], {}                  # unbalancing: component -> edge
+
+    def find(x):
+        odd = 0
+        while parent[x] != x:
+            odd ^= parity[x]
+            x = parent[x]
+        return x, odd
+
+    for root in integral_roots(v):
+        i, j = (k for k, c in enumerate(root) if c)
+        odd = root[i] == root[j]   # e_i + e_j: the ends take opposite signs
+        (ri, pi), (rj, pj) = find(i), find(j)
+        if ri != rj:
+            parent[ri], parity[ri] = rj, pi ^ pj ^ odd
+            forest.append(root)
+            if ri in unbalancing:
+                unbalancing.setdefault(rj, unbalancing.pop(ri))
+        elif pi ^ pj != odd:
+            unbalancing.setdefault(ri, root)
+    witnesses = tuple(forest) + tuple(unbalancing.values())
+    return P6Stratum(_P6_STRATUM_BY_RANK[len(witnesses)], witnesses, len(witnesses))
 
 
 # --------------------------------------------------------------------------
@@ -259,8 +250,7 @@ def _in_scope(inst: FamilyInstance, stratum: str, degree: DegreeValue,
 
 def _classify_p2(inst: FamilyInstance) -> Classification:
     alpha = inst.params[0]
-    half = None if isinstance(alpha, SpecialValue) else alpha
-    if _member(half, Lattice.HALF_PLUS_INTEGERS):
+    if _member(alpha, Lattice.HALF_PLUS_INTEGERS):
         return _in_scope(
             inst, "half_plus_integer", Exact(2), CITATIONS["p2_half"],
             ("the fiber splits as an order-one curve plus its strongly "
@@ -272,9 +262,7 @@ def _classify_p2(inst: FamilyInstance) -> Classification:
 def _classify_p3(inst: FamilyInstance) -> Classification:
     v1, v2 = inst.params
     s, d = _sum(v1, v2), _diff(v1, v2)
-    integers = (_member(None if isinstance(v1, SpecialValue) else v1, Lattice.INTEGERS)
-                and _member(None if isinstance(v2, SpecialValue) else v2,
-                            Lattice.INTEGERS))
+    integers = _member(v1, Lattice.INTEGERS) and _member(v2, Lattice.INTEGERS)
     if integers and _member(s, Lattice.TWO_INTEGERS):
         return _in_scope(inst, "D1", Exact(3), CITATIONS["p3_D1"])
     if _member(s, Lattice.TWO_INTEGERS) or _member(d, Lattice.TWO_INTEGERS):

@@ -21,12 +21,11 @@ from painstrata.strata import (
     Exact,
     OUT_OF_SCOPE,
     Range,
-    ROOTS,
     classify,
     classify_xc,
     degree_to_json,
+    integral_roots,
     p6_stratum,
-    root_inner,
 )
 
 import oracles
@@ -47,21 +46,36 @@ def signature(c: Classification):
 
 
 class TestRoots:
+    """The oracle's root table and inner product, which the brute force
+    stands on."""
+
     def test_count_and_shape(self):
-        assert len(ROOTS) == 24
-        assert len(set(ROOTS)) == 24
-        for r in ROOTS:
+        assert len(oracles.ROOTS) == 24
+        assert len(set(oracles.ROOTS)) == 24
+        for r in oracles.ROOTS:
             assert sorted(map(abs, r)) == [0, 0, 1, 1]
 
     def test_inner_product(self):
         v = crs(Fraction(1, 2), Fraction(1, 3), 0, 0)
-        assert root_inner(v, (1, 1, 0, 0)) == CR(Fraction(5, 6))
-        assert root_inner(v, (0, 0, 1, -1)) == CR()
+        assert oracles.root_inner(v, (1, 1, 0, 0)) == CR(Fraction(5, 6))
+        assert oracles.root_inner(v, (0, 0, 1, -1)) == CR()
+        w = (CR(Fraction(1, 2), Fraction(1)), CR(Fraction(1, 2), Fraction(-1)), CR(), CR())
+        assert oracles.root_inner(w, (1, 1, 0, 0)) == CR(Fraction(1))
+        assert oracles.root_inner(w, (1, -1, 0, 0)) == CR(Fraction(0), Fraction(2))
 
     def test_generic_coordinate_blocks_root(self):
         v = (SpecialValue.GENERIC, CR(), CR(), CR())
-        assert root_inner(v, (1, 1, 0, 0)) is None
-        assert root_inner(v, (0, 0, 1, 1)) == CR()
+        assert oracles.root_inner(v, (1, 1, 0, 0)) is None
+        assert oracles.root_inner(v, (0, 0, 1, 1)) == CR()
+        assert not oracles.integral(None)
+
+    def test_integral_roots_match_enumeration(self):
+        rng = random.Random(102)
+        for _ in range(300):
+            v = oracles.p6_tangled_sample(rng)
+            expected = [r for r in oracles.ROOTS
+                        if oracles.integral(oracles.root_inner(v, r))]
+            assert sorted(integral_roots(v)) == sorted(expected), v
 
 
 class TestP6Stratum:
@@ -93,6 +107,20 @@ class TestP6Stratum:
             v = oracles.p6_sample(rng)
             info = p6_stratum(v)
             assert info.stratum == oracles.brute_force_stratum(v)
+
+    def test_oracle_equivalence_tangled(self):
+        # non-real and generic coordinates, and coordinates tied to earlier
+        # ones, so that every rank and both kinds of component occur
+        rng = random.Random(103)
+        ranks = set()
+        for _ in range(2000):
+            v = oracles.p6_tangled_sample(rng)
+            info = p6_stratum(v)
+            assert info.stratum == oracles.brute_force_stratum(v), v
+            assert len(info.witnesses) == info.rank, v
+            assert oracles.independent(list(info.witnesses)), v
+            ranks.add(info.rank)
+        assert ranks == {0, 1, 2, 3, 4}
 
     def test_nesting_by_levels(self):
         rng = random.Random(7)
