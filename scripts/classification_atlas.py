@@ -39,11 +39,11 @@ def instances(family: Family):
                 yield (a, b, c, Fraction(1, 5))
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None,
                         help="write one JSON document per point to this file")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     sink = open(args.out, "w", encoding="utf-8") if args.out else None
     for family in (Family.PII, Family.PIII, Family.PIV, Family.PV, Family.PVI):

@@ -19,12 +19,12 @@ from painstrata.numverify import IntegrationSpec, conservation_drift, export_csv
 STARTS = [(1.0, 0.5), (0.8, 0.3), (1.5, 0.7), (2.0, 0.4)]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--c", type=int, nargs="+", default=[0, 1, 2, 3])
     parser.add_argument("--t1", type=float, default=0.3)
     parser.add_argument("--outdir", default="xc_trajectories")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

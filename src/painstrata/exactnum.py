@@ -22,16 +22,14 @@ class ParameterParseError(ValueError):
 class ComplexRational:
     """An element of Q(i), stored as a pair of reduced fractions.
 
-    ``Fraction`` keeps both components in lowest terms with positive
-    denominator, so equality and hashing are exact and canonical.
+    Both parts are ``Fraction``s on construction: the wire parser and every
+    operator build them so, and int operands are promoted by ``_coerce``.
+    ``Fraction`` keeps each in lowest terms with positive denominator, so
+    equality and hashing are exact and canonical.
     """
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
 
     @staticmethod
     def _coerce(value) -> "ComplexRational":
@@ -124,9 +122,11 @@ class Lattice(enum.Enum):
 
 def lattice_member(z: ComplexRational, lattice: Lattice) -> bool:
     """True iff im(z) = 0 and re(z) lies in the given lattice or coset."""
-    if z.im != 0:
-        return False
-    r = z.re
+    return z.im == 0 and rational_member(z.re, lattice)
+
+
+def rational_member(r: Fraction, lattice: Lattice) -> bool:
+    """True iff the rational r lies in the given lattice or coset."""
     if lattice is Lattice.INTEGERS:
         return r.denominator == 1
     if lattice is Lattice.TWO_INTEGERS:

@@ -60,16 +60,6 @@ class SystemUnavailableError(ValueError):
     """No explicit first-order system is shipped for this family."""
 
 
-def _coerce_coord(value) -> Coord:
-    if isinstance(value, SpecialValue):
-        return value
-    if isinstance(value, ComplexRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return ComplexRational(Fraction(value))
-    raise TypeError(f"cannot treat {value!r} as a parameter coordinate")
-
-
 def parse_coord(token: str) -> Coord:
     token = token.strip().lower()
     for tag in SpecialValue:
@@ -90,20 +80,19 @@ class FamilyInstance:
     params: tuple[Coord, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "params",
-                           tuple(_coerce_coord(p) for p in self.params))
         expected = PARAM_COUNT[self.family]
         if len(self.params) != expected:
             raise ConstraintError(
                 f"{self.family.value} takes {expected} parameter(s), "
                 f"got {len(self.params)}")
-        concrete = [p for p in self.params if isinstance(p, ComplexRational)]
-        if self.family in (Family.PIV, Family.PV) and len(concrete) == len(self.params):
-            total = sum(concrete, ComplexRational())
-            if total:
+        if (self.family in (Family.PIV, Family.PV)
+                and not any(isinstance(p, SpecialValue) for p in self.params)):
+            re = sum(p.re for p in self.params)
+            im = sum(p.im for p in self.params)
+            if re or im:
                 raise ConstraintError(
                     f"{self.family.value} parameters must sum to zero exactly "
-                    f"(got {total})")
+                    f"(got {ComplexRational(re, im)})")
         if self.family is Family.XC:
             c = self.params[0]
             if isinstance(c, ComplexRational) and not c.is_real:
@@ -172,13 +161,9 @@ def _check_params(family: Family, v: Sequence[ComplexRational]) -> tuple:
     if len(v) != PARAM_COUNT[family]:
         raise ConstraintError(f"{family.value} parameter vector has "
                               f"{PARAM_COUNT[family]} coordinates, got {len(v)}")
-    out = []
-    for c in v:
-        c = _coerce_coord(c)
-        if isinstance(c, SpecialValue):
-            raise ConstraintError("transformations require concrete Q(i) values")
-        out.append(c)
-    return tuple(out)
+    if any(isinstance(c, SpecialValue) for c in v):
+        raise ConstraintError("transformations require concrete Q(i) values")
+    return tuple(v)
 
 
 def apply_generator(g: Generator, v: Sequence[ComplexRational]) -> tuple:
@@ -306,6 +291,9 @@ class Unknown:
 
 def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
                  family: Family, max_word_length: int) -> Related | Unknown:
+    if max_word_length < 0:
+        raise ConstraintError(
+            f"the maximum word length must be at least 0, got {max_word_length}")
     a = _check_params(family, a)
     b = _check_params(family, b)
     gens = generators_for(family)
@@ -438,13 +426,10 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
     return SystemRHS(inst.family, variables, rhs, sing)
 
 
-def p2_second_order_rhs(alpha) -> RationalFunction:
+def p2_second_order_rhs(alpha: Fraction) -> RationalFunction:
     """The scalar second-order right side 2*y^3 + t*y + alpha."""
-    alpha = _coerce_coord(alpha)
-    base = rf("2*y^3 + t*y + a", params=("a",), variables=("y",))
-    if isinstance(alpha, SpecialValue):
-        return base
-    return base.substitute_values({"a": alpha.as_fraction()})
+    return rf("2*y^3 + t*y + a", params=("a",),
+              variables=("y",)).substitute_values({"a": alpha})
 
 
 def riccati_curve(sign: str) -> FirstOrderCurve:

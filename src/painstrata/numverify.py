@@ -151,7 +151,9 @@ def compile_rf(f: RationalFunction, variables: Sequence[str]) -> Callable:
     return evaluate
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau.  The last row of _A is also the fifth-order
+# weights (the seventh weight is zero), so the last stage state is y5 and the
+# last stage f(t+h, y5) is the next step's first ("first same as last").
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
@@ -162,7 +164,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 
@@ -190,7 +191,7 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
 
     t, y = spec.t0, tuple(spec.initial_state)
     try:
-        deriv(t, y)
+        k1 = deriv(t, y)
     except (ZeroDivisionError, OverflowError) as exc:
         raise SingularInitialState(
             f"cannot evaluate the field at the initial state: {exc}") from exc
@@ -206,7 +207,7 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
         h = min(h, spec.t1 - t)
         failed = False
         try:
-            k = [deriv(t, y)]
+            k = [k1]
             for stage in range(1, 7):
                 ts = t + _C[stage] * h
                 ys = tuple(
@@ -219,11 +220,10 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
             failed = True
             pole_suspect = isinstance(exc, ZeroDivisionError)
         if not failed:
-            y5 = tuple(y[i] + h * sum(_B5[j] * k[j][i] for j in range(7))
-                       for i in range(n))
+            y5 = ys
             y4 = tuple(y[i] + h * sum(_B4[j] * k[j][i] for j in range(7))
                        for i in range(n))
-            if not (_finite(y5) and _finite(y4)):
+            if not _finite(y4):
                 failed = True
                 pole_suspect = False
         if failed:
@@ -239,7 +239,7 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
                   for i, (a, b) in enumerate(zip(y5, y4)))
         if err <= 1.0:
             t += h
-            y = y5
+            y, k1 = y5, k[6]
             traj.samples.append((t, y))
             err_total += max(abs(a - b) for a, b in zip(y5, y4))
             if max(abs(v) for v in y) >= spec.blowup_threshold:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactnum import ComplexRational, Lattice, lattice_member
+from .exactnum import ComplexRational, Lattice, lattice_member, rational_member
 from .models import (
     ConstraintError,
     Coord,
@@ -140,21 +140,19 @@ CITATIONS = {
 _SM_NOTE = "strongly minimal"
 
 
-def _diff(a: Coord, b: Coord) -> Coord:
+def _member(lattice: Lattice, a: Coord, sign: int = 0, b: Coord | None = None) -> bool:
+    """``a + sign*b`` (``a`` alone when sign is 0) lies in the lattice.
+
+    Read off the parts, so no value is built: the imaginary parts must
+    cancel, then the real part is tested.  A tagged operand is in no lattice.
+    """
     if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
-        return SpecialValue.GENERIC
-    return a - b
-
-
-def _sum(a: Coord, b: Coord) -> Coord:
-    if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
-        return SpecialValue.GENERIC
-    return a + b
-
-
-def _member(value: Coord, lattice: Lattice) -> bool:
-    """Lattice membership extended to tagged values (never members)."""
-    return not isinstance(value, SpecialValue) and lattice_member(value, lattice)
+        return False
+    if not sign:
+        return lattice_member(a, lattice)
+    if sign < 0:
+        return a.im == b.im and rational_member(a.re - b.re, lattice)
+    return a.im == -b.im and rational_member(a.re + b.re, lattice)
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +172,8 @@ def integral_roots(v: Sequence[Coord]) -> list[Root4]:
     """
     roots = []
     for i, j in itertools.combinations(range(4), 2):
-        for sign, value in ((-1, _diff(v[i], v[j])), (1, _sum(v[i], v[j]))):
-            if _member(value, Lattice.INTEGERS):
+        for sign in (-1, 1):
+            if _member(Lattice.INTEGERS, v[i], sign, v[j]):
                 root = [0, 0, 0, 0]
                 root[i], root[j] = 1, sign
                 roots += (tuple(root), tuple(-x for x in root))
@@ -250,7 +248,7 @@ def _in_scope(inst: FamilyInstance, stratum: str, degree: DegreeValue,
 
 def _classify_p2(inst: FamilyInstance) -> Classification:
     alpha = inst.params[0]
-    if _member(alpha, Lattice.HALF_PLUS_INTEGERS):
+    if _member(Lattice.HALF_PLUS_INTEGERS, alpha):
         return _in_scope(
             inst, "half_plus_integer", Exact(2), CITATIONS["p2_half"],
             ("the fiber splits as an order-one curve plus its strongly "
@@ -261,19 +259,19 @@ def _classify_p2(inst: FamilyInstance) -> Classification:
 
 def _classify_p3(inst: FamilyInstance) -> Classification:
     v1, v2 = inst.params
-    s, d = _sum(v1, v2), _diff(v1, v2)
-    integers = _member(v1, Lattice.INTEGERS) and _member(v2, Lattice.INTEGERS)
-    if integers and _member(s, Lattice.TWO_INTEGERS):
+    even_sum = _member(Lattice.TWO_INTEGERS, v1, 1, v2)
+    integers = _member(Lattice.INTEGERS, v1) and _member(Lattice.INTEGERS, v2)
+    if integers and even_sum:
         return _in_scope(inst, "D1", Exact(3), CITATIONS["p3_D1"])
-    if _member(s, Lattice.TWO_INTEGERS) or _member(d, Lattice.TWO_INTEGERS):
+    if even_sum or _member(Lattice.TWO_INTEGERS, v1, -1, v2):
         return _in_scope(inst, "W1_minus_D1", Exact(2), CITATIONS["p3_W1"])
     return _in_scope(inst, "generic", STRONGLY_MINIMAL, CITATIONS["p3_generic"])
 
 
 def _classify_p4(inst: FamilyInstance) -> Classification:
     v1, v2, v3 = inst.params
-    diffs = (_diff(v1, v2), _diff(v3, v2), _diff(v1, v3))
-    integral = [_member(x, Lattice.INTEGERS) for x in diffs]
+    integral = [_member(Lattice.INTEGERS, a, -1, b)
+                for a, b in ((v1, v2), (v3, v2), (v1, v3))]
     if all(integral):
         return _in_scope(inst, "D", Exact(3), CITATIONS["p4_D"])
     if any(integral):
@@ -283,7 +281,7 @@ def _classify_p4(inst: FamilyInstance) -> Classification:
 
 def _classify_p5(inst: FamilyInstance) -> Classification:
     pairs = itertools.combinations(inst.params, 2)
-    if any(_member(_diff(a, b), Lattice.INTEGERS) for a, b in pairs):
+    if any(_member(Lattice.INTEGERS, a, -1, b) for a, b in pairs):
         return _in_scope(
             inst, "W", Range(2, 4), CITATIONS["p5_W"],
             ("the cited lemmas bound the degree without spelling out the "
@@ -297,8 +295,8 @@ def _classify_p6(inst: FamilyInstance) -> Classification:
         return _in_scope(inst, "generic", STRONGLY_MINIMAL, CITATIONS["p6_generic"])
     if info.rank == 1:
         v1, v2, v3, v4 = inst.params
-        if (_member(_diff(v1, v2), Lattice.HALF_PLUS_INTEGERS)
-                and _member(_diff(v3, v4), Lattice.INTEGERS)):
+        if (_member(Lattice.HALF_PLUS_INTEGERS, v1, -1, v2)
+                and _member(Lattice.INTEGERS, v3, -1, v4)):
             return _in_scope(
                 inst, "M_minus_P", Exact(4), CITATIONS["p6_M"],
                 ("degree-four subcase: v1 - v2 in 1/2 + Z and v3 - v4 in Z",))
@@ -373,10 +371,8 @@ class XcReport:
 _MINUS_ONE = ComplexRational(Fraction(-1))
 
 
-def classify_xc(c) -> XcReport:
+def classify_xc(c: Coord) -> XcReport:
     """Rank table for one fiber of the planar field family."""
-    if isinstance(c, (int, Fraction)):
-        c = ComplexRational(Fraction(c))
     if isinstance(c, ComplexRational):
         if not c.is_real:
             raise ConstraintError("the coupling constant must be real rational "

@@ -8,6 +8,7 @@ over Q(parameter symbols).
 
 from __future__ import annotations
 
+import math
 import operator
 import string
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 from .ratfunc import (
     DivisionByZeroExpression,
+    Polynomial,
     RationalFunction,
     RF_ZERO,
 )
@@ -107,6 +109,40 @@ def _divide_at(pos: int):
 
 _ADDITIVE = {"+": operator.add, "-": operator.sub}
 
+# Bounds on the predicted size of one power, so that an expression cannot ask
+# for an unbounded expansion: terms, and decimal digits per coefficient.
+_MAX_POWER_TERMS = 500
+_MAX_POWER_DIGITS = 1000
+
+
+def _power_fits(p: Polynomial, exp: int) -> bool:
+    """Whether ``p ** exp`` stays within the size bounds.
+
+    An n-term p has at most comb(n-1+exp, n-1) terms in ``p ** exp``.  With
+    p = (sum a_i*m_i)/L for integers a_i, the coefficients of the power have
+    numerators at most A**exp, A = sum |a_i|, and denominators dividing
+    L**exp, so at most exp*log10(A*L) digits.
+    """
+    n = len(p.terms)
+    if n > 1 and (exp > _MAX_POWER_TERMS
+                  or math.comb(n - 1 + exp, exp) > _MAX_POWER_TERMS):
+        return False
+    coeffs = p.terms.values()
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    height = lcm * sum(abs(c.numerator) * (lcm // c.denominator) for c in coeffs)
+    return height < 2 or exp <= _MAX_POWER_DIGITS / math.log10(height)
+
+
+def _power_at(pos: int, base: Builder, exp: int) -> Builder:
+    def build():
+        value = base()
+        if exp > 1 and not (_power_fits(value.num, exp) and _power_fits(value.den, exp)):
+            raise ExprSyntaxError(
+                f"power too large to expand (more than {_MAX_POWER_TERMS} terms "
+                f"or {_MAX_POWER_DIGITS} digits per coefficient)", pos)
+        return value ** exp
+    return build
+
 
 class _Parser:
     """Recursive descent that yields canonical forms.
@@ -183,8 +219,7 @@ class _Parser:
                     "exponents use the numeric log-relation check", exp_pos)
             if ch not in _DIGITS:
                 self.error("expected an integer exponent", exp_pos)
-            exp = self.integer()
-            return lambda: base() ** exp
+            return _power_at(exp_pos, base, self.integer())
         return base
 
     def integer(self) -> int:

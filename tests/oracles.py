@@ -120,7 +120,7 @@ def p6_tangled_sample(rng: random.Random) -> tuple:
         else:
             im = Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
             out.append(ComplexRational(rational_coord(rng).re,
-                                       im if rng.random() < 0.4 else 0))
+                                       im if rng.random() < 0.4 else Fraction(0)))
     return tuple(out)
 
 
@@ -132,3 +132,78 @@ def p4_sum_zero_sample(rng: random.Random) -> tuple[ComplexRational, ...]:
     a = rational_coord(rng)
     b = rational_coord(rng)
     return (a, b, -(a + b))
+
+
+# --------------------------------------------------------------------------
+# Coset tables of the second to fifth families and the planar field, decided
+# part by part: each condition is "sum of w_i * v_i lies in offset + step*Z".
+# --------------------------------------------------------------------------
+
+Z, TWO_Z, HALF_Z = (0, 1), (0, 2), (Fraction(1, 2), 1)
+
+
+def combo_in(v, weights, offset, step) -> bool:
+    """The imaginary parts of sum w_i*v_i cancel and (re - offset)/step is
+    an integer; a tagged coordinate with nonzero weight never lies in it."""
+    if any(w and isinstance(c, SpecialValue) for c, w in zip(v, weights)):
+        return False
+    im = sum(w * c.im for c, w in zip(v, weights) if w)
+    re = sum(w * c.re for c, w in zip(v, weights) if w)
+    return im == 0 and Fraction(re - offset, step).denominator == 1
+
+
+def coset_stratum(family: str, v) -> str:
+    """The stratum name the cited tables give to v (second to fifth family)."""
+    if family == "p2":
+        return "half_plus_integer" if combo_in(v, (1,), *HALF_Z) else "outside_paper_scope"
+    if family == "p3":
+        even_sum = combo_in(v, (1, 1), *TWO_Z)
+        if even_sum and combo_in(v, (1, 0), *Z) and combo_in(v, (0, 1), *Z):
+            return "D1"
+        return "W1_minus_D1" if even_sum or combo_in(v, (1, -1), *TWO_Z) else "generic"
+    n = len(v)
+    hits = [combo_in(v, [(k == i) - (k == j) for k in range(n)], *Z)
+            for i, j in itertools.combinations(range(n), 2)]
+    if family == "p4":
+        return "D" if all(hits) else "W_minus_D" if any(hits) else "generic"
+    if family == "p5":
+        return "W" if any(hits) else "generic"
+    raise ValueError(f"no coset table for {family}")
+
+
+def xc_report(c):
+    """(c_kind, fiber Morley rank) of the planar field's fiber at c; the rank
+    is None where the cited results do not cover it, and a non-real c is
+    "constraint"."""
+    if isinstance(c, SpecialValue):
+        return ("non_rational_constant", 1)
+    if c.im != 0:
+        return "constraint"
+    return ("rational", None if c.re == -1 else 2)
+
+
+def coset_coord(rng: random.Random, earlier):
+    """A tag, a shifted copy or negation of an earlier coordinate (by an
+    integer or a half-integer), a large-denominator or large rational, or
+    a small Gaussian rational."""
+    draw = rng.random()
+    if draw < 0.1:
+        return rng.choice(tuple(SpecialValue))
+    concrete = [c for c in earlier if not isinstance(c, SpecialValue)]
+    if concrete and draw < 0.5:
+        shift = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2)))
+        return rng.choice((1, -1)) * rng.choice(concrete) + shift
+    if draw < 0.65:
+        den = rng.choice((2, 10**6 + 3, 2**31 - 1, 10**12))
+        return ComplexRational(Fraction(rng.randint(-10**15, 10**15), den))
+    im = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) if rng.random() < 0.3 else Fraction(0)
+    return ComplexRational(rational_coord(rng).re, im)
+
+
+def coset_sample(rng: random.Random, n: int, sum_zero: bool = False) -> tuple:
+    out = []
+    for _ in range(n):
+        out.append(coset_coord(rng, out))
+    if sum_zero and not any(isinstance(c, SpecialValue) for c in out):
+        out[-1] = -sum(out[:-1], ComplexRational())
+    return tuple(out)

@@ -221,6 +221,13 @@ class TestReduceAndOrbit:
         assert doc["verdict"] == "unknown"
         assert doc["word"] is None
 
+    def test_orbit_negative_length(self, capsys):
+        code, (doc,) = run(capsys, ["orbit", "--family", "p3",
+                                    "--from", "1,1", "--to", "2,0",
+                                    "--max-len", "-1"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"]["kind"] == "constraint"
+
 
 class TestEntryPoint:
     def test_console_script_subprocess(self):
@@ -259,6 +266,18 @@ class TestInputValidation:
             code, (doc,) = run(capsys, ["verify", "qop", "--c", "1", "--expr", "y +"])
         assert code == EXIT_PARSE
         assert doc["error"]["kind"] == "parse"
+
+    @pytest.mark.parametrize("expr,pos", [
+        ("(x+y+1)^200", 8),
+        ("2^20000*x", 2),
+    ])
+    def test_oversized_power(self, capsys, within, expr, pos):
+        with within(5):
+            code, (doc,) = run(capsys, ["verify", "integral", "--c", "2",
+                                        "--expr", expr])
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
+        assert f"position {pos}" in doc["error"]["message"]
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--family", "p2", "--params", "١"],

@@ -67,6 +67,11 @@ class TestParse:
         with pytest.raises(ParameterParseError, match="5000 digits"):
             parse_cgauss(text)
 
+    @pytest.mark.parametrize("text", ["3", "-2i", "3/2+1/3i", "0", "+4", "2-1i"])
+    def test_parts_are_fractions(self, text):
+        z = parse_cgauss(text)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+
     @given(cgauss)
     def test_round_trip(self, z):
         assert parse_cgauss(format_cgauss(z)) == z
@@ -92,6 +97,15 @@ class TestArithmetic:
         assert a + 1 == CR(Fraction(4, 3))
         assert 2 * a == CR(Fraction(2, 3))
         assert 1 - a == CR(Fraction(2, 3))
+
+    @given(cgauss, cgauss)
+    def test_results_have_fraction_parts(self, a, b):
+        # coordinates are canonical when built: nothing re-wraps them later
+        results = [a + b, a - b, a * b, -a, a + 1, 1 - a, 2 * a, a / 3, 3 - a]
+        if b:
+            results += [a / b, 1 / b]
+        for z in results:
+            assert type(z.re) is Fraction and type(z.im) is Fraction
 
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from painstrata import numverify
 from painstrata.exactnum import ComplexRational
 from painstrata.models import Family, FamilyInstance, SystemRHS, riccati_curve, \
     p2_second_order_rhs, system_rhs, xc_first_integral
@@ -53,6 +54,29 @@ class TestIntegrator:
         assert traj.samples[0] == (0.0, (1.0, 0.5))
         ts = [t for t, _ in traj.samples]
         assert ts == sorted(ts)
+
+    def test_first_same_as_last(self, monkeypatch):
+        # an accepted step's last stage f(t+h, y5) is the next step's first,
+        # so no field evaluation repeats a point, and every attempted step
+        # (rejected ones included) costs six after the initial probe
+        points = []
+        compile_rf = numverify.compile_rf
+
+        def counting(f, variables):
+            evaluate = compile_rf(f, variables)
+
+            def counted(state, t):
+                points.append((t, tuple(state)))
+                return evaluate(state, t)
+            return counted
+        monkeypatch.setattr(numverify, "compile_rf", counting)
+        traj = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5),
+                                         rel_tol=1e-12, abs_tol=1e-12))
+        calls = points[::2]   # two components are evaluated per field evaluation
+        assert points[1::2] == calls
+        assert len(set(calls)) == len(calls)
+        assert (len(calls) - 1) % 6 == 0
+        assert len(calls) >= 1 + 6 * (len(traj.samples) - 1)
 
     def test_riccati_window_completes(self):
         traj = integrate(IntegrationSpec(one_dim("-y^2 - t/2"), 0.0, 0.5, (1.0,)))

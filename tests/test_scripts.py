@@ -1,0 +1,43 @@
+"""Smoke runs of the experiment scripts, which build coordinates and
+instances directly rather than through the wire parser."""
+
+import importlib.resources
+import importlib.util
+import json
+import pathlib
+
+import jsonschema
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+SCHEMA = json.loads(
+    importlib.resources.files("painstrata").joinpath("schema.json").read_text())
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_classification_atlas(tmp_path, capsys):
+    out = tmp_path / "atlas.jsonl"
+    assert load("classification_atlas").main(["--out", str(out)]) == 0
+    docs = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert {doc["family"] for doc in docs} == {"p2", "p3", "p4", "p5", "p6"}
+    validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+    for doc in docs:
+        validator.validate(doc)
+    assert "p6: 512 points" in capsys.readouterr().out
+
+
+def test_xc_portrait(tmp_path, capsys):
+    assert load("xc_portrait").main(["--c", "2", "--t1", "0.05",
+                                     "--outdir", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("xc_c2_start*.csv"))
+    assert len(paths) == 4
+    for path in paths:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "t,x,y,residual,drift"
+        assert len(lines) > 1
+    assert "worst conservation drift" in capsys.readouterr().out

@@ -262,15 +262,58 @@ class TestP5:
         assert signature(c) == ("generic", 1, Exact(1))
 
 
+class TestCosetOracle:
+    """The second to fifth families and the planar field against the
+    part-wise coset oracle, on tagged, non-real, shifted and
+    large-denominator coordinates."""
+
+    @pytest.mark.parametrize("family,n,sum_zero", [
+        ("p2", 1, False), ("p3", 2, False), ("p4", 3, True), ("p5", 4, True),
+    ])
+    def test_classify_matches_oracle(self, family, n, sum_zero):
+        rng = random.Random(f"coset:{family}")
+        seen = set()
+        for _ in range(1000):
+            v = oracles.coset_sample(rng, n, sum_zero)
+            stratum = classify(FamilyInstance.from_strings(
+                family, [c.value if isinstance(c, SpecialValue) else str(c) for c in v])
+            ).stratum
+            assert stratum == oracles.coset_stratum(family, v), v
+            assert classify(FamilyInstance(Family(family), v)).stratum == stratum
+            nonreal = any(isinstance(c, CR) and c.im for c in v)
+            seen.add((stratum, nonreal))
+        strata = {s for s, _ in seen}
+        assert len(strata) == {"p2": 2, "p3": 3, "p4": 3, "p5": 2}[family], seen
+        if family != "p2":   # a non-real vector also lands on a locus
+            assert any(nonreal and s != "generic" for s, nonreal in seen), seen
+
+    def test_xc_matches_oracle(self):
+        rng = random.Random("coset:xc")
+        seen = set()
+        for _ in range(1000):
+            c = oracles.coset_coord(rng, [CR(Fraction(-1))])
+            want = oracles.xc_report(c)
+            seen.add(want)
+            if want == "constraint":
+                with pytest.raises(ConstraintError):
+                    classify_xc(c)
+                continue
+            report = classify_xc(c)
+            rank = None if report.fiber_morley is OUT_OF_SCOPE else report.fiber_morley
+            assert (report.c_kind, rank) == want, c
+        assert seen == {"constraint", ("rational", 2), ("rational", None),
+                        ("non_rational_constant", 1)}
+
+
 class TestXcReport:
     def test_rational(self):
-        report = classify_xc(2)
+        report = classify_xc(CR(Fraction(2)))
         assert (report.fiber_lascar, report.fiber_morley) == (2, 2)
         assert (report.family_lascar, report.family_morley) == (2, 3)
         assert report.c_kind == "rational"
 
     def test_zero_is_rational(self):
-        report = classify_xc(0)
+        report = classify_xc(CR(Fraction(0)))
         assert (report.fiber_lascar, report.fiber_morley) == (2, 2)
 
     def test_non_rational(self):
@@ -279,7 +322,7 @@ class TestXcReport:
         assert report.c_kind == "non_rational_constant"
 
     def test_minus_one_excluded(self):
-        report = classify_xc(-1)
+        report = classify_xc(CR(Fraction(-1)))
         assert report.fiber_lascar is OUT_OF_SCOPE
         assert report.fiber_morley is OUT_OF_SCOPE
         assert any("-1" in n for n in report.notes)
@@ -288,8 +331,12 @@ class TestXcReport:
         with pytest.raises(ConstraintError):
             classify_xc(CR(Fraction(0), Fraction(1)))
 
+    def test_bare_number_is_not_a_coordinate(self):
+        with pytest.raises(TypeError):
+            classify_xc(2)
+
     def test_json_shape(self):
-        doc = classify_xc(Fraction(1, 2)).to_json_dict()
+        doc = classify_xc(CR(Fraction(1, 2))).to_json_dict()
         assert doc["family"] == "xc"
         assert doc["c"] == "1/2"
         assert doc["family_morley"] == 3

@@ -108,6 +108,20 @@ class TestParser:
         with pytest.raises(ExprSyntaxError, match="nests too deeply"):
             rf("(" * 5000 + "y" + ")" * 5000)
 
+    def test_power_size_bound(self):
+        # an n-term base squared predicts comb(n+1, 2) terms: 496 for 31, 528 for 32
+        rf("(" + " + ".join(f"y^{k}" for k in range(31)) + ")^2")
+        text = "(" + " + ".join(f"y^{k}" for k in range(32)) + ")^2"
+        with pytest.raises(ExprSyntaxError, match="too large") as err:
+            rf(text)
+        assert err.value.pos == len(text) - 1
+        # 3^e has e*log10(3) digits: 999.6 at e = 2095, 1000.1 at 2096
+        rf("3^2095*x")
+        with pytest.raises(ExprSyntaxError, match="too large"):
+            rf("3^2096*x")
+        # a monomial power stays one term with coefficient one
+        assert str(rf("y^100000")) == "y^100000"
+
     def test_syntax_error_precedes_arithmetic(self, within):
         # expanding the power alone would take far longer than the bound
         with within(2), pytest.raises(ExprSyntaxError) as err:
