@@ -7,6 +7,7 @@ error, 3 constraint violation, 4 numeric event (blow-up, pole, budget).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -111,24 +112,31 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _sweep_input(infile: str):
+    """The binary stream ``sweep`` reads, as a context manager."""
+    if infile == "-":
+        return contextlib.nullcontext(sys.stdin.buffer)
+    try:
+        return open(infile, "rb")
+    except OSError as exc:
+        raise ParameterParseError(f"cannot read {infile!r}: {exc.strerror}") from None
+
+
 def cmd_sweep(args) -> int:
-    if args.infile == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.infile, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    for i, line in enumerate(lines, start=1):
-        try:
-            pieces = line.split()
-            if len(pieces) != 2:
-                raise ParameterParseError(
-                    "expected '<family> <p1,p2,...>' on each line")
-            inst = FamilyInstance.from_strings(pieces[0], pieces[1].split(","))
-            _emit(_classify_instance(inst))
-        except (ParameterParseError, ExprSyntaxError) as exc:
-            _emit(_error("parse", str(exc), line=i))
-        except (ConstraintError, SystemUnavailableError) as exc:
-            _emit(_error("constraint", str(exc), line=i))
+    with _sweep_input(args.infile) as stream:
+        # one line at a time, each ending at b"\n" and decoded on its own
+        for i, raw in enumerate(stream, start=1):
+            try:
+                pieces = raw.decode("utf-8").split()
+                if len(pieces) != 2:
+                    raise ParameterParseError(
+                        "expected '<family> <p1,p2,...>' on each line")
+                inst = FamilyInstance.from_strings(pieces[0], pieces[1].split(","))
+                _emit(_classify_instance(inst))
+            except (ParameterParseError, ExprSyntaxError, UnicodeDecodeError) as exc:
+                _emit(_error("parse", str(exc), line=i))
+            except (ConstraintError, SystemUnavailableError) as exc:
+                _emit(_error("constraint", str(exc), line=i))
     return EXIT_OK
 
 

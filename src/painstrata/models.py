@@ -185,11 +185,8 @@ def apply_generator(g: Generator, v: Sequence[ComplexRational]) -> tuple:
     if g is P4Generator.TMINUS:
         return tuple(c + s for c, s in zip(v, _TM_SHIFT))
     # s0 is the composite tminus^-1 s1 s2 s1 tminus (rightmost acts first)
-    w = tuple(c + s for c, s in zip(v, _TM_SHIFT))
-    w = apply_generator(P4Generator.S1, w)
-    w = apply_generator(P4Generator.S2, w)
-    w = apply_generator(P4Generator.S1, w)
-    return tuple(c - s for c, s in zip(w, _TM_SHIFT))
+    v1, v2, v3 = v
+    return (v1, v3 + 1, v2 - 1)
 
 
 def apply_word(word: GroupWord, v: Sequence[ComplexRational]) -> tuple:

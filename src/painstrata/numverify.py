@@ -75,10 +75,6 @@ class Trajectory:
     def max_residual(self) -> float | None:
         return max(self.residuals) if self.residuals else None
 
-    @property
-    def max_drift(self) -> float | None:
-        return max(self.drifts) if self.drifts else None
-
 
 @dataclass(frozen=True)
 class IntegrationSpec:
@@ -103,6 +99,8 @@ class IntegrationSpec:
             raise ValueError("the blow-up threshold must be positive")
         if not self.t1 > self.t0:
             raise ValueError("need t1 > t0")
+        if not math.isfinite(self.t1 - self.t0):
+            raise ValueError("the window length t1 - t0 must be finite")
         if len(self.initial_state) != len(self.system.variables):
             raise ValueError("initial state does not match the system arity")
         free = self.system.free_parameters()

@@ -1,16 +1,20 @@
 """Sparse multivariate polynomials over Q and canonical rational functions.
 
 A variable is any hashable object exposing ``sort_key() -> tuple`` (plain
-strings are also accepted); monomials are sorted tuples of ``(var, exp)``
-pairs.  Rational functions are kept fully reduced, with a monic denominator,
-so two equal rational functions have structurally identical fields and
-``==`` is a decision procedure for equality in the fraction field.
+strings are also accepted).  A monomial is a tuple of ``(var, exp)`` pairs
+with positive exponents, sorted by the variables' keys; only
+:func:`_mono_mul` sorts, since lowering or dropping an exponent keeps the
+order.  Terms are ordered graded-lexicographically, highest first: higher
+total degree first, then the higher exponent of the earliest variable.
+Rational functions are kept fully reduced, with a monic denominator, so two
+equal rational functions have structurally identical fields and ``==`` is a
+decision procedure for equality in the fraction field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import reduce
 from typing import Hashable, Iterable, Mapping
 
 Monomial = tuple  # sorted tuple of (var, positive int exponent) pairs
@@ -33,40 +37,26 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         exps[var] = exps.get(var, 0) + e
     for var, e in b:
         exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: _varkey(p[0])))
-
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True iff monomial a divides monomial b."""
-    exps = dict(b)
-    return all(exps.get(var, 0) >= e for var, e in a)
+    return tuple(sorted(exps.items(), key=lambda p: _varkey(p[0])))
 
 
-def _mono_div(b: Monomial, a: Monomial) -> Monomial:
-    exps = dict(b)
-    for var, e in a:
-        exps[var] = exps.get(var, 0) - e
-    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda p: _varkey(p[0])))
+def _mono_div(b: Monomial, a: Monomial) -> Monomial | None:
+    """b / a, or None when a does not divide b."""
+    exps = dict(a)
+    out = []
+    for var, e in b:
+        k = e - exps.pop(var, 0)
+        if k < 0:
+            return None
+        if k:
+            out.append((var, k))
+    return None if exps else tuple(out)
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_cmp(a: Monomial, b: Monomial) -> int:
-    """Graded lexicographic order (earliest variable in key order dominates)."""
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ea = {_varkey(v): e for v, e in a}
-    eb = {_varkey(v): e for v, e in b}
-    for k in sorted(set(ea) | set(eb)):
-        xa, xb = ea.get(k, 0), eb.get(k, 0)
-        if xa != xb:
-            return 1 if xa > xb else -1
-    return 0
-
-
-_MONO_KEY = cmp_to_key(_mono_cmp)
+def _mono_key(m: Monomial) -> tuple:
+    """Ascending sort key for the descending graded-lex order: the highest
+    term has the smallest key."""
+    return (-sum(e for _, e in m), [(_varkey(v), -e) for v, e in m])
 
 
 class Polynomial:
@@ -128,7 +118,7 @@ class Polynomial:
     def leading(self) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=_MONO_KEY)
+        m = min(self.terms, key=_mono_key)
         return m, self.terms[m]
 
     def leading_coeff(self) -> Fraction:
@@ -208,30 +198,12 @@ class Polynomial:
         """Formal partial derivative with respect to one variable."""
         out: dict = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(var, 0)
-            if not e:
-                continue
-            exps[var] = e - 1
-            mono = tuple(sorted(((v, k) for v, k in exps.items() if k),
-                                key=lambda p: _varkey(p[0])))
-            s = out.get(mono, Fraction(0)) + c * e
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            for i, (v, e) in enumerate(m):
+                if v == var:
+                    lowered = ((v, e - 1),) if e > 1 else ()
+                    out[m[:i] + lowered + m[i + 1:]] = c * e
+                    break
         return _raw(out)
-
-    def evaluate(self, env: Mapping) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for var, e in m:
-                if var not in env:
-                    raise KeyError(f"no value supplied for variable {var}")
-                val *= Fraction(env[var]) ** e
-            total += val
-        return total
 
     def substitute_values(self, env: Mapping) -> "Polynomial":
         """Replace some variables by exact rational values."""
@@ -252,9 +224,8 @@ class Polynomial:
         """View as a univariate polynomial in ``var`` with Polynomial coefficients."""
         out: dict[int, dict] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.pop(var, 0)
-            mono = tuple(sorted(exps.items(), key=lambda p: _varkey(p[0])))
+            e = next((k for v, k in m if v == var), 0)
+            mono = tuple(p for p in m if p[0] != var) if e else m
             bucket = out.setdefault(e, {})
             bucket[mono] = bucket.get(mono, Fraction(0)) + c
         return {e: _raw(bucket) for e, bucket in out.items() if any(bucket.values())}
@@ -285,11 +256,10 @@ ONE = Polynomial.constant(1)
 
 
 def _from_univariate(var, coeffs: Mapping[int, Polynomial]) -> Polynomial:
-    total = ZERO
-    xp = Polynomial.variable(var)
-    for e, c in coeffs.items():
-        total = total + c * xp ** e
-    return total
+    """Inverse of :meth:`Polynomial.as_univariate`; the coefficients do not
+    involve ``var``, so no two terms share a monomial."""
+    return _raw({_mono_mul(m, ((var, e),)) if e else m: c
+                 for e, p in coeffs.items() for m, c in p.terms.items()})
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -305,11 +275,10 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     gm, gc = g.leading()
     while not rem.is_zero():
         rm, rc = rem.leading()
-        if not _mono_divides(gm, rm):
-            raise ValueError("exact_div: divisor does not divide dividend")
         m = _mono_div(rm, gm)
-        c = rc / gc
-        quot[m] = quot.get(m, Fraction(0)) + c
+        if m is None:
+            raise ValueError("exact_div: divisor does not divide dividend")
+        quot[m] = c = rc / gc   # leading monomials strictly decrease
         rem = rem - _raw({m: c}) * g
     return _raw(quot)
 
@@ -511,12 +480,6 @@ class RationalFunction:
             raise DivisionByZeroExpression("substitution makes the denominator vanish")
         return RationalFunction(self.num.substitute_values(env), den)
 
-    def evaluate(self, env: Mapping) -> Fraction:
-        den = self.den.evaluate(env)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(env) / den
-
     def __str__(self) -> str:
         if self.den.is_one():
             return poly_to_str(self.num)
@@ -558,7 +521,7 @@ def poly_to_str(p: Polynomial) -> str:
     """Canonical printer emitting the shared expression grammar."""
     if p.is_zero():
         return "0"
-    monos = sorted(p.terms, key=_MONO_KEY, reverse=True)
+    monos = sorted(p.terms, key=_mono_key)
     pieces = []
     for i, m in enumerate(monos):
         c = p.terms[m]

@@ -85,61 +85,98 @@ def _leaf(value) -> Builder:
     return lambda: RationalFunction.variable(value)
 
 
+# Bounds on the predicted size of each power and each polynomial product an
+# expression asks for, so that it cannot ask for an unbounded expansion:
+# terms, and decimal digits per coefficient.
+_MAX_TERMS = 500
+_MAX_DIGITS = 1000
+_TOO_LARGE = (f"too large to expand (more than {_MAX_TERMS} terms "
+              f"or {_MAX_DIGITS} digits per coefficient)")
+
+
+def _height(p: Polynomial) -> int:
+    """The height A*L of p = (sum a_i*m_i)/L, for integers a_i, A = sum |a_i|.
+
+    A product's coefficients have numerators at most the product of the
+    factors' A and denominators dividing the product of their L, so at most
+    log10 of the product of the heights as digits; so has a power's.
+    """
+    coeffs = p.terms.values()
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return lcm * sum(abs(c.numerator) * (lcm // c.denominator) for c in coeffs)
+
+
+def _power_fits(p: Polynomial, exp: int) -> bool:
+    """Whether ``p ** exp`` stays within the size bounds: an n-term p has at
+    most comb(n-1+exp, n-1) terms in ``p ** exp``."""
+    n = len(p.terms)
+    if n > 1 and (exp > _MAX_TERMS or math.comb(n - 1 + exp, exp) > _MAX_TERMS):
+        return False
+    height = _height(p)
+    return height < 2 or exp <= _MAX_DIGITS / math.log10(height)
+
+
+def _product_fits(p: Polynomial, q: Polynomial) -> bool:
+    """Whether ``p * q`` stays within the size bounds.
+
+    The product has at most len(p)*len(q) terms, and at most comb(d+k, k),
+    the number of monomials of degree d or less in its k variables, where d
+    is the sum of the factors' total degrees.  A factor of one term adds no
+    terms, and one of height 1 no digits.
+    """
+    if len(p.terms) > len(q.terms):
+        p, q = q, p
+    if len(p.terms) > 1:
+        k = len(p.variables() | q.variables())
+        d = sum(max(sum(e for _, e in m) for m in f.terms) for f in (p, q))
+        if min(len(p.terms) * len(q.terms), math.comb(d + k, k)) > _MAX_TERMS:
+            return False
+    hp = _height(p)   # the shorter factor, often the denominator 1
+    if hp < 2:
+        return True
+    hq = _height(q)
+    return hq < 2 or math.log10(hp) + math.log10(hq) <= _MAX_DIGITS
+
+
+_BINARY = {"+": operator.add, "-": operator.sub,
+           "*": operator.mul, "/": operator.truediv}
+
+# The polynomial products each operation forms, as (left, right) parts:
+# a/b +- c/d = (a*d +- c*b)/(b*d),  a/b * c/d = a*c/(b*d),  (a/b)/(c/d) = a*d/(b*c)
+_SUM_PRODUCTS = (("num", "den"), ("den", "num"), ("den", "den"))
+_PRODUCTS = {"+": _SUM_PRODUCTS, "-": _SUM_PRODUCTS,
+             "*": (("num", "num"), ("den", "den")),
+             "/": (("num", "den"), ("den", "num"))}
+
+
 def _chain(first: Builder, rest: list) -> Builder:
-    """A left-associative run of binary operations, built in source order
-    by a loop, so a long sum or product does not deepen the call stack."""
+    """A left-associative run of binary operations ``(pos, op, operand)``,
+    built in source order by a loop, so a long sum or product does not
+    deepen the call stack.  Each operation is checked before it is computed:
+    a divisor must not be identically zero, and every product it forms must
+    stay within the size bounds."""
     if not rest:
         return first
 
     def build():
         acc = first()
-        for op, right in rest:
-            acc = op(acc, right())
+        for pos, op, right in rest:
+            value = right()
+            if op == "/" and value.is_zero():
+                raise ExprSyntaxError("division by an identically-zero expression", pos)
+            if not all(_product_fits(getattr(acc, a), getattr(value, b))
+                       for a, b in _PRODUCTS[op]):
+                raise ExprSyntaxError(f"'{op}' forms a product {_TOO_LARGE}", pos)
+            acc = _BINARY[op](acc, value)
         return acc
     return build
-
-
-def _divide_at(pos: int):
-    def divide(num, den):
-        if den.is_zero():
-            raise ExprSyntaxError("division by an identically-zero expression", pos)
-        return num / den
-    return divide
-
-
-_ADDITIVE = {"+": operator.add, "-": operator.sub}
-
-# Bounds on the predicted size of one power, so that an expression cannot ask
-# for an unbounded expansion: terms, and decimal digits per coefficient.
-_MAX_POWER_TERMS = 500
-_MAX_POWER_DIGITS = 1000
-
-
-def _power_fits(p: Polynomial, exp: int) -> bool:
-    """Whether ``p ** exp`` stays within the size bounds.
-
-    An n-term p has at most comb(n-1+exp, n-1) terms in ``p ** exp``.  With
-    p = (sum a_i*m_i)/L for integers a_i, the coefficients of the power have
-    numerators at most A**exp, A = sum |a_i|, and denominators dividing
-    L**exp, so at most exp*log10(A*L) digits.
-    """
-    n = len(p.terms)
-    if n > 1 and (exp > _MAX_POWER_TERMS
-                  or math.comb(n - 1 + exp, exp) > _MAX_POWER_TERMS):
-        return False
-    coeffs = p.terms.values()
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    height = lcm * sum(abs(c.numerator) * (lcm // c.denominator) for c in coeffs)
-    return height < 2 or exp <= _MAX_POWER_DIGITS / math.log10(height)
 
 
 def _power_at(pos: int, base: Builder, exp: int) -> Builder:
     def build():
         value = base()
         if exp > 1 and not (_power_fits(value.num, exp) and _power_fits(value.den, exp)):
-            raise ExprSyntaxError(
-                f"power too large to expand (more than {_MAX_POWER_TERMS} terms "
-                f"or {_MAX_POWER_DIGITS} digits per coefficient)", pos)
+            raise ExprSyntaxError(f"power {_TOO_LARGE}", pos)
         return value ** exp
     return build
 
@@ -183,23 +220,22 @@ class _Parser:
         return build()
 
     def expr(self) -> Builder:
-        first, rest = self.term(), []
-        while (ch := self.peek()) in _ADDITIVE:
-            self.pos += 1
-            rest.append((_ADDITIVE[ch], self.term()))
-        return _chain(first, rest)
+        return self.operations(self.term, ("+", "-"))
 
     def term(self) -> Builder:
-        first, rest = self.unary(), []
-        while (ch := self.peek()) in ("*", "/"):
-            op = operator.mul if ch == "*" else _divide_at(self.pos)
+        return self.operations(self.unary, ("*", "/"))
+
+    def operations(self, operand, ops) -> Builder:
+        first, rest = operand(), []
+        while (ch := self.peek()) in ops:
+            pos = self.pos
             self.pos += 1
-            rest.append((op, self.unary()))
+            rest.append((pos, ch, operand()))
         return _chain(first, rest)
 
     def unary(self) -> Builder:
         negate = False
-        while (ch := self.peek()) in _ADDITIVE:
+        while (ch := self.peek()) in ("+", "-"):
             negate ^= ch == "-"
             self.pos += 1
         build = self.power()

@@ -1,10 +1,12 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here deliberately avoids the code paths it checks: the 24 roots
-are enumerated here, inner products are summed part by part, and stratum
+are enumerated here, inner products are summed part by part, stratum
 membership is decided by enumerating root combinations with integer minors
-(not by the package's signed-graph rank).  Random parameter vectors come
-from seeded generators so frozen expectations stay stable.
+(not by the package's signed-graph rank), and the graded-lex term order is
+decided on exponent vectors (not by the package's monomial key).  Random
+parameter vectors come from seeded generators so frozen expectations stay
+stable.
 """
 
 from __future__ import annotations
@@ -207,3 +209,33 @@ def coset_sample(rng: random.Random, n: int, sum_zero: bool = False) -> tuple:
     if sum_zero and not any(isinstance(c, SpecialValue) for c in out):
         out[-1] = -sum(out[:-1], ComplexRational())
     return tuple(out)
+
+
+# --------------------------------------------------------------------------
+# Graded-lex order of monomials, given as tuples of (variable, exponent).
+# --------------------------------------------------------------------------
+
+def variable_rank(v) -> tuple:
+    """Plain names (t and parameters) come first, by name; differential
+    variables follow, by name and then by derivative order."""
+    if isinstance(v, str):
+        return (0, v, 0)
+    return (1, v.name, v.order)
+
+
+def grlex_cmp(a, b) -> int:
+    """-1, 0 or 1 as monomial a is below, equal to or above monomial b.
+
+    Each monomial becomes its total degree followed by its exponent of every
+    variable either one involves, in rank order; the larger list is the
+    higher monomial.
+    """
+    variables = sorted({v for m in (a, b) for v, _ in m}, key=variable_rank)
+
+    def vector(m):
+        exps = dict(m)
+        row = [exps.get(v, 0) for v in variables]
+        return [sum(row)] + row
+
+    va, vb = vector(a), vector(b)
+    return (va > vb) - (va < vb)

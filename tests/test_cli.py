@@ -97,10 +97,40 @@ class TestSweep:
 
     def test_stdin(self, capsys, monkeypatch):
         import io
-        monkeypatch.setattr(sys, "stdin", io.StringIO("p3 1,0\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p3 1,0\n")))
         code, docs = run(capsys, ["sweep", "--in", "-"])
         assert code == EXIT_OK
         assert docs[0]["stratum"] == "generic"
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_input(self, capsys, tmp_path, where):
+        path = tmp_path / "missing.txt" if where == "missing" else tmp_path
+        code, (doc,) = run(capsys, ["sweep", "--in", str(path)])
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
+        assert str(path) in doc["error"]["message"]
+
+    def test_non_utf8_byte_fails_only_its_line(self, capsys, tmp_path):
+        batch = tmp_path / "batch.txt"
+        batch.write_bytes(b"p3 1,1\np2 1/2\xff\np3 1,0\n")
+        code, docs = run(capsys, ["sweep", "--in", str(batch)])
+        assert code == EXIT_OK
+        assert len(docs) == 3
+        assert docs[0]["stratum"] == "D1"
+        assert docs[1]["error"]["kind"] == "parse"
+        assert docs[1]["error"]["line"] == 2
+        assert "utf-8" in docs[1]["error"]["message"]
+        assert docs[2]["stratum"] == "generic"
+
+    def test_lines_end_at_newline_only(self, capsys, tmp_path):
+        # a line separator other than \n does not start a line: the first
+        # line has four fields, and the next one is line 2
+        batch = tmp_path / "batch.txt"
+        batch.write_bytes("p3 1,1\u2028p3 1,0\r\np3 1,0\n".encode())
+        code, docs = run(capsys, ["sweep", "--in", str(batch)])
+        assert code == EXIT_OK
+        assert [d.get("error", {}).get("line") for d in docs] == [1, None]
+        assert docs[1]["stratum"] == "generic"
 
 
 class TestVerify:
@@ -279,6 +309,17 @@ class TestInputValidation:
         assert doc["error"]["kind"] == "parse"
         assert f"position {pos}" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("factors", [2, 3])
+    def test_oversized_product(self, capsys, within, factors):
+        # each power fits the bound, but the first product would have 861 terms
+        expr = "*".join(["(x+y+1)^20"] * factors)
+        with within(5):
+            code, (doc,) = run(capsys, ["verify", "integral", "--c", "2",
+                                        "--expr", expr])
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
+        assert "position 10" in doc["error"]["message"]
+
     @pytest.mark.parametrize("argv", [
         ["classify", "--family", "p2", "--params", "١"],
         ["classify", "--family", "p3", "--params", "1,２"],
@@ -305,6 +346,17 @@ class TestInputValidation:
             code, (doc,) = run(capsys, [
                 "simulate", "--family", "xc", "--params", "2", "--init", "1,0.5",
                 "--t0", "0", "--t1", "inf"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"]["kind"] == "constraint"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--family", "p2", "--params", "1", "--init", "0,0"],
+        ["verify", "log-relation", "--c", "2"],
+    ])
+    def test_window_length_overflow(self, capsys, within, argv):
+        # both ends are finite, but t1 - t0 overflows to inf
+        with within(5):
+            code, (doc,) = run(capsys, argv + ["--t0=-1e308", "--t1=1e308"])
         assert code == EXIT_CONSTRAINT
         assert doc["error"]["kind"] == "constraint"
 

@@ -130,6 +130,19 @@ class TestGenerators:
             v = oracles.p4_sum_zero_sample(rng)
             assert apply_generator(P4Generator.S0, v) == (v[0], v[2] + 1, v[1] - 1)
 
+    def test_s0_is_the_conjugated_composite(self):
+        # s0 = tminus^-1 s1 s2 s1 tminus, built from the other generators
+        word = GroupWord(Family.PIV, (P4Generator.TMINUS, P4Generator.S1,
+                                      P4Generator.S2, P4Generator.S1))
+        shift = apply_generator(P4Generator.TMINUS, crs(0, 0, 0))
+        rng = random.Random(17)
+        for _ in range(200):
+            v = tuple(CR(oracles.rational_coord(rng).re,
+                         Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+                      for _ in range(3))
+            composite = tuple(c - s for c, s in zip(apply_word(word, v), shift))
+            assert apply_generator(P4Generator.S0, v) == composite
+
     def test_s0_fixes_its_wall(self):
         v = crs(Fraction(1, 5), Fraction(-3, 5), Fraction(-3, 5) - 1 + 1)
         # v3 - v2 + 1 = 0 on this wall

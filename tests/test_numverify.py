@@ -55,6 +55,32 @@ class TestIntegrator:
         ts = [t for t, _ in traj.samples]
         assert ts == sorted(ts)
 
+    # each shipped system beside its field written out by hand
+    @pytest.mark.parametrize("family,params,field,init,window", [
+        ("xc", ("2",), lambda t, s: (3 * s[1] - 2, s[1] * (s[1] - 1) / s[0]),
+         (1.0, 0.5), (0.0, 0.3)),
+        ("p2", ("1/2",), lambda t, s: (s[1], 2 * s[0] ** 3 + t * s[0] + 0.5),
+         (0.3, -0.2), (0.0, 1.0)),
+        ("p4", ("1/2", "-1/3", "-1/6"),
+         lambda t, s: (2 * s[1] * s[0] - s[0] ** 2 - 2 * t * s[0] + 5 / 3,
+                       2 * s[1] * s[0] - s[1] ** 2 + 2 * t * s[1] + 4 / 3),
+         (0.2, -0.1), (0.0, 0.4)),
+    ])
+    def test_scipy_rk45_oracle(self, family, params, field, init, window):
+        # scipy's RK45 is also Dormand-Prince 5(4): every sample must sit on
+        # its dense output
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        system = system_rhs(FamilyInstance.from_strings(family, params))
+        traj = integrate(IntegrationSpec(system, *window, init,
+                                         rel_tol=1e-11, abs_tol=1e-11))
+        ref = solve_ivp(field, window, init, method="RK45", rtol=1e-12,
+                        atol=1e-12, dense_output=True)
+        assert traj.completed and ref.success
+        assert len(traj.samples) > 10
+        for t, state in traj.samples:
+            for a, b in zip(state, ref.sol(t)):
+                assert abs(a - b) < 1e-8 * max(1.0, abs(b))
+
     def test_first_same_as_last(self, monkeypatch):
         # an accepted step's last stage f(t+h, y5) is the next step's first,
         # so no field evaluation repeats a point, and every attempted step
@@ -206,7 +232,7 @@ class TestDrift:
         traj = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5)))
         F = xc_first_integral(2)
         env = {DiffVar("x", 0): Fraction(1), DiffVar("y", 0): Fraction(1, 2)}
-        assert F.evaluate(env) == Fraction(-1, 8)
+        assert F.substitute_values(env) == rf("-1/8")
         assert conservation_drift(traj, F) < 1e-6
 
     def test_non_conserved_candidate(self):

@@ -1,19 +1,24 @@
 """Polynomial arithmetic, gcd and the canonical form of rational functions."""
 
 import random
+import re
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from painstrata.ratfunc import (
     DivisionByZeroExpression,
     Polynomial,
     RationalFunction,
     exact_div,
     poly_gcd,
+    poly_to_str,
 )
+from painstrata.symbolic import DiffVar
 
 X = Polynomial.variable("x")
 Y = Polynomial.variable("y")
@@ -48,9 +53,10 @@ class TestPolynomial:
 
     def test_evaluate(self):
         p = X ** 2 + Y
-        assert p.evaluate({"x": Fraction(1, 2), "y": 3}) == Fraction(13, 4)
-        with pytest.raises(KeyError):
-            p.evaluate({"x": 1})
+        value = p.substitute_values({"x": Fraction(1, 2), "y": 3}).constant_value()
+        assert value == Fraction(13, 4)
+        with pytest.raises(ValueError, match="not constant"):
+            p.substitute_values({"x": 1}).constant_value()
 
     def test_substitute_values_partial(self):
         p = X ** 2 * Y + X
@@ -60,6 +66,52 @@ class TestPolynomial:
     def test_pow_rejects_negative(self):
         with pytest.raises(ValueError):
             X ** -1
+
+
+# t, two parameters, and differential variables of several names and orders
+MIXED = [Polynomial.variable(v) for v in
+         ("t", "a", "b", DiffVar("x"), DiffVar("y"), DiffVar("y", 1),
+          DiffVar("y", 2), DiffVar("z", 1))]
+
+
+def mixed_poly(rng: random.Random) -> Polynomial:
+    """Up to six terms, each of up to three variables with exponents 1-3."""
+    p = Polynomial()
+    for _ in range(rng.randint(1, 6)):
+        term = Polynomial.constant(Fraction(rng.choice((-3, -1, 1, 2, 5)),
+                                            rng.randint(1, 3)))
+        for v in rng.sample(MIXED, rng.randint(0, 3)):
+            term = term * v ** rng.randint(1, 3)
+        p = p + term
+    return p
+
+
+def printed_monomials(text: str) -> list[str]:
+    """The factors of each printed term, in printed order, without signs or
+    coefficients ('' for the constant term)."""
+    pieces = text.split(" ")
+    bodies = [pieces[0].lstrip("-")] + pieces[2::2]
+    return [re.sub(r"^\d+(/\d+)?\*?", "", body) for body in bodies]
+
+
+def factor_text(m) -> str:
+    pairs = sorted(m, key=lambda p: oracles.variable_rank(p[0]))
+    return "*".join(f"{v}^{e}" if e > 1 else f"{v}" for v, e in pairs)
+
+
+class TestTermOrder:
+    def test_leading_and_printer_follow_oracle(self):
+        rng = random.Random(43)
+        oracle_key = cmp_to_key(oracles.grlex_cmp)
+        checked = 0
+        while checked < 2000:
+            p = mixed_poly(rng)
+            if p.is_zero():
+                continue
+            expected = sorted(p.terms, key=oracle_key, reverse=True)
+            assert p.leading()[0] == expected[0]
+            assert printed_monomials(poly_to_str(p)) == [factor_text(m) for m in expected]
+            checked += 1
 
 
 class TestGcd:
@@ -159,9 +211,9 @@ class TestRationalFunction:
 
     def test_evaluate(self):
         f = RationalFunction(X + 1, Y)
-        assert f.evaluate({"x": 1, "y": 4}) == Fraction(1, 2)
+        assert f.substitute_values({"x": 1, "y": 4}) == RationalFunction.constant(Fraction(1, 2))
         with pytest.raises(ZeroDivisionError):
-            f.evaluate({"x": 1, "y": 0})
+            f.substitute_values({"x": 1, "y": 0})
 
     def test_equality_matches_cross_multiplication(self):
         # independent equality oracle: n1/d1 == n2/d2 iff n1*d2 == n2*d1
