@@ -13,14 +13,12 @@ import math
 import sys
 from fractions import Fraction
 
-from .exactnum import ComplexRational, ParameterParseError
+from .exactnum import ComplexRational, ConstraintError, ParameterParseError
 from .models import (
     BudgetExceededError,
-    ConstraintError,
     Family,
     FamilyInstance,
     Related,
-    SystemUnavailableError,
     coord_to_str,
     imp_slope_rhs,
     in_fundamental_region_p4,
@@ -45,8 +43,6 @@ from .numverify import (
 )
 from .strata import classify, classify_xc
 from .symbolic import (
-    Contained,
-    Conserved,
     ExprSyntaxError,
     quotient_of_partials,
     rf,
@@ -65,16 +61,30 @@ STANDARD_START = (1.0, 0.5)
 DEFAULT_DRIFT_BOUND = 1e-6
 DEFAULT_MAX_STEPS = 200
 
+# The errors a user's input can cause: (classes, document kind, exit code).
+# Any other exception is a bug and propagates.
+ERRORS = (
+    ((ParameterParseError, ExprSyntaxError, UnicodeDecodeError), "parse", EXIT_PARSE),
+    ((ConstraintError,), "constraint", EXIT_CONSTRAINT),
+    ((BudgetExceededError, SingularInitialState, PoleOnTrajectory, RegionViolation),
+     "numeric", EXIT_NUMERIC),
+)
+_USER_ERRORS = tuple(cls for classes, _, _ in ERRORS for cls in classes)
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _error(kind: str, message: str, line: int | None = None) -> dict:
-    body = {"kind": kind, "message": message}
+def _emit_error(exc: Exception, line: int | None = None) -> int:
+    """Print the error document of a user error; return its exit code."""
+    kind, code = next((kind, code) for classes, kind, code in ERRORS
+                      if isinstance(exc, classes))
+    body = {"kind": kind, "message": str(exc)}
     if line is not None:
         body["line"] = line
-    return {"error": body}
+    _emit({"error": body})
+    return code
 
 
 def _split_params(text: str) -> list:
@@ -82,10 +92,7 @@ def _split_params(text: str) -> list:
 
 
 def _split_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ParameterParseError(f"malformed float list {text!r}") from exc
+    return tuple(float(tok) for tok in text.split(","))
 
 
 def _params_json(params) -> list[str]:
@@ -112,14 +119,19 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _open(path: str, verb: str, mode: str, **kwargs):
+    """``open``, with a path that cannot be opened as a parse error."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise ParameterParseError(f"cannot {verb} {path!r}: {exc.strerror}") from None
+
+
 def _sweep_input(infile: str):
     """The binary stream ``sweep`` reads, as a context manager."""
     if infile == "-":
         return contextlib.nullcontext(sys.stdin.buffer)
-    try:
-        return open(infile, "rb")
-    except OSError as exc:
-        raise ParameterParseError(f"cannot read {infile!r}: {exc.strerror}") from None
+    return _open(infile, "read", "rb")
 
 
 def cmd_sweep(args) -> int:
@@ -133,10 +145,8 @@ def cmd_sweep(args) -> int:
                         "expected '<family> <p1,p2,...>' on each line")
                 inst = FamilyInstance.from_strings(pieces[0], pieces[1].split(","))
                 _emit(_classify_instance(inst))
-            except (ParameterParseError, ExprSyntaxError, UnicodeDecodeError) as exc:
-                _emit(_error("parse", str(exc), line=i))
-            except (ConstraintError, SystemUnavailableError) as exc:
-                _emit(_error("constraint", str(exc), line=i))
+            except _USER_ERRORS as exc:
+                _emit_error(exc, line=i)
     return EXIT_OK
 
 
@@ -148,22 +158,21 @@ def cmd_verify_riccati(args) -> int:
     results = []
     all_contained = True
     for sign in signs:
-        curve = riccati_curve(sign)
-        outcome = verify_subvariety(curve, p2_second_order_rhs(_RICCATI_FIBER[sign]))
-        contained = isinstance(outcome, Contained)
+        residual = verify_subvariety(riccati_curve(sign),
+                                     p2_second_order_rhs(_RICCATI_FIBER[sign]))
+        contained = residual.is_zero()
         all_contained = all_contained and contained
         results.append({
             "sign": sign,
             "fiber": str(_RICCATI_FIBER[sign]),
             "verdict": "contained" if contained else "not_contained",
-            "residual": "0" if contained else str(outcome.residual),
+            "residual": str(residual),
         })
     crossed = {}
     for sign, other in (("plus", "minus"), ("minus", "plus")):
-        curve = riccati_curve(sign)
-        outcome = verify_subvariety(curve, p2_second_order_rhs(_RICCATI_FIBER[other]))
-        crossed[f"{sign}_curve_in_{other}_fiber"] = (
-            "0" if isinstance(outcome, Contained) else str(outcome.residual))
+        residual = verify_subvariety(riccati_curve(sign),
+                                     p2_second_order_rhs(_RICCATI_FIBER[other]))
+        crossed[f"{sign}_curve_in_{other}_fiber"] = str(residual)
     _emit({
         "check": "riccati",
         "verdict": "contained" if all_contained else "not_contained",
@@ -181,12 +190,12 @@ def cmd_verify_integral(args) -> int:
     else:
         candidate = xc_first_integral(args.c, convention)
     system = system_rhs(FamilyInstance(Family.XC, (ComplexRational(Fraction(args.c)),)))
-    outcome = verify_first_integral(candidate, system.as_map())
-    conserved = isinstance(outcome, Conserved)
+    residual = verify_first_integral(candidate, system.as_map())
+    conserved = residual.is_zero()
     _emit({
         "check": "integral",
         "verdict": "conserved" if conserved else "not_conserved",
-        "residual": "0" if conserved else str(outcome.residual),
+        "residual": str(residual),
         "settings": {"c": args.c, "convention": convention,
                      "candidate": str(candidate)},
     })
@@ -215,6 +224,9 @@ def cmd_verify_qop(args) -> int:
 def cmd_verify_log_relation(args) -> int:
     if not math.isfinite(args.c):
         raise ParameterParseError(f"--c must be a finite number, got {args.c!r}")
+    if not (math.isfinite(args.max_drift) and args.max_drift > 0):
+        raise ParameterParseError(
+            f"--max-drift must be a finite positive number, got {args.max_drift!r}")
     settings = {
         "c": args.c,
         "t0": args.t0,
@@ -255,7 +267,7 @@ def cmd_simulate(args) -> int:
                            blowup_threshold=args.blowup_threshold)
     traj = integrate(spec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open(args.out, "write", "w", encoding="utf-8") as fh:
             export_csv(traj, fh)
     _emit({
         "family": inst.family.value,
@@ -394,22 +406,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParameterParseError, ExprSyntaxError) as exc:
-        _emit(_error("parse", str(exc)))
-        return EXIT_PARSE
-    except (ConstraintError, SystemUnavailableError) as exc:
-        _emit(_error("constraint", str(exc)))
-        return EXIT_CONSTRAINT
-    except BudgetExceededError as exc:
-        _emit(_error("numeric", f"{exc}; partial word "
-                                f"{exc.partial_word.names()}"))
-        return EXIT_NUMERIC
-    except (SingularInitialState, PoleOnTrajectory, RegionViolation) as exc:
-        _emit(_error("numeric", str(exc)))
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        _emit(_error("constraint", str(exc)))
-        return EXIT_CONSTRAINT
+    except _USER_ERRORS as exc:
+        return _emit_error(exc)
 
 
 if __name__ == "__main__":

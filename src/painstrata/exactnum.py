@@ -18,6 +18,10 @@ class ParameterParseError(ValueError):
     """Raised when a parameter string does not match the wire grammar."""
 
 
+class ConstraintError(ValueError):
+    """Input that parses but violates a constraint (dimension, plane, domain)."""
+
+
 @dataclass(frozen=True)
 class ComplexRational:
     """An element of Q(i), stored as a pair of reduced fractions.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .exactnum import ComplexRational, ParameterParseError, parse_cgauss
+from .exactnum import ComplexRational, ConstraintError, ParameterParseError, parse_cgauss
 from .ratfunc import RationalFunction
 from .symbolic import FirstOrderCurve, rf
 
@@ -46,18 +46,6 @@ class SpecialValue(enum.Enum):
 
 
 Coord = Union[ComplexRational, SpecialValue]
-
-
-class ConstraintError(ValueError):
-    """Parameter vector violates a family constraint (dimension, hyperplane)."""
-
-
-class PoleError(ZeroDivisionError):
-    """Coordinate change evaluated at its pole."""
-
-
-class SystemUnavailableError(ValueError):
-    """No explicit first-order system is shipped for this family."""
 
 
 def parse_coord(token: str) -> Coord:
@@ -213,7 +201,8 @@ class BudgetExceededError(RuntimeError):
 
     def __init__(self, partial_word: GroupWord, value: tuple):
         super().__init__(f"reduction did not reach the fundamental region "
-                         f"within {len(partial_word)} steps")
+                         f"within {len(partial_word)} steps; partial word "
+                         f"{partial_word.names()}")
         self.partial_word = partial_word
         self.value = value
 
@@ -252,7 +241,7 @@ def reduce_to_fundamental_region_p4(v: Sequence[ComplexRational],
     region.
     """
     if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+        raise ConstraintError("max_steps must be at least 1")
     v = _check_params(Family.PIV, v)
     _require_sum_zero(v)
     word: list[Generator] = []
@@ -293,6 +282,9 @@ def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
             f"the maximum word length must be at least 0, got {max_word_length}")
     a = _check_params(family, a)
     b = _check_params(family, b)
+    if family is Family.PIV:
+        _require_sum_zero(a)
+        _require_sum_zero(b)
     gens = generators_for(family)
     if a == b:
         return Related(GroupWord(family))
@@ -314,26 +306,6 @@ def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
         if not frontier:
             break
     return Unknown(max_word_length)
-
-
-# --------------------------------------------------------------------------
-# The fifth-family coordinate change.
-# --------------------------------------------------------------------------
-
-def birational_pv(Q, P, v: Sequence):
-    """Map (Q, P) to (q, p):  q = Q/(Q-1),  p = -(Q-1)^2 P + (v3-v1)(Q-1).
-
-    Works over exact Q(i) values and over floating complex numbers alike.
-    The pole test is exact equality with 1.
-    """
-    if len(v) != 4:
-        raise ConstraintError("expected the four-coordinate parameter vector")
-    d = Q - 1
-    if not d:
-        raise PoleError("Q = 1 is a pole of the coordinate change")
-    q = Q / d
-    p = -(d * d) * P + (v[2] - v[0]) * d
-    return q, p
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +377,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
     numeric layer refuses systems with free symbols left over.
     """
     if inst.family is Family.PVI:
-        raise SystemUnavailableError(
+        raise ConstraintError(
             "no explicit first-order system is shipped for the sixth family; "
             "only classification is available")
     variables, param_names, texts, sing = _SYSTEM_TEMPLATES[inst.family]
@@ -450,7 +422,7 @@ def xc_first_integral(c: int, convention: str = "y_minus_one") -> RationalFuncti
     affect constancy; reports should name the convention used.
     """
     if not isinstance(c, int) or c < 0:
-        raise ValueError("the exact first integral is shipped for integer c >= 0")
+        raise ConstraintError("the exact first integral is shipped for integer c >= 0")
     numerator = "(y - 1)" if convention == "y_minus_one" else "(1 - y)"
     if convention not in ("y_minus_one", "one_minus_y"):
         raise ValueError("convention must be 'y_minus_one' or 'one_minus_y'")

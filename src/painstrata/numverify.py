@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from .exactnum import ConstraintError
 from .models import SystemRHS
 from .ratfunc import RationalFunction
 from .symbolic import DiffVar, FirstOrderCurve, T_NAME
@@ -71,10 +72,6 @@ class Trajectory:
     def terminal_state(self) -> tuple[float, ...]:
         return self.samples[-1][1]
 
-    @property
-    def max_residual(self) -> float | None:
-        return max(self.residuals) if self.residuals else None
-
 
 @dataclass(frozen=True)
 class IntegrationSpec:
@@ -90,26 +87,28 @@ class IntegrationSpec:
         object.__setattr__(self, "initial_state",
                            tuple(float(x) for x in self.initial_state))
         if not _finite((self.t0, self.t1, *self.initial_state)):
-            raise ValueError("the window and the initial state must be finite")
+            raise ConstraintError("the window and the initial state must be finite")
         if not (_finite((self.rel_tol, self.abs_tol)) and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive and finite")
+            raise ConstraintError("tolerances must be positive and finite")
         if self.rel_tol < _MIN_REL_TOL:
-            raise ValueError(f"relative tolerance must be at least {_MIN_REL_TOL!r}")
+            raise ConstraintError(f"relative tolerance must be at least {_MIN_REL_TOL!r}")
         if not self.blowup_threshold > 0:
-            raise ValueError("the blow-up threshold must be positive")
+            raise ConstraintError("the blow-up threshold must be positive")
+        if math.isinf(self.blowup_threshold):
+            raise ConstraintError("the blow-up threshold must be finite")
         if not self.t1 > self.t0:
-            raise ValueError("need t1 > t0")
+            raise ConstraintError("need t1 > t0")
         if not math.isfinite(self.t1 - self.t0):
-            raise ValueError("the window length t1 - t0 must be finite")
+            raise ConstraintError("the window length t1 - t0 must be finite")
         if len(self.initial_state) != len(self.system.variables):
-            raise ValueError("initial state does not match the system arity")
+            raise ConstraintError("initial state does not match the system arity")
         free = self.system.free_parameters()
         if free:
-            raise ValueError(f"system still has symbolic parameters {sorted(free)}; "
-                             "substitute concrete values before integrating")
+            raise ConstraintError(f"system still has symbolic parameters {sorted(free)}; "
+                                  "substitute concrete values before integrating")
         for s in self.system.t_singularities:
             if self.t0 <= float(s) <= self.t1:
-                raise ValueError(f"window contains the fixed singularity t = {s}")
+                raise ConstraintError(f"window contains the fixed singularity t = {s}")
 
 
 def compile_rf(f: RationalFunction, variables: Sequence[str]) -> Callable:

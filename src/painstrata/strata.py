@@ -347,13 +347,7 @@ class XcReport:
     c_kind: str
     fiber_lascar: Union[int, _OutOfScope]
     fiber_morley: Union[int, _OutOfScope]
-    family_lascar: int = 2
-    family_morley: int = 3
     notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.family_lascar != 2 or self.family_morley != 3:
-            raise ValueError("family totals are fixed at Lascar 2, Morley 3")
 
     def to_json_dict(self) -> dict:
         return {
@@ -362,8 +356,8 @@ class XcReport:
             "c_kind": self.c_kind,
             "fiber_lascar": rank_to_json(self.fiber_lascar),
             "fiber_morley": rank_to_json(self.fiber_morley),
-            "family_lascar": self.family_lascar,
-            "family_morley": self.family_morley,
+            "family_lascar": 2,
+            "family_morley": 3,
             "notes": list(self.notes),
         }
 

@@ -14,6 +14,7 @@ import string
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from .exactnum import ConstraintError
 from .ratfunc import (
     DivisionByZeroExpression,
     Polynomial,
@@ -357,29 +358,10 @@ class FirstOrderCurve:
                         f"at order zero, t and parameters; found {v}")
 
 
-@dataclass(frozen=True)
-class Contained:
-    pass
-
-
-@dataclass(frozen=True)
-class NotContained:
-    residual: RationalFunction
-
-
-@dataclass(frozen=True)
-class Conserved:
-    pass
-
-
-@dataclass(frozen=True)
-class NotConserved:
-    residual: RationalFunction
-
-
 def verify_subvariety(curve: FirstOrderCurve,
-                      target: RationalFunction) -> Contained | NotContained:
-    """Check that solutions of the curve satisfy  v'' = target.
+                      target: RationalFunction) -> RationalFunction:
+    """The residual of  v'' = target  on solutions of the curve: zero iff
+    the curve lies inside the fiber.
 
     The curve relation is differentiated once, the first derivative is
     eliminated by substituting the curve right side, and the result is
@@ -391,16 +373,13 @@ def verify_subvariety(curve: FirstOrderCurve,
             raise ValueError(f"target involves {v}, which is outside the "
                              f"order-one frame of the curve in {curve.variable!r}")
     implied = total_derivative_rf(curve.rhs).substitute({y1: curve.rhs})
-    target_sub = target.substitute({y1: curve.rhs})
-    residual = implied - target_sub
-    if residual.is_zero():
-        return Contained()
-    return NotContained(residual)
+    return implied - target.substitute({y1: curve.rhs})
 
 
 def verify_first_integral(f: RationalFunction,
-                          field_rhs: Mapping) -> Conserved | NotConserved:
-    """Check that f is constant along the flow of an autonomous field.
+                          field_rhs: Mapping) -> RationalFunction:
+    """The derivative of f along the flow of an autonomous field: zero iff
+    f is a first integral.
 
     ``field_rhs`` maps variable names (or order-zero :class:`DiffVar`) to
     rational functions.
@@ -411,13 +390,11 @@ def verify_first_integral(f: RationalFunction,
     for v in f.variables():
         if isinstance(v, DiffVar):
             if v not in rhs:
-                raise ValueError(f"no field component supplied for {v}")
+                raise ConstraintError(f"no field component supplied for {v}")
             residual = residual + f.partial(v) * rhs[v]
         elif v == T_NAME:
-            raise ValueError("first-integral check expects an autonomous candidate")
-    if residual.is_zero():
-        return Conserved()
-    return NotConserved(residual)
+            raise ConstraintError("first-integral check expects an autonomous candidate")
+    return residual
 
 
 def quotient_of_partials(f: RationalFunction) -> RationalFunction:
@@ -429,7 +406,7 @@ def quotient_of_partials(f: RationalFunction) -> RationalFunction:
     plane = sorted((v for v in f.variables() if isinstance(v, DiffVar)),
                    key=lambda v: v.name)
     if len(plane) != 2 or any(v.order != 0 for v in plane):
-        raise ValueError("expected exactly two order-zero plane variables")
+        raise ConstraintError("expected exactly two order-zero plane variables")
     xv, yv = plane
     fy = f.partial(yv)
     if fy.is_zero():

@@ -1,11 +1,16 @@
 """CLI surface: subcommands, exit codes, batch mode and schema validation."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from painstrata import cli
 from painstrata.cli import (
@@ -20,15 +25,26 @@ import importlib.resources
 
 SCHEMA = json.loads(
     importlib.resources.files("painstrata").joinpath("schema.json").read_text())
+VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def strict_docs(out):
+    """The schema-valid documents of an output, one per line; NaN and
+    Infinity, which ``json.dumps`` would print, are rejected."""
+    docs = [json.loads(line, parse_constant=_reject_constant)
+            for line in out.strip().splitlines()]
+    for doc in docs:
+        VALIDATOR.validate(doc)
+    return docs
 
 
 def run(capsys, argv):
     code = cli.main(argv)
-    out = capsys.readouterr().out
-    docs = [json.loads(line) for line in out.strip().splitlines()]
-    for doc in docs:
-        jsonschema.validate(doc, SCHEMA)
-    return code, docs
+    return code, strict_docs(capsys.readouterr().out)
 
 
 class TestClassify:
@@ -76,6 +92,19 @@ class TestClassify:
         assert doc["morley_rank"] == "outside_paper_scope"
 
 
+# sweep input lines: arbitrary bytes (non-UTF-8 included), blank lines, and
+# family tags with parameter tokens, some thousands of digits long
+_TOKEN = st.one_of(
+    st.sampled_from([b"0", b"1/2", b"-1/3", b"1+2i", b"generic", b"nonrational", b"1/0"]),
+    st.integers(1000, 5000).map(lambda n: b"7" * n))
+_SWEEP_LINE = st.one_of(
+    st.binary(max_size=30).map(lambda b: b.replace(b"\n", b"")),
+    st.sampled_from([b"", b" \t\r"]),
+    st.builds(lambda family, tokens: family + b" " + b",".join(tokens),
+              st.sampled_from([b"p2", b"p3", b"p4", b"p5", b"p6", b"xc", b"p7"]),
+              st.lists(_TOKEN, min_size=1, max_size=5)))
+
+
 class TestSweep:
     def test_line_counts_and_inline_errors(self, capsys, tmp_path):
         batch = tmp_path / "batch.txt"
@@ -96,7 +125,6 @@ class TestSweep:
         assert docs[4]["c_kind"] == "rational"
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p3 1,0\n")))
         code, docs = run(capsys, ["sweep", "--in", "-"])
         assert code == EXIT_OK
@@ -131,6 +159,22 @@ class TestSweep:
         assert code == EXIT_OK
         assert [d.get("error", {}).get("line") for d in docs] == [1, None]
         assert docs[1]["stratum"] == "generic"
+
+    # ``within`` holds no state between examples
+    @settings(suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_SWEEP_LINE, max_size=8))
+    def test_any_bytes_one_document_per_line(self, within, lines):
+        stdin = io.TextIOWrapper(io.BytesIO(b"".join(line + b"\n" for line in lines)))
+        out = io.StringIO()
+        with within(10), mock.patch.object(sys, "stdin", stdin), \
+                contextlib.redirect_stdout(out):
+            code = cli.main(["sweep", "--in", "-"])
+        docs = strict_docs(out.getvalue())
+        assert code == EXIT_OK
+        assert len(docs) == len(lines)
+        assert all(doc["error"]["line"] == i
+                   for i, doc in enumerate(docs, start=1) if "error" in doc)
 
 
 class TestVerify:
@@ -213,6 +257,16 @@ class TestSimulate:
         assert doc["events"][0]["kind"] == "BlowUp"
         assert doc["events"][0]["t"] < 2.0
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, where):
+        path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        code, (doc,) = run(capsys, [
+            "simulate", "--family", "xc", "--params", "2", "--init", "1,0.5",
+            "--t0", "0", "--t1", "0.3", "--out", str(path)])
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
+        assert doc["error"]["message"].startswith(f"cannot write {str(path)!r}: ")
+
     def test_p6_not_simulatable(self, capsys):
         with pytest.raises(SystemExit):
             # argparse rejects p6 for simulate: no system is shipped
@@ -257,6 +311,53 @@ class TestReduceAndOrbit:
                                     "--max-len", "-1"])
         assert code == EXIT_CONSTRAINT
         assert doc["error"]["kind"] == "constraint"
+
+    @pytest.mark.parametrize("src,dst", [("1,1,1", "1,2,0"), ("1,2,-3", "1,1,1")])
+    def test_orbit_p4_off_plane(self, capsys, src, dst):
+        code, (doc,) = run(capsys, ["orbit", "--family", "p4", "--from", src,
+                                    "--to", dst, "--max-len", "3"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"] == {"kind": "constraint", "message":
+                                "parameter vector must lie on the sum-zero plane"}
+
+
+class TestErrorTable:
+    """A user error maps to its document through ``cli.ERRORS``; any other
+    exception is a bug and propagates out of ``main``."""
+
+    @staticmethod
+    def broken(*args):
+        raise ValueError("internal fault")
+
+    def test_unexpected_value_error_propagates(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_classify", self.broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["classify", "--family", "p3", "--params", "1,1"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce-p4", "--params", "1,-1,0", "--max-steps", "0"],
+        ["verify", "integral", "--c=-1"],
+        ["verify", "integral", "--c", "1", "--expr", "x'"],
+        ["verify", "qop", "--c", "1", "--expr", "x*y'"],
+        ["simulate", "--family", "p2", "--params", "generic", "--init", "0,0",
+         "--t0", "0", "--t1", "1"],
+        ["simulate", "--family", "p3", "--params", "1,1", "--init", "1,1",
+         "--t0=-1", "--t1", "1"],
+    ])
+    def test_constraint_raise_sites(self, capsys, argv):
+        code, (doc,) = run(capsys, argv)
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"]["kind"] == "constraint"
+
+    def test_unexpected_value_error_propagates_from_sweep(self, capsys, monkeypatch,
+                                                          tmp_path):
+        batch = tmp_path / "batch.txt"
+        batch.write_text("p3 1,1\n")
+        monkeypatch.setattr(cli, "classify", self.broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.main(["sweep", "--in", str(batch)])
+        assert capsys.readouterr().out == ""
 
 
 class TestEntryPoint:
@@ -378,3 +479,23 @@ class TestInputValidation:
         assert code == EXIT_PARSE
         assert doc["error"]["kind"] == "parse"
         assert "--c" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_log_relation_max_drift(self, capsys, value):
+        code, (doc,) = run(capsys, ["verify", "log-relation", "--c", "2",
+                                    f"--max-drift={value}"])
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
+        assert "--max-drift" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("value,message", [
+        ("inf", "the blow-up threshold must be finite"),
+        ("nan", "the blow-up threshold must be positive"),
+        ("0", "the blow-up threshold must be positive"),
+    ])
+    def test_simulate_blowup_threshold(self, capsys, value, message):
+        code, (doc,) = run(capsys, [
+            "simulate", "--family", "xc", "--params", "2", "--init", "1,0.5",
+            "--t0", "0", "--t1", "0.3", f"--blowup-threshold={value}"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"] == {"kind": "constraint", "message": message}

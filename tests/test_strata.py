@@ -309,7 +309,6 @@ class TestXcReport:
     def test_rational(self):
         report = classify_xc(CR(Fraction(2)))
         assert (report.fiber_lascar, report.fiber_morley) == (2, 2)
-        assert (report.family_lascar, report.family_morley) == (2, 3)
         assert report.c_kind == "rational"
 
     def test_zero_is_rational(self):
@@ -342,9 +341,9 @@ class TestXcReport:
         assert doc["family_morley"] == 3
 
     def test_family_totals_pinned(self):
-        from painstrata.strata import XcReport
-        with pytest.raises(ValueError):
-            XcReport(CR(Fraction(2)), "rational", 2, 2, family_lascar=3)
+        for c in (CR(Fraction(2)), CR(Fraction(-1)), SpecialValue.NON_RATIONAL):
+            doc = classify_xc(c).to_json_dict()
+            assert (doc["family_lascar"], doc["family_morley"]) == (2, 3)
 
 
 class TestSerialization:
