@@ -1,4 +1,4 @@
-"""The dynamical systems, parameter groups and coordinate changes.
+"""The dynamical systems and their parameter groups.
 
 Families are identified by their CLI tags: ``p2 p3 p4 p5 p6 xc``.  The second
 family is stored as the first-order pair (y, y1); the third through fifth
@@ -10,13 +10,14 @@ field  x' = c*y + y - c,  y' = y*(y-1)/x.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .exactnum import ComplexRational, ConstraintError, ParameterParseError, parse_cgauss
 from .ratfunc import RationalFunction
-from .symbolic import FirstOrderCurve, rf
+from .symbolic import DiffVar, FirstOrderCurve, rf
 
 
 class Family(enum.Enum):
@@ -265,6 +266,9 @@ def reduce_to_fundamental_region_p4(v: Sequence[ComplexRational],
 # negative certificate is never produced).
 # --------------------------------------------------------------------------
 
+MAX_WORD_LENGTH = 100   # the search holds about n^2 values at word length n
+
+
 @dataclass(frozen=True)
 class Related:
     word: GroupWord
@@ -277,9 +281,9 @@ class Unknown:
 
 def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
                  family: Family, max_word_length: int) -> Related | Unknown:
-    if max_word_length < 0:
-        raise ConstraintError(
-            f"the maximum word length must be at least 0, got {max_word_length}")
+    if not 0 <= max_word_length <= MAX_WORD_LENGTH:
+        raise ConstraintError(f"the maximum word length must be between 0 and "
+                              f"{MAX_WORD_LENGTH}, got {max_word_length}")
     a = _check_params(family, a)
     b = _check_params(family, b)
     if family is Family.PIV:
@@ -325,12 +329,8 @@ class SystemRHS:
         return dict(zip(self.variables, self.rhs))
 
     def free_parameters(self) -> set[str]:
-        out = set()
-        for f in self.rhs:
-            for v in f.variables():
-                if isinstance(v, str) and v != "t":
-                    out.add(v)
-        return out
+        return {v for f in self.rhs for v in f.variables()
+                if isinstance(v, str) and v != "t"}
 
 
 _SYSTEM_TEMPLATES = {
@@ -370,6 +370,9 @@ _SYSTEM_TEMPLATES = {
 }
 
 
+_parsed = functools.cache(rf)   # the one parse of each text above, on first use
+
+
 def system_rhs(inst: FamilyInstance) -> SystemRHS:
     """Exact right-hand sides with concrete parameters substituted in.
 
@@ -390,29 +393,27 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
                 "system right-hand sides are built over the rationals; "
                 f"coordinate {name}={value} has a nonzero imaginary part")
         env[name] = value.as_fraction()
-    rhs = tuple(rf(text, params=param_names, variables=variables).substitute_values(env)
-                for text in texts)
+    rhs = tuple(_parsed(text, params=param_names, variables=variables)
+                .substitute_values(env) for text in texts)
     return SystemRHS(inst.family, variables, rhs, sing)
 
 
 def p2_second_order_rhs(alpha: Fraction) -> RationalFunction:
-    """The scalar second-order right side 2*y^3 + t*y + alpha."""
-    return rf("2*y^3 + t*y + a", params=("a",),
-              variables=("y",)).substitute_values({"a": alpha})
+    """The scalar second-order right side: y1' of the second family at alpha."""
+    return system_rhs(FamilyInstance(Family.PII, (ComplexRational(alpha),))).rhs[1]
 
 
 def riccati_curve(sign: str) -> FirstOrderCurve:
     """The two signed order-one curves sitting inside the half-integer fibers.
 
-    ``plus`` is  y' = y^2 + t/2  (contained in the alpha = +1/2 fiber) and
-    ``minus`` is  y' = -y^2 - t/2  (contained in the alpha = -1/2 fiber);
-    the crossed pairings leave the constant residual 1.
+    ``plus`` is  y' = y^2 + t/2, contained in the alpha = +1/2 fiber, and
+    ``minus`` is its negation, contained in the alpha = -1/2 fiber; the
+    crossed pairings leave the constant residual 1.
     """
-    if sign == "plus":
-        return FirstOrderCurve("y", rf("y^2 + t/2", variables=("y",)))
-    if sign == "minus":
-        return FirstOrderCurve("y", rf("-y^2 - t/2", variables=("y",)))
-    raise ValueError("sign must be 'plus' or 'minus'")
+    if sign not in ("plus", "minus"):
+        raise ValueError("sign must be 'plus' or 'minus'")
+    rhs = _parsed("y^2 + t/2", variables=("y",))
+    return FirstOrderCurve("y", rhs if sign == "plus" else -rhs)
 
 
 def xc_first_integral(c: int, convention: str = "y_minus_one") -> RationalFunction:
@@ -423,13 +424,14 @@ def xc_first_integral(c: int, convention: str = "y_minus_one") -> RationalFuncti
     """
     if not isinstance(c, int) or c < 0:
         raise ConstraintError("the exact first integral is shipped for integer c >= 0")
-    numerator = "(y - 1)" if convention == "y_minus_one" else "(1 - y)"
     if convention not in ("y_minus_one", "one_minus_y"):
         raise ValueError("convention must be 'y_minus_one' or 'one_minus_y'")
-    text = f"y^{c}*{numerator}/x" if c else f"{numerator}/x"
-    return rf(text, variables=("x", "y"))
+    x, y = (RationalFunction.variable(DiffVar(name)) for name in ("x", "y"))
+    integral = y ** c * (y - 1) / x
+    return -integral if convention == "one_minus_y" else integral
 
 
 def imp_slope_rhs(c: int) -> RationalFunction:
-    """The slope field  y*(y-1)/(x*(c*y + y - c))  of the plane curve family."""
-    return rf(f"y*(y-1)/(x*({c}*y + y - {c}))", variables=("x", "y"))
+    """The slope field  y'/x'  of the planar field at c."""
+    dx, dy = system_rhs(FamilyInstance(Family.XC, (ComplexRational(Fraction(c)),))).rhs
+    return dy / dx

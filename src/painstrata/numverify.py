@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .exactnum import ConstraintError
 from .models import SystemRHS
 from .ratfunc import RationalFunction
-from .symbolic import DiffVar, FirstOrderCurve, T_NAME
+from .symbolic import DiffVar, FirstOrderCurve, T_NAME, total_derivative_rf
 
 BLOWUP = "BlowUp"
 POLE_PROXIMITY = "PoleProximity"
@@ -260,23 +260,20 @@ def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
     """Max residual of the implied second derivative against a target.
 
     The trajectory must come from integrating the curve as a one-dimensional
-    system; the second derivative along it is recovered from the curve by the
-    chain rule, and the target may involve the first derivative (substituted
-    from the curve).
+    system; the second derivative along it is the total derivative of the
+    curve's right side, as in ``verify_subvariety``, and the first derivative
+    is substituted from the curve there and in the target.
     """
     if traj.variables != (curve.variable,):
         raise ValueError("trajectory was not produced by this curve")
-    y0 = DiffVar(curve.variable, 0)
-    y1 = DiffVar(curve.variable, 1)
-    g = curve.rhs
-    target = target_rhs.substitute({y1: g})
-    implied = g.partial(y0) * g + g.partial(T_NAME)
-    g_imp = compile_rf(implied, traj.variables)
-    g_tgt = compile_rf(target, traj.variables)
+    on_curve = {DiffVar(curve.variable, 1): curve.rhs}
+    implied = compile_rf(total_derivative_rf(curve.rhs).substitute(on_curve),
+                         traj.variables)
+    target = compile_rf(target_rhs.substitute(on_curve), traj.variables)
     residuals = []
     for t, state in traj.samples:
         try:
-            residuals.append(abs(g_imp(state, t) - g_tgt(state, t)))
+            residuals.append(abs(implied(state, t) - target(state, t)))
         except ZeroDivisionError as exc:
             raise PoleOnTrajectory(f"residual has a pole at t = {t}") from exc
     traj.residuals = residuals

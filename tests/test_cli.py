@@ -312,6 +312,16 @@ class TestReduceAndOrbit:
         assert code == EXIT_CONSTRAINT
         assert doc["error"]["kind"] == "constraint"
 
+    def test_orbit_length_bound(self, capsys, within):
+        with within(5):
+            code, (doc,) = run(capsys, ["orbit", "--family", "p3",
+                                        "--from", "1/3,1/7", "--to", "2/5,3/11",
+                                        "--max-len", "4000"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"] == {"kind": "constraint", "message":
+                                "the maximum word length must be between 0 and 100, "
+                                "got 4000"}
+
     @pytest.mark.parametrize("src,dst", [("1,1,1", "1,2,0"), ("1,2,-3", "1,1,1")])
     def test_orbit_p4_off_plane(self, capsys, src, dst):
         code, (doc,) = run(capsys, ["orbit", "--family", "p4", "--from", src,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from painstrata import models
 from painstrata.exactnum import ComplexRational
 from painstrata.models import (
     BudgetExceededError,
@@ -12,6 +13,7 @@ from painstrata.models import (
     Family,
     FamilyInstance,
     GroupWord,
+    MAX_WORD_LENGTH,
     P3Generator,
     P4Generator,
     Related,
@@ -19,6 +21,7 @@ from painstrata.models import (
     Unknown,
     apply_generator,
     apply_word,
+    imp_slope_rhs,
     in_fundamental_region_p4,
     orbit_search,
     p2_second_order_rhs,
@@ -252,12 +255,79 @@ class TestOrbitSearch:
                            Family.PIII, 3)
         assert isinstance(out, Unknown)
 
+    def test_word_length_bound(self, within):
+        with pytest.raises(ConstraintError, match="between 0 and 100, got 101"):
+            orbit_search(crs(1, 1), crs(2, 0), Family.PIII, MAX_WORD_LENGTH + 1)
+        with within(5):   # an unrelated pair searched to the bound
+            out = orbit_search(crs(Fraction(1, 3), Fraction(1, 7), Fraction(-10, 21)),
+                               crs(Fraction(2, 5), Fraction(3, 11), Fraction(-37, 55)),
+                               Family.PIV, MAX_WORD_LENGTH)
+        assert isinstance(out, Unknown)
+
     def test_p4_search(self):
         v = crs(Fraction(-1, 3), Fraction(1, 3), 0)
         target = apply_generator(P4Generator.S0, apply_generator(P4Generator.S1, v))
         out = orbit_search(v, target, Family.PIV, 2)
         assert isinstance(out, Related)
         assert apply_word(out.word, v) == target
+
+
+class TestTextEquivalence:
+    """The shipped equations against a fresh parse of their texts: the
+    templates parsed and then substituted, and the texts the slope field and
+    the first integral were once printed from."""
+
+    FAMILIES = (Family.PII, Family.PIII, Family.PIV, Family.PV, Family.XC)
+
+    @staticmethod
+    def vector(rng, family):
+        n = models.PARAM_COUNT[family]
+        v = [rng.choice(tuple(SpecialValue)) if rng.random() < 0.25
+             else CR(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(n)]
+        if family in (Family.PIV, Family.PV) and all(isinstance(c, CR) for c in v):
+            v[-1] = -sum(v[:-1], CR())
+        return FamilyInstance(family, tuple(v))
+
+    @staticmethod
+    def fresh(inst):
+        variables, names, texts, _ = models._SYSTEM_TEMPLATES[inst.family]
+        env = {name: c.as_fraction() for name, c in zip(names, inst.params)
+               if isinstance(c, CR)}
+        return tuple(rf(text, params=names, variables=variables).substitute_values(env)
+                     for text in texts)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_system_rhs_matches_fresh_parse(self, family):
+        rng = random.Random(f"system-{family.value}")
+        tagged = 0
+        for _ in range(30):
+            inst = self.vector(rng, family)
+            tagged += any(isinstance(c, SpecialValue) for c in inst.params)
+            assert system_rhs(inst).rhs == self.fresh(inst), inst
+        assert tagged
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_cached_forms_unaltered(self, family):
+        rng = random.Random(f"order-{family.value}")
+        first, second = self.vector(rng, family), self.vector(rng, family)
+        models._parsed.cache_clear()
+        forward = [system_rhs(first).rhs, system_rhs(second).rhs]
+        models._parsed.cache_clear()
+        backward = [system_rhs(second).rhs, system_rhs(first).rhs]
+        assert forward == backward[::-1] == [self.fresh(first), self.fresh(second)]
+
+    def test_slope_field(self):
+        for c in range(-5, 46):
+            assert imp_slope_rhs(c) == rf(f"y*(y-1)/(x*({c}*y + y - {c}))",
+                                          variables=("x", "y")), c
+
+    def test_first_integral(self):
+        for c in range(46):
+            for convention, numerator in (("y_minus_one", "(y - 1)"),
+                                          ("one_minus_y", "(1 - y)")):
+                text = f"y^{c}*{numerator}/x" if c else f"{numerator}/x"
+                assert xc_first_integral(c, convention) == \
+                    rf(text, variables=("x", "y")), (c, convention)
 
 
 class TestFixtures:

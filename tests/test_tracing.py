@@ -13,13 +13,29 @@ from painstrata import cli, models, numverify, ratfunc, strata
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 
-SPANS = ("strata.p6_stratum", "strata.integral_roots", "strata.classify.p6",
-         "cli.argparse", "models.reduce_p4", "models.orbit_search", "symbolic.rf")
+# Every span name that a per-layer metric in ``tracing.LAYER_METRICS`` reads.
+SPANS = ("cli.argparse", "cli.emit", "cli.to_json_dict", "cli.sweep",
+         "exactnum.parse_cgauss", "models.instance", "models.system_rhs",
+         "models.reduce_p4", "models.orbit_search",
+         *(f"strata.classify.{fam}" for fam in ("p2", "p3", "p4", "p5", "p6")),
+         "strata.classify_xc", "strata.p6_stratum", "strata.integral_roots",
+         "symbolic.rf", "symbolic.verify_subvariety", "symbolic.verify_first_integral",
+         "symbolic.quotient_of_partials", "ratfunc.poly_gcd",
+         "numverify.compile_rf", "numverify.integrate", "numverify.export_csv",
+         "numverify.log_relation_drift")
+
+BATCH = """p2 1/2
+p3 1,1
+p4 1/3,-1/3,0
+p5 1,-1,1/2,-1/2
+p6 1/2,-1/2,1/7,1/11
+xc 2
+"""
 
 
 def test_trace_hooks_record_every_layer(tmp_path, capsys):
     batch = tmp_path / "batch.txt"
-    batch.write_text("p6 1/2,-1/2,1/7,1/11\np4 1/3,-1/3,0\n", encoding="utf-8")
+    batch.write_text(BATCH, encoding="utf-8")
     tracer = tracing.Tracer()
     undo = tracing.install(tracer, cli, models, strata, ratfunc, numverify)
     try:
@@ -27,10 +43,23 @@ def test_trace_hooks_record_every_layer(tmp_path, capsys):
         assert cli.main(["reduce-p4", "--params", "2,-1,-1"]) == 0
         assert cli.main(["orbit", "--family", "p3", "--from", "1,1",
                          "--to", "2,0", "--max-len", "1"]) == 0
-        assert cli.main(["verify", "integral", "--c", "2"]) == 0
+        assert cli.main(["verify", "integral", "--c", "2",
+                         "--expr", "y^2*(y-1)/x"]) == 0
+        assert cli.main(["verify", "riccati"]) == 0
+        assert cli.main(["verify", "qop", "--c", "2"]) == 0
+        assert cli.main(["verify", "log-relation", "--c", "1.5"]) == 0
+        assert cli.main(["simulate", "--family", "xc", "--params", "2",
+                         "--init", "1,0.5", "--t0", "0", "--t1", "0.3",
+                         "--out", str(tmp_path / "t.csv")]) == 0
     finally:
         tracing.uninstall(undo)
     capsys.readouterr()
     recorded = {span[0] for span in tracer.spans}
     assert set(SPANS) <= recorded, sorted(set(SPANS) - recorded)
+    # and every span-derived metric has samples to read
+    phase = tracing.Phase(tracer.spans, prefix_ops=1)
+    homes = {h for _, _, hs, _, _ in tracing.LAYER_METRICS.values() for h in hs}
+    metrics = tracing.layer_metrics({h: phase for h in homes})
+    assert len(metrics) == sum(1 for spec in tracing.LAYER_METRICS.values()
+                               if spec[3] is not None)
     assert strata.p6_stratum.__module__ == "painstrata.strata"
