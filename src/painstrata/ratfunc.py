@@ -1,11 +1,20 @@
 """Sparse multivariate polynomials over Q and canonical rational functions.
 
 A variable is any hashable object exposing ``sort_key() -> tuple`` (plain
-strings are also accepted).  A monomial is a tuple of ``(var, exp)`` pairs
-with positive exponents, sorted by the variables' keys; only
-:func:`_mono_mul` sorts, since lowering or dropping an exponent keeps the
-order.  Terms are ordered graded-lexicographically, highest first: higher
-total degree first, then the higher exponent of the earliest variable.
+strings are also accepted); distinct variables have distinct keys.  A
+monomial is a tuple of ``(var, exp)`` pairs with positive exponents, sorted
+by the variables' keys; :func:`_mono_mul` merges two such tuples, and
+lowering or dropping an exponent keeps the order.  Terms are ordered
+graded-lexicographically, highest first: higher total degree first, then
+the higher exponent of the earliest variable.
+
+A coefficient is an ``int`` or a ``Fraction``, never a float.  Construction,
+substitution and every division store integral values as ``int``, integers
+stay ``int`` through the ring operations, and every division is exact.
+``int`` and ``Fraction`` compare, hash and print alike, so the choice shows
+neither in ``==`` nor in the printed form.  The gcd is the primitive PRS
+over Z, run on the arguments with their denominators cleared.
+
 Rational functions are kept fully reduced, with a monic denominator, so two
 equal rational functions have structurally identical fields and ``==`` is a
 decision procedure for equality in the fraction field.
@@ -13,9 +22,10 @@ decision procedure for equality in the fraction field.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 Monomial = tuple  # sorted tuple of (var, positive int exponent) pairs
 
@@ -32,12 +42,26 @@ def _varkey(v: Hashable) -> tuple:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict = {}
-    for var, e in a:
-        exps[var] = exps.get(var, 0) + e
-    for var, e in b:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items(), key=lambda p: _varkey(p[0])))
+    """The product monomial: one merge of the two sorted tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ka, kb = _varkey(a[i][0]), _varkey(b[j][0])
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((a[i][0], a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def _mono_div(b: Monomial, a: Monomial) -> Monomial | None:
@@ -59,16 +83,34 @@ def _mono_key(m: Monomial) -> tuple:
     return (-sum(e for _, e in m), [(_varkey(v), -e) for v, e in m])
 
 
+def _coeff(value):
+    """An exact rational value as a coefficient: an ``int`` when it is
+    integral, else a ``Fraction``."""
+    if value.__class__ is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quo(a, b):
+    """The exact quotient a / b of two coefficients, as a coefficient."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
+
+
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with ``int`` or ``Fraction`` coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
         pruned = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _coeff(c)
                 if c:
                     pruned[m] = c
         object.__setattr__(self, "terms", pruned)
@@ -78,11 +120,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def variable(cls, var) -> "Polynomial":
-        return cls({((var, 1),): Fraction(1)})
+        return cls({((var, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -91,11 +133,11 @@ class Polynomial:
         return all(m == () for m in self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {(): Fraction(1)}
+        return self.terms == {(): 1}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return self.terms[()]
@@ -115,13 +157,13 @@ class Polynomial:
                     deg = e
         return deg
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, int | Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = min(self.terms, key=_mono_key)
         return m, self.terms[m]
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int | Fraction:
         return self.leading()[1]
 
     def __eq__(self, other):
@@ -138,7 +180,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
@@ -167,7 +209,7 @@ class Polynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                s = out.get(m, Fraction(0)) + ca * cb
+                s = out.get(m, 0) + ca * cb
                 if s:
                     out[m] = s
                 else:
@@ -188,12 +230,6 @@ class Polynomial:
             exp >>= 1
         return result
 
-    def scale(self, factor) -> "Polynomial":
-        factor = Fraction(factor)
-        if factor == 0:
-            return ZERO
-        return _raw({m: c * factor for m, c in self.terms.items()})
-
     def partial(self, var) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
         out: dict = {}
@@ -213,12 +249,12 @@ class Polynomial:
             rest = []
             for var, e in m:
                 if var in env:
-                    coeff *= Fraction(env[var]) ** e
+                    coeff *= _coeff(env[var]) ** e
                 else:
                     rest.append((var, e))
             mono = tuple(rest)
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return _raw(out)
+            out[mono] = out.get(mono, 0) + coeff
+        return Polynomial(out)
 
     def as_univariate(self, var) -> dict[int, "Polynomial"]:
         """View as a univariate polynomial in ``var`` with Polynomial coefficients."""
@@ -227,7 +263,7 @@ class Polynomial:
             e = next((k for v, k in m if v == var), 0)
             mono = tuple(p for p in m if p[0] != var) if e else m
             bucket = out.setdefault(e, {})
-            bucket[mono] = bucket.get(mono, Fraction(0)) + c
+            bucket[mono] = bucket.get(mono, 0) + c
         return {e: _raw(bucket) for e, bucket in out.items() if any(bucket.values())}
 
     def __str__(self) -> str:
@@ -262,6 +298,11 @@ def _from_univariate(var, coeffs: Mapping[int, Polynomial]) -> Polynomial:
                  for e, p in coeffs.items() for m, c in p.terms.items()})
 
 
+def _div_const(p: Polynomial, d) -> Polynomial:
+    """p / d for a nonzero rational constant d."""
+    return p if d == 1 else _raw({m: _quo(c, d) for m, c in p.terms.items()})
+
+
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact polynomial quotient f / g; raises if g does not divide f."""
     if g.is_zero():
@@ -269,7 +310,7 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero():
         return ZERO
     if g.is_constant():
-        return f.scale(Fraction(1) / g.constant_value())
+        return _div_const(f, g.constant_value())
     quot: dict = {}
     rem = f
     gm, gc = g.leading()
@@ -278,7 +319,7 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
         m = _mono_div(rm, gm)
         if m is None:
             raise ValueError("exact_div: divisor does not divide dividend")
-        quot[m] = c = rc / gc   # leading monomials strictly decrease
+        quot[m] = c = _quo(rc, gc)   # leading monomials strictly decrease
         rem = rem - _raw({m: c}) * g
     return _raw(quot)
 
@@ -302,59 +343,60 @@ def _prem(u: dict[int, Polynomial], v: dict[int, Polynomial]) -> dict[int, Polyn
     return r
 
 
-def _coeff_gcd(coeffs: Iterable[Polynomial]) -> Polynomial:
-    return reduce(poly_gcd, coeffs)
-
-
-def _content_primitive(f: Polynomial, var) -> tuple[Polynomial, dict[int, Polynomial]]:
-    uni = f.as_univariate(var)
-    cont = _coeff_gcd(uni.values())
+def _primitive(uni: dict[int, Polynomial]) -> tuple[Polynomial, dict[int, Polynomial]]:
+    """Content (over Z, so with the integer gcd) and primitive part of a
+    univariate view with integer coefficients."""
+    cont = reduce(_zgcd, uni.values())
     if cont.is_one():
         return cont, uni
     return cont, {e: exact_div(c, cont) for e, c in uni.items()}
 
 
+def _zgcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """A greatest common divisor in Z[vars] of nonzero f and g with integer
+    coefficients, by the primitive PRS in the shared variable of least
+    combined degree."""
+    common = f.variables() & g.variables()
+    if not common:
+        # a common divisor involves no variable: the integer gcd of all
+        # the coefficients
+        return Polynomial.constant(math.gcd(*f.terms.values(), *g.terms.values()))
+    var = min(common, key=lambda v: (f.degree_in(v) + g.degree_in(v), _varkey(v)))
+    cont_f, u = _primitive(f.as_univariate(var))
+    cont_g, v = _primitive(g.as_univariate(var))
+    c = _zgcd(cont_f, cont_g)
+    if max(u) < max(v):
+        u, v = v, u
+    while True:
+        r = _prem(u, v)
+        if not r:
+            return c * _from_univariate(var, v)
+        if max(r) == 0:
+            return c
+        u, v = v, _primitive(r)[1]
+
+
+def _clear(p: Polynomial) -> Polynomial:
+    """p times the lcm of its coefficients' denominators, with int
+    coefficients."""
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    return _raw({m: c.numerator * (lcm // c.denominator) for m, c in p.terms.items()})
+
+
 def _monic(p: Polynomial) -> Polynomial:
-    if p.is_zero():
-        return p
-    lc = p.leading_coeff()
-    return p if lc == 1 else p.scale(Fraction(1) / lc)
+    return p if p.is_zero() else _div_const(p, p.leading_coeff())
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor, by the primitive PRS algorithm."""
+    """Monic greatest common divisor: the primitive PRS over Z on f and g
+    with their denominators cleared."""
     if f.is_zero():
         return _monic(g)
     if g.is_zero():
         return _monic(f)
     if f.is_constant() or g.is_constant():
         return ONE
-    fvars, gvars = f.variables(), g.variables()
-    common = fvars & gvars
-    if common:
-        var = min(common, key=lambda v: (f.degree_in(v) + g.degree_in(v), _varkey(v)))
-    else:
-        # no shared variable: the gcd divides both contents viewed in any
-        # variable of f, which here reduces to a constant
-        return ONE
-    cont_f, u = _content_primitive(f, var)
-    cont_g, v = _content_primitive(g, var)
-    c = poly_gcd(cont_f, cont_g)
-    if max(u) < max(v):
-        u, v = v, u
-    while True:
-        r = _prem(u, v)
-        if not r:
-            pp = v
-            break
-        if max(r) == 0:
-            pp = {0: ONE}
-            break
-        rc = _coeff_gcd(r.values())
-        u, v = v, {e: exact_div(p, rc) for e, p in r.items()}
-    pp_cont = _coeff_gcd(pp.values())
-    pp = {e: exact_div(p, pp_cont) for e, p in pp.items()}
-    return _monic(c * _from_univariate(var, pp))
+    return _monic(_zgcd(_clear(f), _clear(g)))
 
 
 class RationalFunction:
@@ -375,10 +417,8 @@ class RationalFunction:
                 num = exact_div(num, g)
                 den = exact_div(den, g)
             lc = den.leading_coeff()
-            if lc != 1:
-                inv = Fraction(1) / lc
-                num = num.scale(inv)
-                den = den.scale(inv)
+            num = _div_const(num, lc)
+            den = _div_const(den, lc)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

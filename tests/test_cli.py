@@ -205,6 +205,15 @@ class TestVerify:
         assert doc["verdict"] == "not_conserved"
         assert doc["residual"] != "0"
 
+    def test_integral_dense_bivariate_candidate(self, capsys, within):
+        # the candidate's gcd ran past 100 s while the PRS kept rational scalars
+        with within(10):
+            code, (doc,) = run(capsys, ["verify", "integral", "--c", "2", "--expr",
+                                        "(x^8+y^8+1)/((x+y+1)^4)"])
+        assert code == EXIT_NEGATIVE
+        assert doc["verdict"] == "not_conserved"
+        assert doc["residual"] != "0"
+
     def test_integral_symbolic_exponent_redirects(self, capsys):
         code, (doc,) = run(capsys, ["verify", "integral", "--c", "2",
                                     "--expr", "y^c*(y-1)/x"])

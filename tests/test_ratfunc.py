@@ -1,5 +1,6 @@
 """Polynomial arithmetic, gcd and the canonical form of rational functions."""
 
+import collections
 import random
 import re
 from fractions import Fraction
@@ -18,7 +19,7 @@ from painstrata.ratfunc import (
     poly_gcd,
     poly_to_str,
 )
-from painstrata.symbolic import DiffVar
+from painstrata.symbolic import DiffVar, rf
 
 X = Polynomial.variable("x")
 Y = Polynomial.variable("y")
@@ -161,6 +162,150 @@ class TestGcd:
     def test_exact_div_rejects_nondivisor(self):
         with pytest.raises(ValueError):
             exact_div(X ** 2 + 1, X + 1)
+
+    def test_exact_div_keeps_fractions_exact(self):
+        q = exact_div(2 * X ** 2 + X, 2 * X)
+        assert q == X + Fraction(1, 2)
+        # == cannot tell 0.5 from 1/2, so the types are checked too
+        assert {m: type(c) for m, c in q.terms.items()} == {(("x", 1),): int, (): Fraction}
+
+    def test_dense_bivariate_quotient_returns(self, within):
+        # the rational scalars the PRS once kept grew like Euclid's over Q:
+        # this 3-term over 15-term quotient ran past 100 s
+        with within(5):
+            f = rf("(x^8+y^8+1)/((x+y+1)^4)")
+        assert str(f.num) == "x^8 + y^8 + 1"
+        assert f.den == rf("(x+y+1)^4").num
+
+
+# t, two parameters and three differential variables, for the sympy oracle
+ORACLE_VARS = ("t", "a", "b", DiffVar("x"), DiffVar("y"), DiffVar("y", 1))
+
+
+def oracle_poly(rng: random.Random, variables, nterms: int) -> Polynomial:
+    """Up to ``nterms`` terms of degree at most 2 in each variable, with
+    non-integral and non-monic coefficients mixed in."""
+    p = Polynomial()
+    for _ in range(rng.randint(1, nterms)):
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 5)), rng.choice((1, 1, 2, 3)))
+        term = Polynomial.constant(c)
+        for v in variables:
+            term = term * Polynomial.variable(v) ** rng.randint(0, 2)
+        p = p + term
+    return p
+
+
+def oracle_pairs(seed: int, count: int):
+    """Seeded (f, g, kind, variables) over 1-3 variables: a planted common
+    factor, none planted (often a coprime pair), or g dividing f."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        variables = rng.sample(ORACLE_VARS, rng.randint(1, 3))
+        kind = ("planted", "unplanted", "divides")[made % 3]
+        p, q = oracle_poly(rng, variables, 3), oracle_poly(rng, variables, 3)
+        r = oracle_poly(rng, variables, 2)
+        if kind == "unplanted":
+            r = Polynomial.constant(Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+        elif kind == "divides":
+            q = Polynomial.constant(Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 3)))
+        f, g = p * r, q * r
+        if f.is_zero() or g.is_zero():
+            continue
+        yield f, g, kind, variables
+        made += 1
+
+
+class TestSympyOracle:
+    """``poly_gcd`` and the canonical form against sympy's ``gcd`` and
+    ``cancel``, on 2,100 seeded pairs."""
+
+    def test_gcd_and_canonical_form(self):
+        sympy = pytest.importorskip("sympy")
+        symbols = {v: sympy.Symbol(str(v)) for v in ORACLE_VARS}
+
+        def to_sympy(p: Polynomial, variables):
+            rep = {}
+            for m, c in p.terms.items():
+                exps = dict(m)
+                rep[tuple(exps.get(v, 0) for v in variables)] = \
+                    sympy.Rational(c.numerator, c.denominator)
+            return sympy.Poly.from_dict(rep, *(symbols[v] for v in variables),
+                                        domain="QQ")
+
+        seen = collections.Counter()
+        for f, g, kind, variables in oracle_pairs(53, 2100):
+            sf, sg = to_sympy(f, variables), to_sympy(g, variables)
+            h = poly_gcd(f, g)
+            # equal to sympy's gcd up to a constant, and a divisor of both
+            assert to_sympy(h, variables).monic() == sympy.gcd(sf, sg).monic(), (f, g)
+            exact_div(f, h)
+            exact_div(g, h)
+            # the canonical quotient is sympy's cancelled quotient
+            canon = RationalFunction(f, g)
+            p, q = sf.cancel(sg, include=True)
+            assert to_sympy(canon.den, variables).monic() == q.monic(), (f, g)
+            assert to_sympy(canon.num, variables) * q == p * to_sympy(canon.den, variables)
+            seen[kind] += 1
+            seen["coprime"] += h.is_one()
+        assert len(seen) == 4 and min(seen.values()) >= 400
+
+
+def _coefficients(value):
+    polys = [value.num, value.den] if isinstance(value, RationalFunction) else [value]
+    return [c for p in polys for c in p.terms.values()]
+
+
+coefficients = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=6))
+plane_polys = st.lists(
+    st.tuples(coefficients, st.integers(0, 2), st.integers(0, 2)),
+    min_size=1, max_size=4,
+).map(lambda terms: sum((Polynomial.constant(c) * X ** i * Y ** j for c, i, j in terms),
+                        Polynomial()))
+steps = st.lists(
+    st.tuples(st.sampled_from(["+", "-", "*", "/", "**", "partial", "values", "div"]),
+              plane_polys, st.integers(-2, 3), st.sampled_from(["x", "y"]), coefficients),
+    min_size=1, max_size=6,
+)
+
+
+class TestCoefficientTypes:
+    @given(plane_polys, steps)
+    def test_int_or_fraction_never_float(self, start, ops):
+        value = RationalFunction(start)
+        poly = start
+        for op, p, k, var, c in ops:
+            other = RationalFunction(p)
+            if op == "+":
+                value = value + other
+            elif op == "-":
+                value = value - other
+            elif op == "*":
+                value = value * other
+            elif op == "/" and not p.is_zero():
+                value = value / other
+            elif op == "**" and not (k < 0 and value.is_zero()):
+                value = value ** k
+            elif op == "partial":
+                value = value.partial(var)
+                poly = poly.partial(var)
+            elif op == "values":
+                if not value.den.substitute_values({var: c}).is_zero():
+                    value = value.substitute_values({var: c})
+                poly = poly.substitute_values({var: c})
+            elif op == "div" and not p.is_zero():
+                quotient = exact_div(poly * p, p)
+                assert quotient == poly
+                poly = quotient
+            for coeff in _coefficients(value) + _coefficients(poly):
+                assert type(coeff) in (int, Fraction), (op, coeff)
+
+    def test_integers_stay_int(self):
+        f = RationalFunction(6 * X ** 2 + 4 * X, 2 * X * Y)
+        assert f == RationalFunction(3 * X + 2, Y)
+        assert all(type(c) is int for c in _coefficients(f))
+        assert all(type(c) is int for c in
+                   _coefficients(poly_gcd(4 * X ** 2 - 4, 6 * X + 6)))
 
 
 class TestRationalFunction:
