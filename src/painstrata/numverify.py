@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Sequence
 
 from .exactnum import ConstraintError
@@ -111,41 +112,61 @@ class IntegrationSpec:
                 raise ConstraintError(f"window contains the fixed singularity t = {s}")
 
 
-def compile_rf(f: RationalFunction, variables: Sequence[str]) -> Callable:
-    """Compile a rational function to a float evaluator over (state, t)."""
-    index = {DiffVar(name, 0): i for i, name in enumerate(variables)}
+# terms per generated line: the compiler recurses once per ``+`` of a line
+_TERMS_PER_LINE = 64
 
-    def pack(poly):
-        terms = []
-        for mono, coeff in poly.terms.items():
-            factors = []
-            for var, exp in mono:
-                if var == T_NAME:
-                    factors.append((-1, exp))
-                elif var in index:
-                    factors.append((index[var], exp))
-                else:
-                    raise ValueError(f"unbound variable {var} in numeric evaluation")
-            terms.append((float(coeff), tuple(factors)))
-        return tuple(terms)
 
-    num_terms = pack(f.num)
-    den_terms = pack(f.den)
+def compile_rf(rhs: Sequence[RationalFunction], variables: Sequence[str]) -> Callable:
+    """Generate one float evaluator ``field(state, t) -> list[float]``.
 
-    def evaluate(state, t):
-        num = 0.0
-        for c, factors in num_terms:
-            for i, e in factors:
-                c *= (t if i < 0 else state[i]) ** e
-            num += c
-        den = 0.0
-        for c, factors in den_terms:
-            for i, e in factors:
-                c *= (t if i < 0 else state[i]) ** e
-            den += c
-        return num / den
+    The source holds only float literals, the names ``y0..yn`` (the state
+    in ``variables`` order) and ``t``, and integer exponents.  It computes
+    what a term-by-term interpreter would, bit for bit: each polynomial is
+    ``0.0`` plus its terms in dict order, each term multiplies its
+    coefficient by ``base ** exp`` left to right (a coefficient of 1.0, an
+    exponent of 1 and a denominator of 1 are left out, all exact), and the
+    components are evaluated in order, so the first ``ZeroDivisionError``
+    or ``OverflowError`` is the same one too.
+    """
+    state = [f"y{i}" for i in range(len(variables))]
+    names = {T_NAME: "t", **{DiffVar(name, 0): y for name, y in zip(variables, state)}}
+    lines = ["def field(state, t):"]
+    if state:
+        lines.append(f"    {', '.join(state)}, = state")
+    for i, f in enumerate(rhs):
+        lines += _sum_lines("n", f.num, names)
+        if f.den.is_one():
+            lines.append(f"    f{i} = n")
+        else:
+            lines += _sum_lines("d", f.den, names)
+            lines.append(f"    f{i} = n / d")
+    lines.append(f"    return [{', '.join(f'f{i}' for i in range(len(rhs)))}]")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["field"]
 
-    return evaluate
+
+def _sum_lines(var: str, poly, names) -> list[str]:
+    """Lines setting ``var`` to ``0.0 + term + term ...``, added left to right."""
+    terms = [_term(mono, coeff, names) for mono, coeff in poly.terms.items()]
+    lines, acc = [], "0.0"
+    for i in range(0, len(terms), _TERMS_PER_LINE):
+        lines.append(f"    {var} = {' + '.join([acc, *terms[i:i + _TERMS_PER_LINE]])}")
+        acc = var
+    return lines or [f"    {var} = 0.0"]
+
+
+def _term(mono, coeff, names) -> str:
+    try:
+        c = float(coeff)
+    except OverflowError:
+        raise ConstraintError(f"the coefficient {coeff} does not fit a float") from None
+    factors = [] if c == 1.0 and mono else [repr(c)]
+    for var, exp in mono:
+        if var not in names:
+            raise ValueError(f"unbound variable {var} in numeric evaluation")
+        factors.append(names[var] if exp == 1 else f"{names[var]}**{exp}")
+    return " * ".join(factors)
 
 
 # Dormand-Prince 5(4) tableau.  The last row of _A is also the fifth-order
@@ -165,8 +186,12 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 
 
+# (c_s, a_s) of each stage after the first
+_STAGES = tuple(zip(_C[1:], _A[1:]))
+
+
 def _finite(values) -> bool:
-    return all(math.isfinite(v) for v in values)
+    return all(map(math.isfinite, values))
 
 
 def integrate(spec: IntegrationSpec) -> Trajectory:
@@ -176,17 +201,21 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
     threshold or the step size collapses below ``1e-13 * (t1 - t0)``; when
     the collapse is caused by a vanishing denominator at moderate state size,
     a PoleProximity event is recorded as well.  Events terminate sampling.
+
+    Each stage state is ``y + h * sum(a_s[j] * k_j)`` per component, summed
+    by the builtin ``sum`` over the stage's whole row, zeros included: the
+    builtin is compensated from Python 3.12 on, so a chain of ``+`` would
+    round differently there and move every trajectory.
     """
-    fs = [compile_rf(f, spec.system.variables) for f in spec.system.rhs]
-    n = len(fs)
+    evaluate = compile_rf(spec.system.rhs, spec.system.variables)
 
     def deriv(t, y):
-        out = [f(y, t) for f in fs]
+        out = evaluate(y, t)
         if not _finite(out):
             raise ZeroDivisionError("right-hand side is not finite")
         return out
 
-    t, y = spec.t0, tuple(spec.initial_state)
+    t, y = spec.t0, spec.initial_state
     try:
         k1 = deriv(t, y)
     except (ZeroDivisionError, OverflowError) as exc:
@@ -205,41 +234,37 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
         failed = False
         try:
             k = [k1]
-            for stage in range(1, 7):
-                ts = t + _C[stage] * h
-                ys = tuple(
-                    y[i] + h * sum(_A[stage][j] * k[j][i] for j in range(stage))
-                    for i in range(n))
+            for c, row in _STAGES:
+                ys = [yi + h * sum(map(mul, row, col)) for yi, col in zip(y, zip(*k))]
                 if not _finite(ys):
                     raise OverflowError("stage state overflow")
-                k.append(deriv(ts, ys))
+                k.append(deriv(t + c * h, ys))
         except (ZeroDivisionError, OverflowError) as exc:
             failed = True
             pole_suspect = isinstance(exc, ZeroDivisionError)
         if not failed:
             y5 = ys
-            y4 = tuple(y[i] + h * sum(_B4[j] * k[j][i] for j in range(7))
-                       for i in range(n))
+            y4 = [yi + h * sum(map(mul, _B4, col)) for yi, col in zip(y, zip(*k))]
             if not _finite(y4):
                 failed = True
                 pole_suspect = False
         if failed:
             h *= 0.5
             if h < h_min:
-                if pole_suspect and max(abs(v) for v in y) < spec.blowup_threshold:
+                if pole_suspect and max(map(abs, y)) < spec.blowup_threshold:
                     traj.events.append(Event(POLE_PROXIMITY, t))
                 traj.events.append(Event(BLOWUP, t))
                 return traj
             continue
 
-        err = max(abs(a - b) / (spec.abs_tol + spec.rel_tol * max(abs(y[i]), abs(a)))
-                  for i, (a, b) in enumerate(zip(y5, y4)))
+        err = max(abs(a - b) / (spec.abs_tol + spec.rel_tol * max(abs(yi), abs(a)))
+                  for yi, a, b in zip(y, y5, y4))
         if err <= 1.0:
             t += h
-            y, k1 = y5, k[6]
+            y, k1 = tuple(y5), k[6]
             traj.samples.append((t, y))
             err_total += max(abs(a - b) for a, b in zip(y5, y4))
-            if max(abs(v) for v in y) >= spec.blowup_threshold:
+            if max(map(abs, y)) >= spec.blowup_threshold:
                 traj.events.append(Event(BLOWUP, t))
                 break
             factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
@@ -247,7 +272,7 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
             if h < h_min:
-                if max(abs(v) for v in y) < spec.blowup_threshold:
+                if max(map(abs, y)) < spec.blowup_threshold:
                     traj.events.append(Event(POLE_PROXIMITY, t))
                 traj.events.append(Event(BLOWUP, t))
                 break
@@ -267,13 +292,13 @@ def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
     if traj.variables != (curve.variable,):
         raise ValueError("trajectory was not produced by this curve")
     on_curve = {DiffVar(curve.variable, 1): curve.rhs}
-    implied = compile_rf(total_derivative_rf(curve.rhs).substitute(on_curve),
-                         traj.variables)
-    target = compile_rf(target_rhs.substitute(on_curve), traj.variables)
+    both = compile_rf((total_derivative_rf(curve.rhs).substitute(on_curve),
+                       target_rhs.substitute(on_curve)), traj.variables)
     residuals = []
     for t, state in traj.samples:
         try:
-            residuals.append(abs(implied(state, t) - target(state, t)))
+            implied, target = both(state, t)
+            residuals.append(abs(implied - target))
         except ZeroDivisionError as exc:
             raise PoleOnTrajectory(f"residual has a pole at t = {t}") from exc
     traj.residuals = residuals
@@ -282,12 +307,12 @@ def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
 
 def conservation_drift(traj: Trajectory, f: RationalFunction) -> float:
     """Max deviation of a candidate first integral from its initial value."""
-    fn = compile_rf(f, traj.variables)
+    fn = compile_rf((f,), traj.variables)
     drifts = []
     base = None
     for t, state in traj.samples:
         try:
-            value = fn(state, t)
+            value, = fn(state, t)
         except ZeroDivisionError as exc:
             raise PoleOnTrajectory(f"candidate has a pole at t = {t}") from exc
         if not math.isfinite(value):

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths it checks: the 24 roots
 are enumerated here, inner products are summed part by part, stratum
 membership is decided by enumerating root combinations with integer minors
-(not by the package's signed-graph rank), and the graded-lex term order is
-decided on exponent vectors (not by the package's monomial key).  Random
+(not by the package's signed-graph rank), the graded-lex term order is
+decided on exponent vectors (not by the package's monomial key), and
+rational functions are evaluated in floats term by term (not by the
+package's generated code).  Random
 parameter vectors come from seeded generators so frozen expectations stay
 stable.
 """
@@ -17,6 +19,8 @@ from fractions import Fraction
 
 from painstrata.exactnum import ComplexRational
 from painstrata.models import SpecialValue
+from painstrata.ratfunc import Polynomial, RationalFunction
+from painstrata.symbolic import T_NAME, DiffVar
 
 # the vectors with exactly two nonzero entries, each +-1
 ROOTS = tuple(r for r in itertools.product((-1, 0, 1), repeat=4)
@@ -239,3 +243,99 @@ def grlex_cmp(a, b) -> int:
 
     va, vb = vector(a), vector(b)
     return (va > vb) - (va < vb)
+
+
+# --------------------------------------------------------------------------
+# Float evaluation of rational functions, term by term.
+# --------------------------------------------------------------------------
+
+def evaluate_terms(rhs, variables, state, t) -> list:
+    """Each rational function of ``rhs`` at (state, t), in floats.
+
+    A polynomial is 0.0 plus its terms in dict order; a term is its
+    coefficient as a float, multiplied by ``base ** exp`` for each of its
+    factors in turn; each quotient is taken after its numerator and
+    denominator, one function after the other.
+    """
+    index = {DiffVar(name, 0): i for i, name in enumerate(variables)}
+
+    def poly(p):
+        total = 0.0
+        for mono, coeff in p.terms.items():
+            c = float(coeff)
+            for var, exp in mono:
+                c *= (t if var == T_NAME else state[index[var]]) ** exp
+            total += c
+        return total
+    return [poly(f.num) / poly(f.den) for f in rhs]
+
+
+def random_polynomial(rng: random.Random, pool, n_terms: int) -> Polynomial:
+    """Up to ``n_terms`` terms over the variables in ``pool``, exponents 1-5;
+    coefficients are small integers or fractions of either sign, or now and
+    then a large one that still fits a float."""
+    terms = {}
+    for _ in range(n_terms):
+        chosen = sorted(rng.sample(pool, rng.randint(0, len(pool))), key=variable_rank)
+        draw = rng.random()
+        if draw < 0.5:
+            coeff = rng.choice((-1, 1)) * rng.randint(1, 9)
+        elif draw < 0.9:
+            coeff = Fraction(rng.randint(-50, 50), rng.randint(2, 12))
+        else:
+            coeff = Fraction(rng.randint(1, 9) * 10 ** rng.randint(20, 300), rng.randint(1, 7))
+        terms[tuple((v, rng.randint(1, 5)) for v in chosen)] = coeff
+    return Polynomial(terms)
+
+
+def raw_quotient(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num/den as given, not reduced: a random pair's gcd can take minutes,
+    and an evaluator reads only the two polynomials' terms."""
+    f = RationalFunction.__new__(RationalFunction)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
+
+
+def random_field_case(rng: random.Random):
+    """``(rhs, variables, points)``: one to three rational functions in t and
+    one to three state variables, with points (state, t) to evaluate them at.
+
+    The terms are in the order they were drawn, not graded-lex.  Some
+    numerators are zero; some denominators are ``v - a`` for a state
+    variable or t that a point sets to exactly ``a``; some points hold signed
+    zeros, and some states large enough that a power overflows.
+    """
+    variables = ("x", "y", "z")[:rng.randint(1, 3)]
+    pool = [T_NAME, *(DiffVar(v, 0) for v in variables)]
+    roots = {v: Fraction(rng.randint(-8, 8), 4) for v in pool}
+    rhs = []
+    for _ in range(rng.randint(1, 3)):
+        num = Polynomial() if rng.random() < 0.1 else \
+            random_polynomial(rng, pool, rng.randint(1, 5))
+        draw = rng.random()
+        if draw < 0.3:
+            den = Polynomial({(): 1})
+        elif draw < 0.5:
+            v = rng.choice(pool)
+            den = Polynomial({((v, 1),): 1, (): -roots[v]})
+        else:
+            den = random_polynomial(rng, pool, rng.randint(1, 3))
+            if den.is_zero():
+                den = Polynomial({(): 1})
+        rhs.append(raw_quotient(num, den))
+    points = []
+    for _ in range(3):
+        values = []
+        for v in pool:
+            draw = rng.random()
+            if draw < 0.2:
+                values.append(float(roots[v]))
+            elif draw < 0.3:
+                values.append(rng.choice((0.0, -0.0)))
+            elif draw < 0.34:
+                values.append(rng.choice((-1, 1)) * 10.0 ** rng.randint(60, 300))
+            else:
+                values.append(rng.uniform(-3, 3))
+        points.append((tuple(values[1:]), values[0]))
+    return tuple(rhs), variables, points

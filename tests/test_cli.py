@@ -480,6 +480,22 @@ class TestInputValidation:
         assert code == EXIT_CONSTRAINT
         assert doc["error"]["kind"] == "constraint"
 
+    @pytest.mark.parametrize("family,params,init,t0", [
+        ("p2", "1" + "0" * 400, "0,0", "0"),
+        ("xc", "1" + "0" * 400, "1,0.5", "0"),
+        ("p4", f"1{'0' * 400},-1{'0' * 400},0", "1,1", "0"),
+        ("p3", "1" + "0" * 400 + ",1", "1,1", "1"),
+        ("p5", f"1{'0' * 400},-1{'0' * 400},1,-1", "1,1", "1"),
+    ], ids=["p2", "xc", "p4", "p3", "p5"])
+    def test_simulate_coefficient_beyond_float_range(self, capsys, family, params,
+                                                     init, t0):
+        code, (doc,) = run(capsys, ["simulate", "--family", family, f"--params={params}",
+                                    f"--init={init}", f"--t0={t0}", "--t1=2"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"]["kind"] == "constraint"
+        assert doc["error"]["message"].startswith("the coefficient ")
+        assert doc["error"]["message"].endswith(" does not fit a float")
+
     @pytest.mark.parametrize("extra", [
         ["--init", "nan,0.5"],
         ["--tol", "1e-30"],

@@ -1,7 +1,8 @@
-"""Integrator accuracy, residual/drift checks, events and CSV export."""
+"""Integrator accuracy, the generated field, residual/drift checks, events and CSV export."""
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,10 @@ from painstrata.numverify import (
     log_relation_drift,
     residual_second_order,
 )
+from painstrata.ratfunc import Polynomial
 from painstrata.symbolic import DiffVar, rf
+
+import oracles
 
 CR = ComplexRational
 
@@ -85,21 +89,23 @@ class TestIntegrator:
         # an accepted step's last stage f(t+h, y5) is the next step's first,
         # so no field evaluation repeats a point, and every attempted step
         # (rejected ones included) costs six after the initial probe
-        points = []
+        calls, widths = [], []
         compile_rf = numverify.compile_rf
 
-        def counting(f, variables):
-            evaluate = compile_rf(f, variables)
+        def counting(rhs, variables):
+            evaluate = compile_rf(rhs, variables)
 
             def counted(state, t):
-                points.append((t, tuple(state)))
-                return evaluate(state, t)
+                calls.append((t, tuple(state)))
+                out = evaluate(state, t)
+                widths.append(len(out))
+                return out
             return counted
         monkeypatch.setattr(numverify, "compile_rf", counting)
         traj = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5),
                                          rel_tol=1e-12, abs_tol=1e-12))
-        calls = points[::2]   # two components are evaluated per field evaluation
-        assert points[1::2] == calls
+        # one evaluator call per field evaluation, giving both components
+        assert set(widths) == {2}
         assert len(set(calls)) == len(calls)
         assert (len(calls) - 1) % 6 == 0
         assert len(calls) >= 1 + 6 * (len(traj.samples) - 1)
@@ -190,6 +196,50 @@ class TestIntegrator:
     def test_tolerance_floor_admits_the_documented_range(self):
         for tol in (1e-8, 1e-12, 2.3e-14):
             IntegrationSpec(one_dim("y"), 0.0, 1.0, (1.0,), rel_tol=tol, abs_tol=tol)
+
+
+def outcome(evaluate):
+    """The repr of an evaluator's floats, or the name of what it raised."""
+    try:
+        return repr(evaluate())
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+class TestCompiledField:
+    def test_matches_term_by_term_evaluation(self):
+        # bit for bit, and the same exception where one is raised: sums in
+        # the same order from 0.0, powers by ** left to right
+        for seed in range(2000):
+            rhs, variables, points = oracles.random_field_case(
+                random.Random(f"field:{seed}"))
+            field = numverify.compile_rf(rhs, variables)
+            for state, t in points:
+                assert outcome(lambda: field(state, t)) == outcome(
+                    lambda: oracles.evaluate_terms(rhs, variables, state, t)), \
+                    (seed, state, t)
+
+    def test_long_sum(self):
+        # more terms than the compiler can nest in one expression
+        y = DiffVar("y", 0)
+        rhs = (oracles.raw_quotient(Polynomial({((y, k),): k for k in range(1, 3001)}),
+                                    Polynomial({(): 1})),)
+        field = numverify.compile_rf(rhs, ("y",))
+        assert repr(field([0.999], 0.0)) == repr(
+            oracles.evaluate_terms(rhs, ("y",), [0.999], 0.0))
+
+    def test_variable_names_do_not_reach_the_source(self):
+        # names that would shadow the generated code's own locals
+        variables = ("state", "n", "d", "f0")
+        rhs = tuple(rf(text, variables=variables)
+                    for text in ("state*n - d", "f0/(n + 1)", "t*state^2"))
+        field = numverify.compile_rf(rhs, variables)
+        assert field([2.0, 3.0, 0.5, 4.0], 1.5) == [5.5, 1.0, 6.0]
+
+    def test_coefficient_beyond_float_range(self):
+        huge = rf(f"y + {10 ** 400}", variables=("y",))
+        with pytest.raises(ConstraintError, match=f"coefficient {10 ** 400} "):
+            numverify.compile_rf((huge,), ("y",))
 
 
 class TestResiduals:
