@@ -119,19 +119,19 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _open(path: str, verb: str, mode: str, **kwargs):
-    """``open``, with a path that cannot be opened as a parse error."""
-    try:
-        return open(path, mode, **kwargs)
-    except OSError as exc:
-        raise ParameterParseError(f"cannot {verb} {path!r}: {exc.strerror}") from None
+def _path_error(verb: str, path: str, exc: OSError) -> ParameterParseError:
+    """A file the user named that cannot be read or written, as a parse error."""
+    return ParameterParseError(f"cannot {verb} {path!r}: {exc.strerror}")
 
 
 def _sweep_input(infile: str):
     """The binary stream ``sweep`` reads, as a context manager."""
     if infile == "-":
         return contextlib.nullcontext(sys.stdin.buffer)
-    return _open(infile, "read", "rb")
+    try:
+        return open(infile, "rb")
+    except OSError as exc:
+        raise _path_error("read", infile, exc) from None
 
 
 def cmd_sweep(args) -> int:
@@ -267,8 +267,11 @@ def cmd_simulate(args) -> int:
                            blowup_threshold=args.blowup_threshold)
     traj = integrate(spec)
     if args.out:
-        with _open(args.out, "write", "w", encoding="utf-8") as fh:
-            export_csv(traj, fh)
+        try:   # opening, writing and closing the file alike
+            with open(args.out, "w", encoding="utf-8") as fh:
+                export_csv(traj, fh)
+        except OSError as exc:
+            raise _path_error("write", args.out, exc) from None
     _emit({
         "family": inst.family.value,
         "params": _params_json(inst.params),

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .exactnum import ComplexRational, ConstraintError, ParameterParseError, parse_cgauss
-from .ratfunc import RationalFunction
-from .symbolic import DiffVar, FirstOrderCurve, rf
+from .ratfunc import RationalFunction, Var
+from .symbolic import FirstOrderCurve, T, rf
 
 
 class Family(enum.Enum):
@@ -329,8 +329,8 @@ class SystemRHS:
         return dict(zip(self.variables, self.rhs))
 
     def free_parameters(self) -> set[str]:
-        return {v for f in self.rhs for v in f.variables()
-                if isinstance(v, str) and v != "t"}
+        return {v.name for f in self.rhs for v in f.variables()
+                if not v.differential and v != T}
 
 
 _SYSTEM_TEMPLATES = {
@@ -384,7 +384,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
             "no explicit first-order system is shipped for the sixth family; "
             "only classification is available")
     variables, param_names, texts, sing = _SYSTEM_TEMPLATES[inst.family]
-    env: dict[str, Fraction] = {}
+    env: dict[Var, Fraction] = {}
     for name, value in zip(param_names, inst.params):
         if isinstance(value, SpecialValue):
             continue
@@ -392,7 +392,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
             raise ConstraintError(
                 "system right-hand sides are built over the rationals; "
                 f"coordinate {name}={value} has a nonzero imaginary part")
-        env[name] = value.as_fraction()
+        env[Var(False, name)] = value.as_fraction()
     rhs = tuple(_parsed(text, params=param_names, variables=variables)
                 .substitute_values(env) for text in texts)
     return SystemRHS(inst.family, variables, rhs, sing)
@@ -426,7 +426,7 @@ def xc_first_integral(c: int, convention: str = "y_minus_one") -> RationalFuncti
         raise ConstraintError("the exact first integral is shipped for integer c >= 0")
     if convention not in ("y_minus_one", "one_minus_y"):
         raise ValueError("convention must be 'y_minus_one' or 'one_minus_y'")
-    x, y = (RationalFunction.variable(DiffVar(name)) for name in ("x", "y"))
+    x, y = (RationalFunction.variable(Var(True, name)) for name in ("x", "y"))
     integral = y ** c * (y - 1) / x
     return -integral if convention == "one_minus_y" else integral
 

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 from .exactnum import ConstraintError
 from .models import SystemRHS
-from .ratfunc import RationalFunction
-from .symbolic import DiffVar, FirstOrderCurve, T_NAME, total_derivative_rf
+from .ratfunc import RationalFunction, Var
+from .symbolic import FirstOrderCurve, T, total_derivative_rf
 
 BLOWUP = "BlowUp"
 POLE_PROXIMITY = "PoleProximity"
@@ -129,7 +129,7 @@ def compile_rf(rhs: Sequence[RationalFunction], variables: Sequence[str]) -> Cal
     or ``OverflowError`` is the same one too.
     """
     state = [f"y{i}" for i in range(len(variables))]
-    names = {T_NAME: "t", **{DiffVar(name, 0): y for name, y in zip(variables, state)}}
+    names = {T: "t", **{Var(True, name): y for name, y in zip(variables, state)}}
     lines = ["def field(state, t):"]
     if state:
         lines.append(f"    {', '.join(state)}, = state")
@@ -291,7 +291,7 @@ def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
     """
     if traj.variables != (curve.variable,):
         raise ValueError("trajectory was not produced by this curve")
-    on_curve = {DiffVar(curve.variable, 1): curve.rhs}
+    on_curve = {Var(True, curve.variable, 1): curve.rhs}
     both = compile_rf((total_derivative_rf(curve.rhs).substitute(on_curve),
                        target_rhs.substitute(on_curve)), traj.variables)
     residuals = []

@@ -1,10 +1,9 @@
 """Sparse multivariate polynomials over Q and canonical rational functions.
 
-A variable is any hashable object exposing ``sort_key() -> tuple`` (plain
-strings are also accepted); distinct variables have distinct keys.  A
+A variable is a :class:`Var`, whose tuple order is the variable order.  A
 monomial is a tuple of ``(var, exp)`` pairs with positive exponents, sorted
-by the variables' keys; :func:`_mono_mul` merges two such tuples, and
-lowering or dropping an exponent keeps the order.  Terms are ordered
+by variable; :func:`_mono_mul` merges two such tuples, and lowering or
+dropping an exponent keeps the order.  Terms are ordered
 graded-lexicographically, highest first: higher total degree first, then
 the higher exponent of the earliest variable.
 
@@ -25,20 +24,27 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import Hashable, Mapping
+from typing import Mapping, NamedTuple
 
-Monomial = tuple  # sorted tuple of (var, positive int exponent) pairs
+Monomial = tuple  # sorted tuple of (Var, positive int exponent) pairs
+
+
+class Var(NamedTuple):
+    """A variable: ``t`` or a parameter when not ``differential``, else a
+    differential indeterminate with a derivative ``order``.  The tuple order
+    puts the non-differential variables first, by name, then the
+    differential ones by name and order."""
+
+    differential: bool
+    name: str
+    order: int = 0
+
+    def __str__(self) -> str:
+        return self.name + "'" * self.order
 
 
 class DivisionByZeroExpression(ZeroDivisionError):
     """Division by an expression that is identically zero."""
-
-
-def _varkey(v: Hashable) -> tuple:
-    key = getattr(v, "sort_key", None)
-    if key is not None:
-        return key()
-    return (0, str(v), 0)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -50,11 +56,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        ka, kb = _varkey(a[i][0]), _varkey(b[j][0])
-        if ka < kb:
+        va, vb = a[i][0], b[j][0]
+        if va < vb:
             out.append(a[i])
             i += 1
-        elif kb < ka:
+        elif vb < va:
             out.append(b[j])
             j += 1
         else:
@@ -80,7 +86,7 @@ def _mono_div(b: Monomial, a: Monomial) -> Monomial | None:
 def _mono_key(m: Monomial) -> tuple:
     """Ascending sort key for the descending graded-lex order: the highest
     term has the smallest key."""
-    return (-sum(e for _, e in m), [(_varkey(v), -e) for v, e in m])
+    return (-sum(e for _, e in m), [(v, -e) for v, e in m])
 
 
 def _coeff(value):
@@ -361,7 +367,7 @@ def _zgcd(f: Polynomial, g: Polynomial) -> Polynomial:
         # a common divisor involves no variable: the integer gcd of all
         # the coefficients
         return Polynomial.constant(math.gcd(*f.terms.values(), *g.terms.values()))
-    var = min(common, key=lambda v: (f.degree_in(v) + g.degree_in(v), _varkey(v)))
+    var = min(common, key=lambda v: (f.degree_in(v) + g.degree_in(v), v))
     cont_f, u = _primitive(f.as_univariate(var))
     cont_g, v = _primitive(g.as_univariate(var))
     c = _zgcd(cont_f, cont_g)

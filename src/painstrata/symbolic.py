@@ -20,26 +20,10 @@ from .ratfunc import (
     Polynomial,
     RationalFunction,
     RF_ZERO,
+    Var,
 )
 
-T_NAME = "t"
-
-
-@dataclass(frozen=True)
-class DiffVar:
-    """A differential indeterminate: base name plus derivative order."""
-
-    name: str
-    order: int = 0
-
-    def sort_key(self) -> tuple:
-        return (1, self.name, self.order)
-
-    def raised(self, by: int = 1) -> "DiffVar":
-        return DiffVar(self.name, self.order + by)
-
-    def __str__(self) -> str:
-        return self.name + "'" * self.order
+T = Var(False, "t")
 
 
 class ExprSyntaxError(ValueError):
@@ -195,7 +179,7 @@ class _Parser:
         self.pos = 0
         self.params = set(params)
         self.variables = None if variables is None else set(variables)
-        if T_NAME in self.params:
+        if T.name in self.params:
             raise ExprSyntaxError("'t' cannot be declared as a parameter", 0)
 
     def error(self, message: str, pos: int | None = None):
@@ -296,18 +280,18 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos] == "'":
             order += 1
             self.pos += 1
-        if ident == T_NAME:
+        if ident == T.name:
             if order:
                 self.error("the time element does not take primes", start)
-            return _leaf(T_NAME)
+            return _leaf(T)
         if ident in self.params:
             if order:
                 self.error(f"parameter {ident!r} is a constant and takes no primes",
                            start)
-            return _leaf(ident)
+            return _leaf(Var(False, ident))
         if self.variables is not None and ident not in self.variables:
             self.error(f"unknown symbol {ident!r}", start)
-        return _leaf(DiffVar(ident, order))
+        return _leaf(Var(True, ident, order))
 
 
 def rf(text: str, params: Sequence[str] = (),
@@ -330,9 +314,10 @@ def total_derivative_rf(f: RationalFunction) -> RationalFunction:
     """The derivation on canonical forms: sum of partials times derived vars."""
     out = RF_ZERO
     for v in f.variables():
-        if isinstance(v, DiffVar):
-            out = out + f.partial(v) * RationalFunction.variable(v.raised())
-        elif v == T_NAME:
+        if v.differential:
+            raised = Var(True, v.name, v.order + 1)
+            out = out + f.partial(v) * RationalFunction.variable(raised)
+        elif v == T:
             out = out + f.partial(v)
         # remaining symbols are parameters, which are constants
     return out
@@ -351,7 +336,7 @@ class FirstOrderCurve:
 
     def __post_init__(self):
         for v in self.rhs.variables():
-            if isinstance(v, DiffVar):
+            if v.differential:
                 if v.order != 0 or v.name != self.variable:
                     raise ValueError(
                         f"curve right side may only involve {self.variable!r} "
@@ -367,9 +352,9 @@ def verify_subvariety(curve: FirstOrderCurve,
     eliminated by substituting the curve right side, and the result is
     compared against the target with the same substitution applied.
     """
-    y1 = DiffVar(curve.variable, 1)
+    y1 = Var(True, curve.variable, 1)
     for v in target.variables():
-        if isinstance(v, DiffVar) and (v.name != curve.variable or v.order > 1):
+        if v.differential and (v.name != curve.variable or v.order > 1):
             raise ValueError(f"target involves {v}, which is outside the "
                              f"order-one frame of the curve in {curve.variable!r}")
     implied = total_derivative_rf(curve.rhs).substitute({y1: curve.rhs})
@@ -381,18 +366,15 @@ def verify_first_integral(f: RationalFunction,
     """The derivative of f along the flow of an autonomous field: zero iff
     f is a first integral.
 
-    ``field_rhs`` maps variable names (or order-zero :class:`DiffVar`) to
-    rational functions.
+    ``field_rhs`` maps variable names to rational functions.
     """
-    rhs = {DiffVar(key, 0) if isinstance(key, str) else key: value
-           for key, value in field_rhs.items()}
     residual = RF_ZERO
     for v in f.variables():
-        if isinstance(v, DiffVar):
-            if v not in rhs:
+        if v.differential:
+            if v.order or v.name not in field_rhs:
                 raise ConstraintError(f"no field component supplied for {v}")
-            residual = residual + f.partial(v) * rhs[v]
-        elif v == T_NAME:
+            residual = residual + f.partial(v) * field_rhs[v.name]
+        elif v == T:
             raise ConstraintError("first-integral check expects an autonomous candidate")
     return residual
 
@@ -403,7 +385,7 @@ def quotient_of_partials(f: RationalFunction) -> RationalFunction:
     The two order-zero variables are taken in name order, so the usual
     (x, y) naming gives the slope field dy/dx implied by level sets of f.
     """
-    plane = sorted((v for v in f.variables() if isinstance(v, DiffVar)),
+    plane = sorted((v for v in f.variables() if v.differential),
                    key=lambda v: v.name)
     if len(plane) != 2 or any(v.order != 0 for v in plane):
         raise ConstraintError("expected exactly two order-zero plane variables")

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from painstrata.exactnum import ComplexRational
 from painstrata.models import SpecialValue
-from painstrata.ratfunc import Polynomial, RationalFunction
-from painstrata.symbolic import T_NAME, DiffVar
+from painstrata.ratfunc import Polynomial, RationalFunction, Var
+from painstrata.symbolic import T
 
 # the vectors with exactly two nonzero entries, each +-1
 ROOTS = tuple(r for r in itertools.product((-1, 0, 1), repeat=4)
@@ -220,11 +220,11 @@ def coset_sample(rng: random.Random, n: int, sum_zero: bool = False) -> tuple:
 # --------------------------------------------------------------------------
 
 def variable_rank(v) -> tuple:
-    """Plain names (t and parameters) come first, by name; differential
-    variables follow, by name and then by derivative order."""
-    if isinstance(v, str):
-        return (0, v, 0)
-    return (1, v.name, v.order)
+    """Non-differential variables (t and parameters) come first, by name;
+    differential variables follow, by name and then by derivative order."""
+    if v.differential:
+        return (1, v.name, v.order)
+    return (0, v.name, 0)
 
 
 def grlex_cmp(a, b) -> int:
@@ -257,14 +257,14 @@ def evaluate_terms(rhs, variables, state, t) -> list:
     factors in turn; each quotient is taken after its numerator and
     denominator, one function after the other.
     """
-    index = {DiffVar(name, 0): i for i, name in enumerate(variables)}
+    index = {Var(True, name): i for i, name in enumerate(variables)}
 
     def poly(p):
         total = 0.0
         for mono, coeff in p.terms.items():
             c = float(coeff)
             for var, exp in mono:
-                c *= (t if var == T_NAME else state[index[var]]) ** exp
+                c *= (t if var == T else state[index[var]]) ** exp
             total += c
         return total
     return [poly(f.num) / poly(f.den) for f in rhs]
@@ -307,7 +307,7 @@ def random_field_case(rng: random.Random):
     zeros, and some states large enough that a power overflows.
     """
     variables = ("x", "y", "z")[:rng.randint(1, 3)]
-    pool = [T_NAME, *(DiffVar(v, 0) for v in variables)]
+    pool = [T, *(Var(True, v) for v in variables)]
     roots = {v: Fraction(rng.randint(-8, 8), 4) for v in pool}
     rhs = []
     for _ in range(rng.randint(1, 3)):

@@ -1,8 +1,10 @@
 """CLI surface: subcommands, exit codes, batch mode and schema validation."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -275,6 +277,18 @@ class TestSimulate:
         assert code == EXIT_PARSE
         assert doc["error"]["kind"] == "parse"
         assert doc["error"]["message"].startswith(f"cannot write {str(path)!r}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("t1", ["0.3", "30"], ids=["fails-on-close", "fails-on-write"])
+    def test_out_device_full(self, capsys, t1):
+        # the CSV opens; its first 469 bytes fail when the file is closed,
+        # its first 10,066 bytes already fill the write buffer
+        code, (doc,) = run(capsys, [
+            "simulate", "--family", "xc", "--params", "2", "--init", "1,0.5",
+            "--t0", "0", "--t1", t1, "--out", "/dev/full"])
+        assert code == EXIT_PARSE
+        assert doc == {"error": {"kind": "parse", "message":
+                                 f"cannot write '/dev/full': {os.strerror(errno.ENOSPC)}"}}
 
     def test_p6_not_simulatable(self, capsys):
         with pytest.raises(SystemExit):

@@ -7,6 +7,7 @@ import pytest
 
 from painstrata import models
 from painstrata.exactnum import ComplexRational
+from painstrata.ratfunc import Var
 from painstrata.models import (
     BudgetExceededError,
     ConstraintError,
@@ -291,7 +292,7 @@ class TestTextEquivalence:
     @staticmethod
     def fresh(inst):
         variables, names, texts, _ = models._SYSTEM_TEMPLATES[inst.family]
-        env = {name: c.as_fraction() for name, c in zip(names, inst.params)
+        env = {Var(False, name): c.as_fraction() for name, c in zip(names, inst.params)
                if isinstance(c, CR)}
         return tuple(rf(text, params=names, variables=variables).substitute_values(env)
                      for text in texts)

@@ -15,15 +15,15 @@ from painstrata.ratfunc import (
     DivisionByZeroExpression,
     Polynomial,
     RationalFunction,
+    Var,
     exact_div,
     poly_gcd,
     poly_to_str,
 )
-from painstrata.symbolic import DiffVar, rf
+from painstrata.symbolic import T, rf
 
-X = Polynomial.variable("x")
-Y = Polynomial.variable("y")
-Z = Polynomial.variable("z")
+VX, VY, VZ = (Var(True, name) for name in "xyz")
+X, Y, Z = map(Polynomial.variable, (VX, VY, VZ))
 
 
 def small_polys(rng: random.Random, nvars=2, nterms=3, max_deg=2) -> Polynomial:
@@ -48,20 +48,20 @@ class TestPolynomial:
 
     def test_partial(self):
         p = X ** 3 * Y + 2 * X
-        assert p.partial("x") == 3 * X ** 2 * Y + Polynomial.constant(2)
-        assert p.partial("y") == X ** 3
-        assert Polynomial.constant(5).partial("x").is_zero()
+        assert p.partial(VX) == 3 * X ** 2 * Y + Polynomial.constant(2)
+        assert p.partial(VY) == X ** 3
+        assert Polynomial.constant(5).partial(VX).is_zero()
 
     def test_evaluate(self):
         p = X ** 2 + Y
-        value = p.substitute_values({"x": Fraction(1, 2), "y": 3}).constant_value()
+        value = p.substitute_values({VX: Fraction(1, 2), VY: 3}).constant_value()
         assert value == Fraction(13, 4)
         with pytest.raises(ValueError, match="not constant"):
-            p.substitute_values({"x": 1}).constant_value()
+            p.substitute_values({VX: 1}).constant_value()
 
     def test_substitute_values_partial(self):
         p = X ** 2 * Y + X
-        q = p.substitute_values({"x": Fraction(2)})
+        q = p.substitute_values({VX: Fraction(2)})
         assert q == 4 * Y + Polynomial.constant(2)
 
     def test_pow_rejects_negative(self):
@@ -71,8 +71,8 @@ class TestPolynomial:
 
 # t, two parameters, and differential variables of several names and orders
 MIXED = [Polynomial.variable(v) for v in
-         ("t", "a", "b", DiffVar("x"), DiffVar("y"), DiffVar("y", 1),
-          DiffVar("y", 2), DiffVar("z", 1))]
+         (T, Var(False, "a"), Var(False, "b"), VX, VY, Var(True, "y", 1),
+          Var(True, "y", 2), Var(True, "z", 1))]
 
 
 def mixed_poly(rng: random.Random) -> Polynomial:
@@ -167,7 +167,7 @@ class TestGcd:
         q = exact_div(2 * X ** 2 + X, 2 * X)
         assert q == X + Fraction(1, 2)
         # == cannot tell 0.5 from 1/2, so the types are checked too
-        assert {m: type(c) for m, c in q.terms.items()} == {(("x", 1),): int, (): Fraction}
+        assert {m: type(c) for m, c in q.terms.items()} == {((VX, 1),): int, (): Fraction}
 
     def test_dense_bivariate_quotient_returns(self, within):
         # the rational scalars the PRS once kept grew like Euclid's over Q:
@@ -179,7 +179,7 @@ class TestGcd:
 
 
 # t, two parameters and three differential variables, for the sympy oracle
-ORACLE_VARS = ("t", "a", "b", DiffVar("x"), DiffVar("y"), DiffVar("y", 1))
+ORACLE_VARS = (T, Var(False, "a"), Var(False, "b"), VX, VY, Var(True, "y", 1))
 
 
 def oracle_poly(rng: random.Random, variables, nterms: int) -> Polynomial:
@@ -264,7 +264,7 @@ plane_polys = st.lists(
                         Polynomial()))
 steps = st.lists(
     st.tuples(st.sampled_from(["+", "-", "*", "/", "**", "partial", "values", "div"]),
-              plane_polys, st.integers(-2, 3), st.sampled_from(["x", "y"]), coefficients),
+              plane_polys, st.integers(-2, 3), st.sampled_from([VX, VY]), coefficients),
     min_size=1, max_size=6,
 )
 
@@ -346,19 +346,19 @@ class TestRationalFunction:
 
     def test_partial_quotient_rule(self):
         f = RationalFunction(X ** 2, Y)
-        assert f.partial("x") == RationalFunction(2 * X, Y)
-        assert f.partial("y") == RationalFunction(-(X ** 2), Y ** 2)
+        assert f.partial(VX) == RationalFunction(2 * X, Y)
+        assert f.partial(VY) == RationalFunction(-(X ** 2), Y ** 2)
 
     def test_substitute(self):
         f = RationalFunction(X ** 2 + Y, Y)
-        g = f.substitute({"x": RationalFunction(Y, X)})
+        g = f.substitute({VX: RationalFunction(Y, X)})
         assert g == RationalFunction(Y ** 2 + Y * X ** 2, X ** 2 * Y)
 
     def test_evaluate(self):
         f = RationalFunction(X + 1, Y)
-        assert f.substitute_values({"x": 1, "y": 4}) == RationalFunction.constant(Fraction(1, 2))
+        assert f.substitute_values({VX: 1, VY: 4}) == RationalFunction.constant(Fraction(1, 2))
         with pytest.raises(ZeroDivisionError):
-            f.substitute_values({"x": 1, "y": 0})
+            f.substitute_values({VX: 1, VY: 0})
 
     def test_equality_matches_cross_multiplication(self):
         # independent equality oracle: n1/d1 == n2/d2 iff n1*d2 == n2*d1
@@ -401,8 +401,11 @@ class TestRationalFunction:
         assert fa * fb == RationalFunction(Polynomial.constant(a * b))
 
     def test_printer_reparse(self):
-        from painstrata.symbolic import DiffVar, rf
-        xv = Polynomial.variable(DiffVar("x"))
-        yv = Polynomial.variable(DiffVar("y"))
-        f = RationalFunction(xv ** 2 - yv, 2 * xv * yv + yv)
-        assert rf(str(f)) == f
+        plane = RationalFunction(X ** 2 - Y, 2 * X * Y + Y)
+        t, a, b, y, y1, y2 = map(Polynomial.variable, (
+            T, Var(False, "a"), Var(False, "b"),
+            Var(True, "y"), Var(True, "y", 1), Var(True, "y", 2)))
+        mixed = RationalFunction(a * y2 - t * y1 ** 2 + Fraction(1, 3) * b * y ** 3,
+                                 2 * t * y1 - a * b * y + b)
+        for f, params in ((plane, ()), (mixed, ("a", "b"))):
+            assert rf(str(f), params=params) == f

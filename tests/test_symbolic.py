@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from painstrata.ratfunc import DivisionByZeroExpression, RationalFunction
+from painstrata.ratfunc import DivisionByZeroExpression, RationalFunction, Var
 from painstrata.exactnum import ConstraintError
 from painstrata.symbolic import (
-    DiffVar,
     ExprSyntaxError,
     FirstOrderCurve,
+    T,
     UnsupportedExponentError,
     quotient_of_partials,
     rf,
@@ -20,13 +20,14 @@ from painstrata.symbolic import (
     verify_subvariety,
 )
 
-Y, Y1, Y2 = DiffVar("y", 0), DiffVar("y", 1), DiffVar("y", 2)
-X = DiffVar("x", 0)
+Y, Y1, Y2 = Var(True, "y"), Var(True, "y", 1), Var(True, "y", 2)
+X = Var(True, "x")
+A = Var(False, "a")
 
 
 class TestParser:
     def test_polynomial_leaves(self):
-        assert rf("2*y^3 + t*y + a", params=["a"]).variables() == {Y, "a", "t"}
+        assert rf("2*y^3 + t*y + a", params=["a"]).variables() == {Y, A, T}
 
     def test_primes(self):
         assert Y1 in rf("y' - y^2 - t/2").variables()
@@ -325,4 +326,4 @@ class TestLowering:
 
     def test_params_stay_symbolic(self):
         f = rf("a*y + a", params=["a"])
-        assert "a" in f.variables()
+        assert A in f.variables()
