@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
+import functools
 import json
 import math
 import sys
@@ -324,6 +326,19 @@ def cmd_orbit(args) -> int:
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh top-level parser over the tree built once per process.
+
+    The copy is shallow: argparse does not mutate a parser while parsing,
+    so every copy shares the sub-parsers, and a caller may rebind an
+    attribute such as ``parse_args`` on the copy without touching the tree.
+    """
+    return copy.copy(_parser())
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Handlers are named, not bound, so that ``main`` sees a rebound
+    # ``cmd_*`` even after the tree is built.
     parser = argparse.ArgumentParser(
         prog="painstrata",
         description="Classify parameter strata and verify the underlying "
@@ -337,13 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated parameter strings, e.g. 1/2,3/2 or "
                         "generic; values starting with a dash need the "
                         "--params=-1/2 form")
-    p.set_defaults(handler=cmd_classify)
+    p.set_defaults(handler="cmd_classify")
 
     p = sub.add_parser("sweep", help="classify a batch, one instance per line")
     p.add_argument("--in", dest="infile", required=True,
                    help="input file, or - for stdin; lines read "
                         "'<family> <p1,p2,...>'")
-    p.set_defaults(handler=cmd_sweep)
+    p.set_defaults(handler="cmd_sweep")
 
     verify = sub.add_parser("verify", help="run one verification check")
     vsub = verify.add_subparsers(dest="check", required=True)
@@ -351,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("riccati", help="order-one curve containment in the "
                                         "half-integer second-family fibers")
     p.add_argument("--sign", choices=["plus", "minus", "both"], default="both")
-    p.set_defaults(handler=cmd_verify_riccati)
+    p.set_defaults(handler="cmd_verify_riccati")
 
     p = vsub.add_parser("integral", help="exact conservation of the shipped "
                                          "first integral")
@@ -359,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", help="candidate in x, y (defaults to the shipped "
                                   "first integral)")
     p.add_argument("--convention", choices=["y-1", "1-y"], default="y-1")
-    p.set_defaults(handler=cmd_verify_integral)
+    p.set_defaults(handler="cmd_verify_integral")
 
     p = vsub.add_parser("qop", help="slope field as a quotient of partials")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--expr", help="candidate in x, y")
-    p.set_defaults(handler=cmd_verify_qop)
+    p.set_defaults(handler="cmd_verify_qop")
 
     p = vsub.add_parser("log-relation", help="numeric log relation for "
                                              "arbitrary real coupling")
@@ -375,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated x,y start (default 1,0.5)")
     p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
     p.add_argument("--max-drift", type=float, default=DEFAULT_DRIFT_BOUND)
-    p.set_defaults(handler=cmd_verify_log_relation)
+    p.set_defaults(handler="cmd_verify_log_relation")
 
     p = sub.add_parser("simulate", help="integrate a system and export CSV")
     p.add_argument("--family", required=True,
@@ -388,19 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blowup-threshold", type=float,
                    default=DEFAULT_BLOWUP_THRESHOLD)
     p.add_argument("--out", help="CSV output path")
-    p.set_defaults(handler=cmd_simulate)
+    p.set_defaults(handler="cmd_simulate")
 
     p = sub.add_parser("reduce-p4", help="reduce into the fundamental region")
     p.add_argument("--params", required=True)
     p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    p.set_defaults(handler=cmd_reduce_p4)
+    p.set_defaults(handler="cmd_reduce_p4")
 
     p = sub.add_parser("orbit", help="breadth-first orbit search")
     p.add_argument("--family", required=True, choices=["p3", "p4"])
     p.add_argument("--from", dest="from_params", required=True)
     p.add_argument("--to", dest="to_params", required=True)
     p.add_argument("--max-len", type=int, required=True)
-    p.set_defaults(handler=cmd_orbit)
+    p.set_defaults(handler="cmd_orbit")
 
     return parser
 
@@ -408,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except _USER_ERRORS as exc:
         return _emit_error(exc)
 

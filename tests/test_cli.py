@@ -356,13 +356,17 @@ class TestReduceAndOrbit:
 
 class TestErrorTable:
     """A user error maps to its document through ``cli.ERRORS``; any other
-    exception is a bug and propagates out of ``main``."""
+    exception is a bug and propagates out of ``main``.  The tests that patch
+    a name run ``main`` once first, so the name is patched after the parser
+    tree is built, and ``main`` must still look it up."""
 
     @staticmethod
     def broken(*args):
         raise ValueError("internal fault")
 
     def test_unexpected_value_error_propagates(self, capsys, monkeypatch):
+        cli.main(["classify", "--family", "p3", "--params", "1,1"])
+        capsys.readouterr()
         monkeypatch.setattr(cli, "cmd_classify", self.broken)
         with pytest.raises(ValueError, match="internal fault"):
             cli.main(["classify", "--family", "p3", "--params", "1,1"])
@@ -387,10 +391,69 @@ class TestErrorTable:
                                                           tmp_path):
         batch = tmp_path / "batch.txt"
         batch.write_text("p3 1,1\n")
+        cli.main(["sweep", "--in", str(batch)])
+        capsys.readouterr()
         monkeypatch.setattr(cli, "classify", self.broken)
         with pytest.raises(ValueError, match="internal fault"):
             cli.main(["sweep", "--in", str(batch)])
         assert capsys.readouterr().out == ""
+
+
+class TestParserReuse:
+    """One process, one parser tree: no default, handler or stdin carries
+    over from one ``main`` call to the next, whatever their order."""
+
+    # (argv, stdin); the default-valued commands also run after ones that
+    # set the same options
+    COMMANDS = (
+        (["classify", "--family", "p3", "--params", "1,1"], b""),
+        (["verify", "riccati", "--sign", "plus"], b""),
+        (["verify", "riccati"], b""),
+        (["sweep", "--in", "-"], b"p3 1,1\np2 oops\nxc 2\n"),
+        (["verify", "log-relation", "--c", "2", "--init", "1,0.25",
+          "--tol", "1e-9", "--max-drift", "1e-3"], b""),
+        (["--help"], b""),
+        (["verify", "log-relation", "--c", "2"], b""),
+        (["verify", "integral", "--c", "1.5"], b""),
+        (["simulate", "--family", "p2", "--params", "0", "--init", "2,0",
+          "--t0", "0", "--t1", "2"], b""),
+        (["reduce-p4", "--params", "1,-1,0", "--max-steps", "3"], b""),
+        (["reduce-p4", "--params", "1,-1,0"], b""),
+        (["sweep", "--in", "-"], b"p6 1/2,-1/2,1/7,1/11\np4 1,1,1\n"),
+        (["--help"], b""),
+    )
+
+    @staticmethod
+    def outcome(argv, stdin):
+        """(exit code, stdout) of one ``main`` call."""
+        out = io.StringIO()
+        with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin))), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue()
+
+    def test_outcomes_do_not_depend_on_order(self):
+        forward = [self.outcome(*cmd) for cmd in self.COMMANDS]
+        backward = [self.outcome(*cmd) for cmd in reversed(self.COMMANDS)][::-1]
+        assert forward == backward
+        (classify, riccati_plus, riccati, sweep_a, _, help_1, log_relation,
+         usage, simulate, _, reduce_p4, sweep_b, help_2) = forward
+        assert help_1 == help_2 and help_1[0] == 0
+        assert help_1[1].startswith("usage: painstrata")
+        assert usage == (EXIT_PARSE, "")
+        assert json.loads(classify[1])["stratum"] == "D1"
+        assert json.loads(riccati_plus[1])["settings"]["signs"] == ["plus"]
+        assert json.loads(riccati[1])["settings"]["signs"] == ["plus", "minus"]
+        assert json.loads(log_relation[1])["settings"] == {
+            "c": 2.0, "t0": 0.0, "t1": 0.3, "init": [1.0, 0.5],
+            "rel_tol": 1e-10, "abs_tol": 1e-10, "max_drift_allowed": 1e-6}
+        assert simulate[0] == EXIT_NUMERIC
+        assert json.loads(reduce_p4[1])["settings"] == {"max_steps": 200}
+        assert [len(strict_docs(out)) for _, out in (sweep_a, sweep_b)] == [3, 2]
 
 
 class TestEntryPoint:
