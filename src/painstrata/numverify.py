@@ -9,10 +9,11 @@ real regions.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable, Sequence
 
 from .exactnum import ConstraintError
@@ -114,54 +115,118 @@ class IntegrationSpec:
 
 # terms per generated line: the compiler recurses once per ``+`` of a line
 _TERMS_PER_LINE = 64
+# compiled templates kept at once, least recently used dropped first: the
+# shipped systems at the parameters in use have a few dozen shapes
+_MAX_TEMPLATES = 64
 
 
-def compile_rf(rhs: Sequence[RationalFunction], variables: Sequence[str]) -> Callable:
-    """Generate one float evaluator ``field(state, t) -> list[float]``.
+def compile_rf(rhs: Sequence[RationalFunction], variables: Sequence[str],
+               tolerances: tuple[float, float] | None = None) -> Callable:
+    """A float evaluator ``field(state, t) -> list[float]`` of ``rhs``.
 
-    The source holds only float literals, the names ``y0..yn`` (the state
-    in ``variables`` order) and ``t``, and integer exponents.  It computes
-    what a term-by-term interpreter would, bit for bit: each polynomial is
-    ``0.0`` plus its terms in dict order, each term multiplies its
-    coefficient by ``base ** exp`` left to right (a coefficient of 1.0, an
-    exponent of 1 and a denominator of 1 are left out, all exact), and the
+    The code is generated once per *shape* and kept in a bounded cache: the
+    variables, each polynomial's monomials in dict order, which terms have a
+    coefficient of exactly 1.0 (left out of the product) and which
+    denominators are 1 (left out).  The float coefficients are bound to the
+    shape's template on each call, so a shape compiled once serves every
+    parameter vector that has it, and no cache key holds a number.
+
+    The evaluator computes what a term-by-term interpreter would, bit for
+    bit: each polynomial is ``0.0`` plus its terms in dict order, each term
+    multiplies its coefficient by ``base ** exp`` left to right, and the
     components are evaluated in order, so the first ``ZeroDivisionError``
     or ``OverflowError`` is the same one too.
+
+    With ``tolerances=(abs_tol, rel_tol)`` and one right side per variable,
+    the field also carries ``field.step(t, y, k1, h)``: one Dormand-Prince
+    step with the field inlined at each stage (see ``integrate``).
     """
-    state = [f"y{i}" for i in range(len(variables))]
-    names = {T: "t", **{Var(True, name): y for name, y in zip(variables, state)}}
-    lines = ["def field(state, t):"]
+    coeffs = []
+    shape = [tuple(variables), tolerances is not None]
+    for f in rhs:
+        shape.append((_support(f.num, coeffs),
+                      None if f.den.is_one() else _support(f.den, coeffs)))
+    return _template(tuple(shape))(coeffs, *(tolerances or ()))
+
+
+def _support(poly, coeffs: list) -> tuple:
+    """``poly``'s monomials in dict order, each paired with whether its term
+    multiplies by a coefficient; those coefficients go to ``coeffs``."""
+    support = []
+    for mono, coeff in poly.terms.items():
+        try:
+            c = float(coeff)
+        except OverflowError:
+            raise ConstraintError(f"the coefficient {coeff} does not fit a float") from None
+        scaled = not (c == 1.0 and mono)
+        if scaled:
+            coeffs.append(c)
+        support.append((mono, scaled))
+    return tuple(support)
+
+
+@functools.lru_cache(maxsize=_MAX_TEMPLATES)
+def _template(shape) -> Callable:
+    """Compile ``bind(coeffs[, abs_tol, rel_tol])`` for one shape.
+
+    The source holds only float literals of the tableau, the names
+    ``c0..`` (coefficients), ``y0..``/``s0..`` (state and stage state),
+    ``t``/``ts``, ``k<stage>_<i>`` and a few temporaries, and integer
+    exponents: never a variable name or user text.
+    """
+    variables, stepping, *parts = shape
+    dim = len(variables)
+    state = [f"y{i}" for i in range(dim)]
+    n_coeffs = sum(scaled for part in parts for poly in part if poly
+                   for _, scaled in poly)
+    lines = ["def bind(coeffs, abs_tol=None, rel_tol=None):"]
+    if n_coeffs:
+        lines.append(f"    {', '.join(f'c{j}' for j in range(n_coeffs))}, = coeffs")
+    lines.append("    def field(state, t):")
     if state:
-        lines.append(f"    {', '.join(state)}, = state")
-    for i, f in enumerate(rhs):
-        lines += _sum_lines("n", f.num, names)
-        if f.den.is_one():
-            lines.append(f"    f{i} = n")
-        else:
-            lines += _sum_lines("d", f.den, names)
-            lines.append(f"    f{i} = n / d")
-    lines.append(f"    return [{', '.join(f'f{i}' for i in range(len(rhs)))}]")
-    namespace = {}
+        lines.append(f"        {', '.join(state)}, = state")
+    outputs = [f"f{i}" for i in range(len(parts))]
+    lines += _field_lines(parts, variables, state, "t", outputs)
+    lines.append(f"        return [{', '.join(outputs)}]")
+    if stepping:
+        if len(parts) != dim:
+            raise ValueError("a step needs one right-hand side per variable")
+        lines += _step_lines(parts, variables)
+        lines.append("    field.step = step")
+    lines.append("    return field")
+    namespace = {"isfinite": math.isfinite}
     exec("\n".join(lines), namespace)
-    return namespace["field"]
+    return namespace["bind"]
 
 
-def _sum_lines(var: str, poly, names) -> list[str]:
+def _field_lines(parts, variables, state, time, outputs) -> list[str]:
+    """Lines setting each name of ``outputs`` to its component of the field
+    at (``state``, ``time``), one component after the other."""
+    names = {T: time, **{Var(True, name): y for name, y in zip(variables, state)}}
+    coeffs = itertools.count()
+    lines = []
+    for out, (num, den) in zip(outputs, parts):
+        if den is None:
+            lines += _sum_lines(out, num, names, coeffs)
+        else:
+            lines += _sum_lines("n", num, names, coeffs)
+            lines += _sum_lines("d", den, names, coeffs)
+            lines.append(f"        {out} = n / d")
+    return lines
+
+
+def _sum_lines(var: str, support, names, coeffs) -> list[str]:
     """Lines setting ``var`` to ``0.0 + term + term ...``, added left to right."""
-    terms = [_term(mono, coeff, names) for mono, coeff in poly.terms.items()]
+    terms = [_term(mono, scaled, names, coeffs) for mono, scaled in support]
     lines, acc = [], "0.0"
     for i in range(0, len(terms), _TERMS_PER_LINE):
-        lines.append(f"    {var} = {' + '.join([acc, *terms[i:i + _TERMS_PER_LINE]])}")
+        lines.append(f"        {var} = {' + '.join([acc, *terms[i:i + _TERMS_PER_LINE]])}")
         acc = var
-    return lines or [f"    {var} = 0.0"]
+    return lines or [f"        {var} = 0.0"]
 
 
-def _term(mono, coeff, names) -> str:
-    try:
-        c = float(coeff)
-    except OverflowError:
-        raise ConstraintError(f"the coefficient {coeff} does not fit a float") from None
-    factors = [] if c == 1.0 and mono else [repr(c)]
+def _term(mono, scaled, names, coeffs) -> str:
+    factors = [f"c{next(coeffs)}"] if scaled else []
     for var, exp in mono:
         if var not in names:
             raise ValueError(f"unbound variable {var} in numeric evaluation")
@@ -190,6 +255,55 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _STAGES = tuple(zip(_C[1:], _A[1:]))
 
 
+def _step_lines(parts, variables) -> list[str]:
+    """The source of ``step(t, y, k1, h)``, nested in ``bind``.
+
+    It computes the six stages after the first, each stage state followed
+    by the field inlined at it, then y4 and the error norm, and returns
+    ``(y5, k7, err, max|y5 - y4|)``, or None when y4 is not finite.  A stage
+    state that is not finite raises ``OverflowError``; a field output that
+    is not finite raises ``ZeroDivisionError``, as ``n / 0.0`` does.
+    """
+    idx = range(len(variables))
+    stage = [f"s{i}" for i in idx]
+
+    def all_finite(names) -> str:
+        return " and ".join(f"isfinite({name})" for name in names)
+
+    def combination(i, weights) -> str:
+        # the whole row through the builtin ``sum``, zero weights included
+        products = ", ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1))
+        return f"y{i} + h * sum(({products},))"
+
+    def largest(items) -> str:
+        return items[0] if len(items) == 1 else f"max({', '.join(items)})"
+
+    lines = ["    def step(t, y, k1, h):",
+             f"        {''.join(f'y{i}, ' for i in idx)}= y",
+             f"        {''.join(f'k1_{i}, ' for i in idx)}= k1"]
+    autonomous = all(var != T for part in parts for poly in part if poly
+                     for mono, _ in poly for var, _ in mono)
+    for s, (c, row) in enumerate(_STAGES, 2):
+        k = [f"k{s}_{i}" for i in idx]
+        lines += [f"        {stage[i]} = {combination(i, row)}" for i in idx]
+        lines += [f"        if not ({all_finite(stage)}):",
+                  '            raise OverflowError("stage state overflow")',
+                  *([] if autonomous else [f"        ts = t + {c!r} * h"]),
+                  *_field_lines(parts, variables, stage, "ts", k),
+                  f"        if not ({all_finite(k)}):",
+                  '            raise ZeroDivisionError("right-hand side is not finite")']
+    # the last stage state is y5; w is y4 and e is |y5 - y4|
+    lines += [f"        w{i} = {combination(i, _B4)}" for i in idx]
+    lines += [f"        if not ({all_finite(f'w{i}' for i in idx)}):",
+              "            return None"]
+    lines += [f"        e{i} = abs(s{i} - w{i})" for i in idx]
+    err = [f"e{i} / (abs_tol + rel_tol * max(abs(y{i}), abs(s{i})))" for i in idx]
+    lines.append(f"        return ({''.join(f's{i}, ' for i in idx)}), "
+                 f"[{', '.join(f'k7_{i}' for i in idx)}], "
+                 f"{largest(err)}, {largest([f'e{i}' for i in idx])}")
+    return lines
+
+
 def _finite(values) -> bool:
     return all(map(math.isfinite, values))
 
@@ -198,83 +312,74 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
     """Adaptive embedded Runge-Kutta integration with event detection.
 
     A BlowUp event is declared when any state magnitude reaches the blow-up
-    threshold or the step size collapses below ``1e-13 * (t1 - t0)``; when
-    the collapse is caused by a vanishing denominator at moderate state size,
-    a PoleProximity event is recorded as well.  Events terminate sampling.
+    threshold, or when the step size collapses: below ``1e-13 * (t1 - t0)``,
+    or so small that ``t + h == t``.  When a collapse below the bound is
+    caused by a vanishing denominator at moderate state size, a
+    PoleProximity event is recorded as well.  Events terminate sampling.
 
-    Each stage state is ``y + h * sum(a_s[j] * k_j)`` per component, summed
-    by the builtin ``sum`` over the stage's whole row, zeros included: the
-    builtin is compensated from Python 3.12 on, so a chain of ``+`` would
-    round differently there and move every trajectory.
+    ``compile_rf`` gives the field and its step, bound to this system's
+    coefficients and tolerances; the loop here only accepts or rejects,
+    sets the next step size and records events.  Each stage state is
+    ``y + h * sum(a_s[j] * k_j)`` per component, summed by the builtin
+    ``sum`` over the stage's whole row, zeros included: the builtin is
+    compensated from Python 3.12 on, so a chain of ``+`` would round
+    differently there and move every trajectory.
     """
-    evaluate = compile_rf(spec.system.rhs, spec.system.variables)
-
-    def deriv(t, y):
-        out = evaluate(y, t)
-        if not _finite(out):
-            raise ZeroDivisionError("right-hand side is not finite")
-        return out
-
+    field = compile_rf(spec.system.rhs, spec.system.variables,
+                       (spec.abs_tol, spec.rel_tol))
+    step = field.step
     t, y = spec.t0, spec.initial_state
     try:
-        k1 = deriv(t, y)
+        k1 = field(y, t)
+        if not _finite(k1):
+            raise ZeroDivisionError("right-hand side is not finite")
     except (ZeroDivisionError, OverflowError) as exc:
         raise SingularInitialState(
             f"cannot evaluate the field at the initial state: {exc}") from exc
 
-    window = spec.t1 - spec.t0
+    t1, threshold = spec.t1, spec.blowup_threshold
+    window = t1 - spec.t0
     h_min = _MIN_STEP_FACTOR * window
     h = window / 100.0
     traj = Trajectory(spec.system.variables, [(t, y)])
+    samples, events = traj.samples, traj.events
     err_total = 0.0
-    pole_suspect = False
 
-    while t < spec.t1:
-        h = min(h, spec.t1 - t)
-        failed = False
+    while t < t1:
+        h = min(h, t1 - t)
+        if t + h == t:
+            events.append(Event(BLOWUP, t))
+            break
         try:
-            k = [k1]
-            for c, row in _STAGES:
-                ys = [yi + h * sum(map(mul, row, col)) for yi, col in zip(y, zip(*k))]
-                if not _finite(ys):
-                    raise OverflowError("stage state overflow")
-                k.append(deriv(t + c * h, ys))
+            result = step(t, y, k1, h)
+            pole_suspect = False
         except (ZeroDivisionError, OverflowError) as exc:
-            failed = True
-            pole_suspect = isinstance(exc, ZeroDivisionError)
-        if not failed:
-            y5 = ys
-            y4 = [yi + h * sum(map(mul, _B4, col)) for yi, col in zip(y, zip(*k))]
-            if not _finite(y4):
-                failed = True
-                pole_suspect = False
-        if failed:
+            result, pole_suspect = None, isinstance(exc, ZeroDivisionError)
+        if result is None:
             h *= 0.5
             if h < h_min:
-                if pole_suspect and max(map(abs, y)) < spec.blowup_threshold:
-                    traj.events.append(Event(POLE_PROXIMITY, t))
-                traj.events.append(Event(BLOWUP, t))
+                if pole_suspect and max(map(abs, y)) < threshold:
+                    events.append(Event(POLE_PROXIMITY, t))
+                events.append(Event(BLOWUP, t))
                 return traj
             continue
 
-        err = max(abs(a - b) / (spec.abs_tol + spec.rel_tol * max(abs(yi), abs(a)))
-                  for yi, a, b in zip(y, y5, y4))
+        y5, k7, err, difference = result
         if err <= 1.0:
             t += h
-            y, k1 = tuple(y5), k[6]
-            traj.samples.append((t, y))
-            err_total += max(abs(a - b) for a, b in zip(y5, y4))
-            if max(map(abs, y)) >= spec.blowup_threshold:
-                traj.events.append(Event(BLOWUP, t))
+            y, k1 = y5, k7
+            samples.append((t, y))
+            err_total += difference
+            if max(map(abs, y)) >= threshold:
+                events.append(Event(BLOWUP, t))
                 break
-            factor = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h *= factor
+            h *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
             if h < h_min:
-                if max(map(abs, y)) < spec.blowup_threshold:
-                    traj.events.append(Event(POLE_PROXIMITY, t))
-                traj.events.append(Event(BLOWUP, t))
+                if max(map(abs, y)) < threshold:
+                    events.append(Event(POLE_PROXIMITY, t))
+                events.append(Event(BLOWUP, t))
                 break
     traj.error_estimate = err_total
     return traj

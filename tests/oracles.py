@@ -4,9 +4,11 @@ Everything here deliberately avoids the code paths it checks: the 24 roots
 are enumerated here, inner products are summed part by part, stratum
 membership is decided by enumerating root combinations with integer minors
 (not by the package's signed-graph rank), the graded-lex term order is
-decided on exponent vectors (not by the package's monomial key), and
+decided on exponent vectors (not by the package's monomial key),
 rational functions are evaluated in floats term by term (not by the
-package's generated code).  Random
+package's generated code), and trajectories come from a plain stage loop
+over the Dormand-Prince tableau written as fractions (not from the
+package's generated step).  Random
 parameter vectors come from seeded generators so frozen expectations stay
 stable.
 """
@@ -14,6 +16,7 @@ stable.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -339,3 +342,178 @@ def random_field_case(rng: random.Random):
                 values.append(rng.uniform(-3, 3))
         points.append((tuple(values[1:]), values[0]))
     return tuple(rhs), variables, points
+
+
+# --------------------------------------------------------------------------
+# Dormand-Prince 5(4), one plain loop (Dormand and Prince, J. Comput. Appl.
+# Math. 6, 1980; Hairer, Norsett and Wanner, Solving ODEs I, Table II.5.2).
+# --------------------------------------------------------------------------
+
+DP_C = (0, Fraction(1, 5), Fraction(3, 10), Fraction(4, 5), Fraction(8, 9), 1, 1)
+DP_A = (
+    (),
+    (Fraction(1, 5),),
+    (Fraction(3, 40), Fraction(9, 40)),
+    (Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)),
+    (Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561),
+     Fraction(-212, 729)),
+    (Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247),
+     Fraction(49, 176), Fraction(-5103, 18656)),
+    (Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192),
+     Fraction(-2187, 6784), Fraction(11, 84)),
+)
+DP_B4 = (Fraction(5179, 57600), 0, Fraction(7571, 16695), Fraction(393, 640),
+         Fraction(-92097, 339200), Fraction(187, 2100), Fraction(1, 40))
+
+
+def dormand_prince(field, t0, t1, y0, rel_tol, abs_tol, threshold, counts=None):
+    """``(samples, events, error_estimate)`` of the adaptive integration of
+    ``y' = field(y, t)`` from ``(t0, y0)`` to ``t1``; an event is a
+    ``(kind, t)`` pair.  ``field`` may raise ``ZeroDivisionError`` or
+    ``OverflowError`` at the initial state, which propagates, and a field
+    that is not finite there raises ``ZeroDivisionError``.
+
+    Every stage is evaluated afresh from the tableau above; the seventh
+    stage f(t+h, y5) of an accepted step is reused as the next first stage.
+    A stage state that is not finite, a field that raises or is not finite
+    at a stage, and a y4 that is not finite each fail the step, which
+    halves h; below ``1e-13 * (t1 - t0)`` that ends the integration with a
+    BlowUp at t, preceded by a PoleProximity when the field had a pole (it
+    divided by zero or was not finite) at a state below the threshold, and
+    the error estimate is then left at 0.0.  Otherwise the step is accepted
+    when its scaled error is at most 1, and h is scaled by
+    ``0.9 * err ** -0.2`` clipped to [0.2, 5] (5 when err is 0); a
+    rejection that takes h below the bound ends the integration the same
+    way, with a PoleProximity whenever the state is below the threshold.  A
+    state at or above the threshold ends it with a BlowUp at the new t, and
+    a step too small to move t ends it with a BlowUp at t.
+
+    ``counts``, a dict, tallies each step's outcome: "accepted",
+    "rejected", "y4 not finite", "stage overflow", "vanishing denominator",
+    "power overflow" or "field not finite".
+    """
+    a = [[float(x) for x in row] for row in DP_A]
+    b4 = [float(x) for x in DP_B4]
+    c = [float(x) for x in DP_C]
+    n = len(y0)
+    counts = {} if counts is None else counts
+
+    def finite(values):
+        return all(math.isfinite(v) for v in values)
+
+    t, y = t0, tuple(y0)
+    k1 = list(field(y, t))
+    if not finite(k1):
+        raise ZeroDivisionError("the field is not finite at the initial state")
+    h_min = 1e-13 * (t1 - t0)
+    h = (t1 - t0) / 100.0
+    samples, events, error = [(t, y)], [], 0.0
+    while t < t1:
+        h = min(h, t1 - t)
+        if t + h == t:
+            events.append(("BlowUp", t))
+            break
+        ks, failure = [k1], None
+        for s in range(1, 7):
+            ys = [y[i] + h * sum([a[s][j] * ks[j][i] for j in range(s)]) for i in range(n)]
+            if not finite(ys):
+                failure = "stage overflow"
+                break
+            try:
+                out = list(field(ys, t + c[s] * h))
+            except ZeroDivisionError:
+                failure = "vanishing denominator"
+                break
+            except OverflowError:
+                failure = "power overflow"
+                break
+            if not finite(out):
+                failure = "field not finite"
+                break
+            ks.append(out)
+        else:
+            y5 = ys
+            y4 = [y[i] + h * sum([b4[j] * ks[j][i] for j in range(7)]) for i in range(n)]
+            if not finite(y4):
+                failure = "y4 not finite"
+        if failure is not None:
+            counts[failure] = counts.get(failure, 0) + 1
+            h *= 0.5
+            if h < h_min:
+                pole = failure in ("vanishing denominator", "field not finite")
+                if pole and max(abs(v) for v in y) < threshold:
+                    events.append(("PoleProximity", t))
+                events.append(("BlowUp", t))
+                return samples, events, 0.0
+            continue
+        err = max(abs(y5[i] - y4[i]) / (abs_tol + rel_tol * max(abs(y[i]), abs(y5[i])))
+                  for i in range(n))
+        if err <= 1.0:
+            counts["accepted"] = counts.get("accepted", 0) + 1
+            t += h
+            y, k1 = tuple(y5), ks[6]
+            samples.append((t, y))
+            error += max(abs(y5[i] - y4[i]) for i in range(n))
+            if max(abs(v) for v in y) >= threshold:
+                events.append(("BlowUp", t))
+                break
+            h *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            counts["rejected"] = counts.get("rejected", 0) + 1
+            h *= max(0.2, 0.9 * err ** -0.2)
+            if h < h_min:
+                if max(abs(v) for v in y) < threshold:
+                    events.append(("PoleProximity", t))
+                events.append(("BlowUp", t))
+                break
+    return samples, events, error
+
+
+def random_ivp_case(rng: random.Random):
+    """``(rhs, variables, t0, t1, init, tol, threshold)``: a seeded curve
+    y' = f(t, y) or plane system, its window, initial state, tolerance and
+    blow-up threshold.
+
+    A numerator is up to three terms of degree at most three in small
+    coefficients, so that trajectories are not stiff; one in twenty also
+    has a constant too large for a stage state to stay finite.  About half
+    of the right sides have a denominator: 1 written out, ``t - a`` with
+    ``a`` the time of the first step's last stage (it vanishes there
+    exactly) or a time in the window, or, for the second component of a
+    plane system whose first has none, ``x - a``.  A denominator never
+    involves its own component, so a trajectory crosses a pole rather than
+    creeping towards a fold, where the step size stalls above its lower
+    bound.
+    """
+    variables = ("y",) if rng.random() < 0.5 else ("x", "y")
+    states = [Var(True, v) for v in variables]
+    pool = [T, *states]
+    t0 = float(rng.randint(-1, 1))
+    window = rng.choice((0.25, 0.5, 1.0))
+    init = tuple(round(rng.uniform(-1.0, 1.0), 3) for _ in variables)
+    rhs = []
+    for i, _ in enumerate(variables):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            chosen = sorted(rng.sample(pool, rng.randint(0, 2)), key=variable_rank)
+            mono = tuple((v, rng.randint(1, 3 - len(chosen))) for v in chosen)
+            terms[mono] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 2))
+        if rng.random() < 0.05:
+            terms[()] = rng.randint(1, 17) * 10 ** 307
+        draw = rng.random()
+        if draw < 0.5:
+            den = Polynomial({(): 1})
+        elif draw < 0.65:
+            den = Polynomial({((T, 1),): 1, (): -Fraction(t0 + window / 100.0)})
+        elif draw < 0.8:
+            a = Fraction(t0) + Fraction(rng.randint(1, 7), 8) * Fraction(window)
+            den = Polynomial({((T, 1),): 1, (): -a})
+        elif i == 1 and rhs[0].den.is_one():
+            a = Fraction(init[0]) + Fraction(rng.choice((-1, 1)), rng.randint(2, 8))
+            den = Polynomial({((states[0], 1),): 1, (): -a})
+        else:
+            den = Polynomial({(): 1})
+        rhs.append(raw_quotient(Polynomial(terms), den))
+    tol = rng.choice((1e-6, 1e-8, 1e-10))
+    threshold = rng.choice((1e3, 1e8))
+    return tuple(rhs), variables, t0, t0 + window, init, tol, threshold

@@ -546,6 +546,21 @@ class TestInputValidation:
         assert code == EXIT_CONSTRAINT
         assert doc["error"]["kind"] == "constraint"
 
+    @pytest.mark.parametrize("t0,t1", [("0", "5e-324"), ("1e20", "1.0000000000000001e20")])
+    def test_simulate_step_cannot_move_t(self, capsys, within, tmp_path, t0, t1):
+        # a step below the spacing of floats at t is a collapse: a BlowUp
+        # at t0, not a hang or a run of samples that all sit at t0
+        out = tmp_path / "t.csv"
+        with within(5):
+            code, (doc,) = run(capsys, [
+                "simulate", "--family", "xc", "--params", "2", "--init", "1,0.5",
+                f"--t0={t0}", f"--t1={t1}", f"--out={out}"])
+        assert code == EXIT_NUMERIC
+        assert doc["events"] == [{"kind": "BlowUp", "t": float(t0)}]
+        times = [line.split(",")[0] for line in out.read_text(encoding="utf-8").splitlines()[1:]
+                 if not line.startswith("#")]
+        assert len(times) == len(set(times)) == doc["samples"]
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--family", "p2", "--params", "1", "--init", "0,0"],
         ["verify", "log-relation", "--c", "2"],

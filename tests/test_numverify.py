@@ -1,5 +1,8 @@
-"""Integrator accuracy, the generated field, residual/drift checks, events and CSV export."""
+"""Integrator accuracy and bit identity with the reference loop, the
+generated field and its template cache, residual/drift checks, events and
+CSV export."""
 
+import collections
 import io
 import math
 import random
@@ -13,6 +16,7 @@ from painstrata.models import Family, FamilyInstance, SystemRHS, riccati_curve, 
     p2_second_order_rhs, system_rhs, xc_first_integral
 from painstrata.numverify import (
     BLOWUP,
+    DEFAULT_BLOWUP_THRESHOLD,
     IntegrationSpec,
     POLE_PROXIMITY,
     PoleOnTrajectory,
@@ -39,6 +43,31 @@ def one_dim(text: str) -> SystemRHS:
 
 def xc_system(c) -> SystemRHS:
     return system_rhs(FamilyInstance(Family.XC, (CR(Fraction(c)),)))
+
+
+def reference(case, counts=None) -> str:
+    """The reference loop's outcome on a ``random_ivp_case`` tuple: the repr
+    of its samples, events and error estimate, or the exception's name."""
+    rhs, variables, t0, t1, init, tol, threshold = case
+
+    def field(state, t):
+        return oracles.evaluate_terms(rhs, variables, state, t)
+    try:
+        return repr(oracles.dormand_prince(field, t0, t1, init, tol, tol, threshold, counts))
+    except (ZeroDivisionError, OverflowError):
+        return "SingularInitialState"
+
+
+def integrated(case) -> str:
+    """``integrate``'s outcome on the same tuple, in the same form."""
+    rhs, variables, t0, t1, init, tol, threshold = case
+    spec = IntegrationSpec(SystemRHS(Family.XC, variables, rhs), t0, t1, init,
+                           rel_tol=tol, abs_tol=tol, blowup_threshold=threshold)
+    try:
+        traj = integrate(spec)
+    except SingularInitialState:
+        return "SingularInitialState"
+    return repr((traj.samples, [(e.kind, e.t) for e in traj.events], traj.error_estimate))
 
 
 class TestIntegrator:
@@ -85,30 +114,43 @@ class TestIntegrator:
             for a, b in zip(state, ref.sol(t)):
                 assert abs(a - b) < 1e-8 * max(1.0, abs(b))
 
-    def test_first_same_as_last(self, monkeypatch):
+    def test_first_same_as_last(self):
         # an accepted step's last stage f(t+h, y5) is the next step's first,
         # so no field evaluation repeats a point, and every attempted step
-        # (rejected ones included) costs six after the initial probe
-        calls, widths = [], []
-        compile_rf = numverify.compile_rf
+        # (rejected ones included) costs six after the initial probe; counted
+        # on the reference loop, which the integrator matches bit for bit
+        system, calls = xc_system(2), []
 
-        def counting(rhs, variables):
-            evaluate = compile_rf(rhs, variables)
-
-            def counted(state, t):
-                calls.append((t, tuple(state)))
-                out = evaluate(state, t)
-                widths.append(len(out))
-                return out
-            return counted
-        monkeypatch.setattr(numverify, "compile_rf", counting)
-        traj = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5),
-                                         rel_tol=1e-12, abs_tol=1e-12))
-        # one evaluator call per field evaluation, giving both components
-        assert set(widths) == {2}
+        def counted(state, t):
+            calls.append((t, tuple(state)))
+            return oracles.evaluate_terms(system.rhs, system.variables, state, t)
+        ref = oracles.dormand_prince(counted, 0.0, 0.3, (1.0, 0.5), 1e-12, 1e-12,
+                                     DEFAULT_BLOWUP_THRESHOLD)
+        assert integrated((system.rhs, system.variables, 0.0, 0.3, (1.0, 0.5), 1e-12,
+                           DEFAULT_BLOWUP_THRESHOLD)) == repr(ref)
         assert len(set(calls)) == len(calls)
         assert (len(calls) - 1) % 6 == 0
-        assert len(calls) >= 1 + 6 * (len(traj.samples) - 1)
+        assert len(calls) >= 1 + 6 * (len(ref[0]) - 1)
+
+    def test_bit_identical_to_reference_loop(self):
+        # samples, events and error estimate, by repr, on curves and plane
+        # systems that reject steps, blow up, meet poles, overflow a stage
+        # state or divide by zero at a stage
+        counts, events, dims = collections.Counter(), collections.Counter(), set()
+        for seed in range(1000):
+            case = oracles.random_ivp_case(random.Random(f"ivp:{seed}"))
+            outcomes = {}
+            expected = reference(case, counts=outcomes)
+            assert integrated(case) == expected, seed
+            counts.update(outcomes.keys())
+            events.update(kind for kind in ("BlowUp", "PoleProximity",
+                                            "SingularInitialState") if kind in expected)
+            dims.add(len(case[1]))
+        assert dims == {1, 2}
+        for outcome in ("accepted", "rejected", "vanishing denominator", "stage overflow"):
+            assert counts[outcome] >= 20, (outcome, counts)
+        for kind in ("BlowUp", "PoleProximity", "SingularInitialState"):
+            assert events[kind] >= 20, (kind, events)
 
     def test_riccati_window_completes(self):
         traj = integrate(IntegrationSpec(one_dim("-y^2 - t/2"), 0.0, 0.5, (1.0,)))
@@ -242,6 +284,69 @@ class TestCompiledField:
         huge = rf(f"y + {10 ** 400}", variables=("y",))
         with pytest.raises(ConstraintError, match=f"coefficient {10 ** 400} "):
             numverify.compile_rf((huge,), ("y",))
+
+
+def numbers_in(key):
+    """The floats and Fractions anywhere in a nested cache key."""
+    if isinstance(key, (float, Fraction)):
+        return [key]
+    if isinstance(key, tuple):
+        return [x for part in key for x in numbers_in(part)]
+    return []
+
+
+class TestTemplateCache:
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        """From a cold cache: the shape of every template ``compile_rf`` asks
+        for, and the cache's ``cache_info``."""
+        template, asked = numverify._template, []
+
+        def recording(shape):
+            asked.append(shape)
+            return template(shape)
+        template.cache_clear()
+        monkeypatch.setattr(numverify, "_template", recording)
+        yield asked, template.cache_info
+        template.cache_clear()
+
+    def test_one_template_serves_every_parameter_vector_of_a_shape(self, cache):
+        shapes, info = cache
+        # x' = (c+1)*y - c: neither coefficient is 1.0 at c = 2 or c = 3
+        a = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5)))
+        b = integrate(IntegrationSpec(xc_system(3), 0.0, 0.3, (1.0, 0.5)))
+        assert shapes[0] == shapes[1]
+        assert info().misses == 1
+        assert a.samples != b.samples
+        # at c = 0 the coefficient of y is 1.0, which the template leaves out
+        integrate(IntegrationSpec(xc_system(0), 0.0, 0.3, (1.0, 0.5)))
+        assert info().misses == 2
+
+    def test_keys_hold_no_numbers(self, cache):
+        shapes, _ = cache
+        for family, params, init, t0 in (("p2", ("1/2",), (0.3, -0.2), 0.0),
+                                         ("p3", ("1/3", "-2"), (0.5, 0.1), 1.0),
+                                         ("p4", ("1/2", "-1/3", "-1/6"), (0.2, -0.1), 0.0),
+                                         ("p5", ("1/2", "-1/3", "-1/6", "0"), (0.4, 0.1), 1.0),
+                                         ("xc", ("7/4",), (1.0, 0.5), 0.0)):
+            system = system_rhs(FamilyInstance.from_strings(family, params))
+            integrate(IntegrationSpec(system, t0, t0 + 0.3, init))
+        conservation_drift(integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5))),
+                           xc_first_integral(2))
+        # systems with their step, and the candidate's plain evaluator
+        assert {shape[1] for shape in shapes} == {True, False}
+        for shape in shapes:
+            assert numbers_in(shape) == [], shape
+
+    def test_bounded(self, cache):
+        shapes, info = cache
+        bound = numverify._MAX_TEMPLATES
+        for k in range(1, bound + 11):
+            field = numverify.compile_rf((rf(f"x^{k}*y - 3", variables=("x", "y")),),
+                                         ("x", "y"))
+            assert field([2.0, 0.5], 0.0) == [2.0 ** k * 0.5 - 3.0]
+        assert len(set(shapes)) == bound + 10
+        assert info().currsize == bound
 
 
 class TestResiduals:

@@ -41,3 +41,12 @@ def test_xc_portrait(tmp_path, capsys):
         assert lines[0] == "t,x,y,residual,drift"
         assert len(lines) > 1
     assert "worst conservation drift" in capsys.readouterr().out
+
+
+def test_pool_digest_repeats(capsys):
+    digest = load("pool_digest")
+    first = digest.digest("simulate")
+    assert len(first) == 64
+    assert digest.digest("simulate") == first
+    assert digest.main(["simulate"]) == 0
+    assert capsys.readouterr().out == f"simulate {first}\n"
