@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .exactnum import ConstraintError
 from .models import SystemRHS
 from .ratfunc import RationalFunction, Var
-from .symbolic import FirstOrderCurve, T, total_derivative_rf
+from .symbolic import FirstOrderCurve, T
 
 BLOWUP = "BlowUp"
 POLE_PROXIMITY = "PoleProximity"
@@ -357,30 +357,26 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
             result, pole_suspect = None, isinstance(exc, ZeroDivisionError)
         if result is None:
             h *= 0.5
-            if h < h_min:
-                if pole_suspect and max(map(abs, y)) < threshold:
-                    events.append(Event(POLE_PROXIMITY, t))
-                events.append(Event(BLOWUP, t))
-                return traj
-            continue
-
-        y5, k7, err, difference = result
-        if err <= 1.0:
-            t += h
-            y, k1 = y5, k7
-            samples.append((t, y))
-            err_total += difference
-            if max(map(abs, y)) >= threshold:
-                events.append(Event(BLOWUP, t))
-                break
-            h *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
+            y5, k7, err, difference = result
+            if err <= 1.0:
+                t += h
+                y, k1 = y5, k7
+                samples.append((t, y))
+                err_total += difference
+                if max(map(abs, y)) >= threshold:
+                    events.append(Event(BLOWUP, t))
+                    break
+                h *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                continue
             h *= max(0.2, 0.9 * err ** -0.2)
-            if h < h_min:
-                if max(map(abs, y)) < threshold:
-                    events.append(Event(POLE_PROXIMITY, t))
-                events.append(Event(BLOWUP, t))
-                break
+            pole_suspect = True   # rejected on its error estimate
+        # a step that failed or was rejected: a collapse below h_min ends the run
+        if h < h_min:
+            if pole_suspect and max(map(abs, y)) < threshold:
+                events.append(Event(POLE_PROXIMITY, t))
+            events.append(Event(BLOWUP, t))
+            break
     traj.error_estimate = err_total
     return traj
 
@@ -390,15 +386,12 @@ def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
     """Max residual of the implied second derivative against a target.
 
     The trajectory must come from integrating the curve as a one-dimensional
-    system; the second derivative along it is the total derivative of the
-    curve's right side, as in ``verify_subvariety``, and the first derivative
-    is substituted from the curve there and in the target.
+    system; both sides are those ``verify_subvariety`` compares, evaluated
+    apart so that the residual is a difference of floats.
     """
     if traj.variables != (curve.variable,):
         raise ValueError("trajectory was not produced by this curve")
-    on_curve = {Var(True, curve.variable, 1): curve.rhs}
-    both = compile_rf((total_derivative_rf(curve.rhs).substitute(on_curve),
-                       target_rhs.substitute(on_curve)), traj.variables)
+    both = compile_rf(curve.sides(target_rhs), traj.variables)
     residuals = []
     for t, state in traj.samples:
         try:

@@ -367,6 +367,12 @@ def _zgcd(f: Polynomial, g: Polynomial) -> Polynomial:
         # a common divisor involves no variable: the integer gcd of all
         # the coefficients
         return Polynomial.constant(math.gcd(*f.terms.values(), *g.terms.values()))
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # a term's divisors are terms: the coefficients' gcd times least powers
+        monos = [dict(m) for m in (*f.terms, *g.terms)]
+        least = ((v, min(m.get(v, 0) for m in monos)) for v in sorted(common))
+        return _raw({tuple((v, e) for v, e in least if e):
+                     math.gcd(*f.terms.values(), *g.terms.values())})
     var = min(common, key=lambda v: (f.degree_in(v) + g.degree_in(v), v))
     cont_f, u = _primitive(f.as_univariate(var))
     cont_g, v = _primitive(g.as_univariate(var))
@@ -406,18 +412,19 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Quotient of polynomials in canonical form (reduced, monic denominator)."""
+    """Quotient of polynomials in canonical form (reduced, monic denominator);
+    ``reduced=True`` vouches that num and den already are, so no gcd is taken."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial = ONE):
+    def __init__(self, num: Polynomial, den: Polynomial = ONE, reduced: bool = False):
         num = _as_poly(num)
         den = _as_poly(den)
         if den.is_zero():
             raise DivisionByZeroExpression("denominator is identically zero")
         if num.is_zero():
             num, den = ZERO, ONE
-        else:
+        elif not reduced:
             g = poly_gcd(num, den)
             if not g.is_one():
                 num = exact_div(num, g)
@@ -458,13 +465,18 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        # a/b + c/d = t/(b'*d) for g = gcd(b, d), b' = b/g, t = a*(d/g) + c*b',
+        # and gcd(t, b'*d) = gcd(t, g) (Henrici; Knuth, TAOCP 2, 4.5.1)
+        g = poly_gcd(self.den, other.den)
+        b = exact_div(self.den, g)
+        t = self.num * exact_div(other.den, g) + other.num * b
+        h = poly_gcd(t, g)
+        return RationalFunction(exact_div(t, h), b * exact_div(other.den, h), reduced=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction(-self.num, self.den, reduced=True)
 
     def __sub__(self, other):
         other = _as_rf(other)
@@ -479,7 +491,10 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        # cancelled crosswise, a/b * c/d is reduced already
+        g, k = poly_gcd(self.num, other.den), poly_gcd(other.num, self.den)
+        return RationalFunction(exact_div(self.num, g) * exact_div(other.num, k),
+                                exact_div(self.den, k) * exact_div(other.den, g), reduced=True)
 
     __rmul__ = __mul__
 

@@ -1,9 +1,9 @@
-"""Rational differential expressions and the differentiate-and-substitute checks.
+"""Rational differential expressions and their derivative along a field.
 
-The derivation treats ``t`` as the element with derivative 1, declared
-parameter symbols as constants, and primes as derivative order, so the curve
-containment and first-integral checks below are exact polynomial identities
-over Q(parameter symbols).
+The one derivation, :func:`derive`, treats ``t`` as the element with
+derivative 1, declared parameters as constants and each differential variable
+as having the derivative its field assigns, so the curve containment and
+first-integral checks below are exact identities over Q(parameter symbols).
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ from typing import Callable, Mapping, Sequence
 
 from .exactnum import ConstraintError
 from .ratfunc import (
+    ONE,
     DivisionByZeroExpression,
     Polynomial,
     RationalFunction,
-    RF_ZERO,
     Var,
+    exact_div,
+    poly_gcd,
 )
 
 T = Var(False, "t")
@@ -310,17 +312,33 @@ def rf(text: str, params: Sequence[str] = (),
         raise ExprSyntaxError("expression nests too deeply", parser.pos) from None
 
 
-def total_derivative_rf(f: RationalFunction) -> RationalFunction:
-    """The derivation on canonical forms: sum of partials times derived vars."""
-    out = RF_ZERO
-    for v in f.variables():
-        if v.differential:
-            raised = Var(True, v.name, v.order + 1)
-            out = out + f.partial(v) * RationalFunction.variable(raised)
-        elif v == T:
-            out = out + f.partial(v)
-        # remaining symbols are parameters, which are constants
-    return out
+def derive(f: RationalFunction,
+           field: Mapping[Var, RationalFunction]) -> RationalFunction:
+    """The derivative of f along a vector field: the sum of df/dv * field[v]
+    over f's differential variables v, in ``Var`` order, plus df/dt;
+    parameters are constants.  For b the product of the field's denominators,
+    along(p) = b*derive(p) is a polynomial and n/d derives to
+    (along(n)*d - n*along(d))/(b*d^2).  Over d/g, for g = gcd(d, along(d)),
+    that numerator is prime to d/g, so its only gcd taken is the one with b*g."""
+    moving = [v for v in sorted(f.variables()) if v.differential]
+    for v in moving:
+        if v not in field:
+            raise ConstraintError(f"no field component supplied for {v}")
+    b = math.prod(dict.fromkeys(field[v].den for v in moving), start=ONE)
+
+    def along(p: Polynomial) -> Polynomial:
+        out = b * p.partial(T)
+        for v in moving:
+            out = out + p.partial(v) * field[v].num * exact_div(b, field[v].den)
+        return out
+
+    n, d = f.num, f.den
+    d_along = along(d)
+    g = poly_gcd(d, d_along)
+    d1 = exact_div(d, g)
+    num = along(n) * d1 - n * exact_div(d_along, g)
+    h = poly_gcd(num, b * g)
+    return RationalFunction(exact_div(num, h), exact_div(b * g, h) * d1 * d1, reduced=True)
 
 
 # --------------------------------------------------------------------------
@@ -335,30 +353,31 @@ class FirstOrderCurve:
     rhs: RationalFunction
 
     def __post_init__(self):
-        for v in self.rhs.variables():
-            if v.differential:
-                if v.order != 0 or v.name != self.variable:
-                    raise ValueError(
-                        f"curve right side may only involve {self.variable!r} "
-                        f"at order zero, t and parameters; found {v}")
+        for v in sorted(self.rhs.variables()):
+            if v.differential and (v.order != 0 or v.name != self.variable):
+                raise ValueError(
+                    f"curve right side may only involve {self.variable!r} "
+                    f"at order zero, t and parameters; found {v}")
+
+    def sides(self, target: RationalFunction) -> tuple[RationalFunction, RationalFunction]:
+        """The two sides of  v'' = target  on the curve: its right side derived
+        along the curve itself, and the target with v' replaced by that side."""
+        y, y1 = Var(True, self.variable), Var(True, self.variable, 1)
+        for v in sorted(target.variables()):
+            if v.differential and (v.name != self.variable or v.order > 1):
+                raise ValueError(f"target involves {v}, which is outside the "
+                                 f"order-one frame of the curve in {self.variable!r}")
+        if y1 in target.variables():
+            target = target.substitute({y1: self.rhs})
+        return derive(self.rhs, {y: self.rhs}), target
 
 
 def verify_subvariety(curve: FirstOrderCurve,
                       target: RationalFunction) -> RationalFunction:
     """The residual of  v'' = target  on solutions of the curve: zero iff
-    the curve lies inside the fiber.
-
-    The curve relation is differentiated once, the first derivative is
-    eliminated by substituting the curve right side, and the result is
-    compared against the target with the same substitution applied.
-    """
-    y1 = Var(True, curve.variable, 1)
-    for v in target.variables():
-        if v.differential and (v.name != curve.variable or v.order > 1):
-            raise ValueError(f"target involves {v}, which is outside the "
-                             f"order-one frame of the curve in {curve.variable!r}")
-    implied = total_derivative_rf(curve.rhs).substitute({y1: curve.rhs})
-    return implied - target.substitute({y1: curve.rhs})
+    the curve lies inside the fiber."""
+    implied, on_curve = curve.sides(target)
+    return implied - on_curve
 
 
 def verify_first_integral(f: RationalFunction,
@@ -368,15 +387,9 @@ def verify_first_integral(f: RationalFunction,
 
     ``field_rhs`` maps variable names to rational functions.
     """
-    residual = RF_ZERO
-    for v in f.variables():
-        if v.differential:
-            if v.order or v.name not in field_rhs:
-                raise ConstraintError(f"no field component supplied for {v}")
-            residual = residual + f.partial(v) * field_rhs[v.name]
-        elif v == T:
-            raise ConstraintError("first-integral check expects an autonomous candidate")
-    return residual
+    if T in f.variables():
+        raise ConstraintError("first-integral check expects an autonomous candidate")
+    return derive(f, {Var(True, name): rhs for name, rhs in field_rhs.items()})
 
 
 def quotient_of_partials(f: RationalFunction) -> RationalFunction:

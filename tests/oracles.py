@@ -6,9 +6,10 @@ membership is decided by enumerating root combinations with integer minors
 (not by the package's signed-graph rank), the graded-lex term order is
 decided on exponent vectors (not by the package's monomial key),
 rational functions are evaluated in floats term by term (not by the
-package's generated code), and trajectories come from a plain stage loop
+package's generated code), trajectories come from a plain stage loop
 over the Dormand-Prince tableau written as fractions (not from the
-package's generated step).  Random
+package's generated step), and the curve check raises primes and then
+substitutes (not the package's derivation along the curve).  Random
 parameter vectors come from seeded generators so frozen expectations stay
 stable.
 """
@@ -345,6 +346,52 @@ def random_field_case(rng: random.Random):
 
 
 # --------------------------------------------------------------------------
+# The curve check in two steps: raise the primes, then eliminate y'.
+# --------------------------------------------------------------------------
+
+def raised_derivative(f: RationalFunction) -> RationalFunction:
+    """The total derivative of f with each differential variable's prime
+    raised (v -> v'), t' = 1 and parameters constant."""
+    out = RationalFunction(Polynomial())
+    for v in f.variables():
+        if v.differential:
+            out = out + f.partial(v) * RationalFunction.variable(
+                Var(True, v.name, v.order + 1))
+        elif v == T:
+            out = out + f.partial(v)
+    return out
+
+
+def subvariety_residual(variable: str, rhs: RationalFunction,
+                        target: RationalFunction) -> RationalFunction:
+    """v'' - target on the curve v' = rhs: the raised derivative of rhs and
+    the target, each with v' replaced by rhs."""
+    on_curve = {Var(True, variable, 1): rhs}
+    return raised_derivative(rhs).substitute(on_curve) - target.substitute(on_curve)
+
+
+def random_curve_case(rng: random.Random):
+    """``(rhs, target)``: a curve right side and a target in y, t and a
+    parameter a.  The target is P0 + P1*y' + P2*y'^2 for random polynomials
+    P_k, the shape of the Painleve targets, with y' in it about half the
+    time.  Each is a polynomial or, about a third of the time, one over a
+    single term in y, t and a; a denominator of more terms, y' in one
+    included, can make the gcds of the check take minutes."""
+    pool = [T, Var(False, "a"), Var(True, "y")]
+    y1 = RationalFunction.variable(Var(True, "y", 1))
+
+    def over_term(f: RationalFunction) -> RationalFunction:
+        den = random_polynomial(rng, pool, 1) if rng.random() < 0.35 else Polynomial()
+        return f / RationalFunction(den) if den.terms else f
+
+    rhs = over_term(RationalFunction(random_polynomial(rng, pool, rng.randint(1, 3))))
+    target = RationalFunction(Polynomial())
+    for k in range(rng.randint(1, 2) + 1 if rng.random() < 0.5 else 1):
+        target = target + RationalFunction(random_polynomial(rng, pool, rng.randint(1, 2))) * y1 ** k
+    return rhs, over_term(target)
+
+
+# --------------------------------------------------------------------------
 # Dormand-Prince 5(4), one plain loop (Dormand and Prince, J. Comput. Appl.
 # Math. 6, 1980; Hairer, Norsett and Wanner, Solving ODEs I, Table II.5.2).
 # --------------------------------------------------------------------------
@@ -379,14 +426,15 @@ def dormand_prince(field, t0, t1, y0, rel_tol, abs_tol, threshold, counts=None):
     at a stage, and a y4 that is not finite each fail the step, which
     halves h; below ``1e-13 * (t1 - t0)`` that ends the integration with a
     BlowUp at t, preceded by a PoleProximity when the field had a pole (it
-    divided by zero or was not finite) at a state below the threshold, and
-    the error estimate is then left at 0.0.  Otherwise the step is accepted
-    when its scaled error is at most 1, and h is scaled by
+    divided by zero or was not finite) at a state below the threshold.
+    Otherwise the step is accepted when its scaled error is at most 1, and
+    h is scaled by
     ``0.9 * err ** -0.2`` clipped to [0.2, 5] (5 when err is 0); a
     rejection that takes h below the bound ends the integration the same
     way, with a PoleProximity whenever the state is below the threshold.  A
     state at or above the threshold ends it with a BlowUp at the new t, and
-    a step too small to move t ends it with a BlowUp at t.
+    a step too small to move t ends it with a BlowUp at t.  However it
+    ends, the error estimate is the sum of the accepted steps' max|y5 - y4|.
 
     ``counts``, a dict, tallies each step's outcome: "accepted",
     "rejected", "y4 not finite", "stage overflow", "vanishing denominator",
@@ -444,7 +492,7 @@ def dormand_prince(field, t0, t1, y0, rel_tol, abs_tol, threshold, counts=None):
                 if pole and max(abs(v) for v in y) < threshold:
                     events.append(("PoleProximity", t))
                 events.append(("BlowUp", t))
-                return samples, events, 0.0
+                break
             continue
         err = max(abs(y5[i] - y4[i]) / (abs_tol + rel_tol * max(abs(y[i]), abs(y5[i])))
                   for i in range(n))

@@ -467,6 +467,22 @@ class TestEntryPoint:
         jsonschema.validate(doc, SCHEMA)
         assert doc["stratum"] == "D1"
 
+    @pytest.mark.parametrize("expr, message", [
+        ("x'' + y'", "no field component supplied for x''"),
+        ("x' + t", "first-integral check expects an autonomous candidate"),
+    ])
+    def test_derivation_error_independent_of_hash_seed(self, expr, message):
+        # a candidate's variables form a set, whose order follows the string
+        # hash; which error is reported must not
+        outputs = {subprocess.run(
+            [sys.executable, "-m", "painstrata.cli", "verify", "integral",
+             "--c", "1", "--expr", expr],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1", "3")}
+        assert [json.loads(out) for out in outputs] == [
+            {"error": {"kind": "constraint", "message": message}}]
+
     def test_argparse_usage_error_is_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "painstrata.cli", "verify", "integral",

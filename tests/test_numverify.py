@@ -186,6 +186,15 @@ class TestIntegrator:
         assert max(abs(a - b) for a, b in
                    zip(back.terminal_state, (1.0, 0.5))) < 1e-7
 
+    def test_collapse_after_failed_steps_keeps_error_estimate(self):
+        # near the pole of y' = y^2 the stages overflow until the step
+        # collapses; the accepted steps before that still count
+        traj = integrate(IntegrationSpec(one_dim("y^2"), 0.0, 2e-140, (1e140,),
+                                         blowup_threshold=1e300))
+        assert len(traj.samples) > 1
+        assert traj.events[-1].kind == BLOWUP
+        assert traj.error_estimate > 0
+
     def test_pole_approach_is_event_not_error(self):
         # x' < 0 while y < 2/3 drives x toward 0 where y' blows up
         traj = integrate(IntegrationSpec(xc_system(2), 0.0, 2.0, (0.05, 0.5)))

@@ -177,6 +177,29 @@ class TestGcd:
         assert str(f.num) == "x^8 + y^8 + 1"
         assert f.den == rf("(x+y+1)^4").num
 
+    def test_single_term_argument(self, within):
+        # the PRS on a 9-term polynomial against a^15*t^16 took 3 s
+        a = Polynomial.variable(Var(False, "a"))
+        t = Polynomial.variable(T)
+        f = 12 * a ** 15 * t ** 12 * Y ** 5 + 4 * a ** 15 * t ** 13 * Y ** 3 \
+            + Fraction(80, 3) * a ** 13 * t ** 10 * Y ** 7 + 6 * a ** 11 * t ** 11 * X
+        with within(1):
+            assert poly_gcd(f, 6 * a ** 15 * t ** 16) == a ** 11 * t ** 10
+            assert poly_gcd(4 * X ** 2 * Y, 6 * X * Y ** 3 * Z) == X * Y
+            assert poly_gcd(X * Y + X ** 2, Y ** 2).is_one()
+        rng = random.Random(5)
+        for _ in range(40):
+            f, term = small_polys(rng, 3), small_polys(rng, 3, nterms=1)
+            if f.is_zero() or term.is_zero():
+                continue
+            # a monic term dividing both, and no greater term does
+            g = poly_gcd(f, term)
+            assert len(g.terms) == 1 and g.leading_coeff() == 1
+            exact_div(f, g), exact_div(term, g)
+            for v in (X, Y, Z):
+                with pytest.raises(ValueError):
+                    exact_div(f, g * v), exact_div(term, g * v)
+
 
 # t, two parameters and three differential variables, for the sympy oracle
 ORACLE_VARS = (T, Var(False, "a"), Var(False, "b"), VX, VY, Var(True, "y", 1))
@@ -381,6 +404,24 @@ class TestRationalFunction:
             if q.is_zero() or s.is_zero():
                 continue
             assert RationalFunction(p * s, q * s) == RationalFunction(p, q)
+
+    def test_sum_and_product_cancel_only_through_shared_factors(self, within):
+        # a/b + c/d reduces by gcd(b, d) and a/b * c/d crosswise, so
+        # coprime denominators take no gcd against their product; reducing
+        # the plain quotients of this sum and this product each ran past 15 s
+        a = rf("(-4*t^3*y'' + 8*t^2*y*y'' - 2*t^2*y'^2 + 6*t^2*y'*y'' - 4*t*y^2*y''"
+               " + 2*t*y*y'^2 - 12*t*y*y'*y'' + 2*t*y'^3 + 6*y^2*y'*y'' - 2*y*y'^3"
+               " + 2*t*y*y' - 2*t*y'^2 - 2*y^2*y' + 2*y*y'^2)"
+               "/(t^3*y'^5 - 3*t^2*y'^6 + 3*t*y'^7 - y'^8)")
+        b = rf("(-2*x^4*y'*y'' + 4*x^3*x'*y'^2 + 4*t*x^3*x' + x^4*y'' - 4*x^3*x'*y' - x^4)"
+               "/(y'^2 + t - y')^2")
+        with within(5):
+            total, product = a + b, a * b
+        assert total * (a.den * b.den) == a.num * b.den + b.num * a.den
+        assert product * (a.den * b.den) == a.num * b.num
+        shared = rf("(x + t)/(y - 1)")
+        assert (shared + shared - shared * 2).is_zero()
+        assert a / a == 1 and str(-a) == str(RationalFunction(-a.num, a.den))
 
     def test_normalize_idempotent_random(self):
         rng = random.Random(23)

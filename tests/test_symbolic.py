@@ -1,5 +1,6 @@
-"""Parser, derivation and the differentiate-and-substitute verifiers."""
+"""Parser, the derivation along a field and the verifiers built on it."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,16 +14,24 @@ from painstrata.symbolic import (
     FirstOrderCurve,
     T,
     UnsupportedExponentError,
+    derive,
     quotient_of_partials,
     rf,
-    total_derivative_rf,
     verify_first_integral,
     verify_subvariety,
 )
 
+import oracles
+
 Y, Y1, Y2 = Var(True, "y"), Var(True, "y", 1), Var(True, "y", 2)
 X = Var(True, "x")
 A = Var(False, "a")
+
+
+def primed(f: RationalFunction) -> RationalFunction:
+    """f derived along the field v -> v' on its differential variables."""
+    return derive(f, {v: RationalFunction.variable(Var(True, v.name, v.order + 1))
+                      for v in f.variables() if v.differential})
 
 
 class TestParser:
@@ -165,25 +174,77 @@ def _rf_or_reject(text, **kw):
 
 class TestDerivation:
     def test_rules(self):
-        assert total_derivative_rf(rf("t")) == RationalFunction.constant(1)
-        assert total_derivative_rf(rf("a", params=["a"])).is_zero()
-        assert total_derivative_rf(rf("y^2 + t/2")) == rf("2*y*y' + 1/2")
-        assert total_derivative_rf(rf("y'")) == rf("y''")
+        assert primed(rf("t")) == RationalFunction.constant(1)
+        assert primed(rf("a", params=["a"])).is_zero()
+        assert primed(rf("y^2 + t/2")) == rf("2*y*y' + 1/2")
+        assert primed(rf("y'")) == rf("y''")
 
     def test_quotient_rule(self):
-        assert total_derivative_rf(rf("y/t")) == rf("(y'*t - y)/t^2")
+        assert primed(rf("y/t")) == rf("(y'*t - y)/t^2")
 
     @given(with_quotients(texts), with_quotients(texts))
     def test_leibniz(self, a, b):
         fa, fb = _rf_or_reject(a, params=["a"]), _rf_or_reject(b, params=["a"])
-        assert total_derivative_rf(fa * fb) == (
-            fa * total_derivative_rf(fb) + fb * total_derivative_rf(fa))
+        assert primed(fa * fb) == fa * primed(fb) + fb * primed(fa)
 
     @given(with_quotients(texts), with_quotients(texts))
     def test_additive(self, a, b):
         fa, fb = _rf_or_reject(a, params=["a"]), _rf_or_reject(b, params=["a"])
-        assert total_derivative_rf(fa + fb) == (
-            total_derivative_rf(fa) + total_derivative_rf(fb))
+        assert primed(fa + fb) == primed(fa) + primed(fb)
+
+    def test_along_a_field(self):
+        field = {X: rf("3*y - 2"), Y: rf("y*(y-1)/x")}
+        assert derive(rf("x*y + t^2"), field) == rf("(3*y - 2)*y + y*(y-1) + 2*t")
+        assert derive(rf("a*t", params=["a"]), {}) == rf("a", params=["a"])
+
+    def test_no_gcd_against_the_squared_denominator(self, within):
+        # reducing this derivative by gcd(numerator, d^2) ran past 20 s
+        f = rf("(t^2*x^4*y'^4 - 2*t*x^4*y'^5 + x^4*y'^6 + t^2*y'^2 - 2*t*y*y'^2"
+               " + y^2*y'^2 + t^3 - 2*t^2*y - t^2*y' + t*y^2 + 2*t*y*y' - y^2*y')"
+               "/(t^2*y'^6 - 2*t*y'^7 + y'^8 + t^3*y'^4 - 3*t^2*y'^5 + 3*t*y'^6 - y'^7)")
+        with within(5):
+            df = primed(f)
+        # d = y'^4 (y'-t)^2 (y'^2-y'+t): each factor gains one power
+        assert df.den == rf("1/(y'^5*(y'-t)^3*(y'^2-y'+t)^2)").den
+
+    def test_missing_component_is_named_in_variable_order(self):
+        # x'' sorts before y' whatever order the set of variables is in
+        with pytest.raises(ConstraintError, match="supplied for x''$"):
+            derive(rf("y' + x''"), {})
+        with pytest.raises(ConstraintError, match="supplied for y'$"):
+            derive(rf("y' + x''"), {Var(True, "x", 2): rf("1")})
+
+    def test_curve_check_matches_two_step_oracle(self):
+        # raise the primes, then substitute y' -> rhs: the route the
+        # derivation along the curve replaces
+        mentions_y1 = 0
+        for seed in range(300):
+            rhs, target = oracles.random_curve_case(random.Random(f"curve:{seed}"))
+            expected = oracles.subvariety_residual("y", rhs, target)
+            assert verify_subvariety(FirstOrderCurve("y", rhs), target) == expected, seed
+            mentions_y1 += Y1 in target.variables()
+        assert mentions_y1 >= 100
+
+    def test_sympy_field_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        pool = [T, A, X, Y]
+
+        def quotient(rng):
+            # a polynomial, or about half the time one over a single term
+            num = oracles.random_polynomial(rng, pool, rng.randint(1, 3))
+            den = oracles.random_polynomial(rng, pool, 1)
+            return RationalFunction(num, den) if den.terms and rng.random() < 0.5 \
+                else RationalFunction(num)
+        for seed in range(40):
+            rng = random.Random(f"field:{seed}")
+            f, fx, fy = quotient(rng), quotient(rng), quotient(rng)
+            field = {X: fx, Y: fy}
+            s = {name: sympy.Symbol(name) for name in ("t", "a", "x", "y")}
+            sf, sx, sy = (sympy.sympify(str(g), locals=s) for g in (f, *field.values()))
+            expected = (sympy.diff(sf, s["x"]) * sx + sympy.diff(sf, s["y"]) * sy
+                        + sympy.diff(sf, s["t"]))
+            got = sympy.sympify(str(derive(f, field)), locals=s)
+            assert sympy.cancel(got - expected) == 0, seed
 
 
 class TestCanonicalForm:
