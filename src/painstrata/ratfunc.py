@@ -227,14 +227,14 @@ class Polynomial:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        result = ONE
-        base = self
-        while exp:
+        result, base = ONE, self
+        while True:
             if exp & 1:
                 result = result * base
-            base = base * base
             exp >>= 1
-        return result
+            if not exp:
+                return result
+            base = base * base
 
     def partial(self, var) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
@@ -502,9 +502,7 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise DivisionByZeroExpression("division by identically-zero expression")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other ** -1
 
     def __rtruediv__(self, other):
         other = _as_rf(other)
@@ -515,16 +513,15 @@ class RationalFunction:
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
             raise ValueError("rational function powers take integer exponents")
+        num, den = self.num, self.den
         if exp < 0:
             if self.is_zero():
-                raise DivisionByZeroExpression("negative power of zero expression")
-            return RationalFunction(self.den ** (-exp), self.num ** (-exp))
-        return RationalFunction(self.num ** exp, self.den ** exp)
-
-    def partial(self, var) -> "RationalFunction":
-        """Formal partial derivative, canonicalized."""
-        n, d = self.num, self.den
-        return RationalFunction(n.partial(var) * d - n * d.partial(var), d * d)
+                raise DivisionByZeroExpression("division by identically-zero expression")
+            lc = num.leading_coeff()
+            num, den = _div_const(den, lc), _div_const(num, lc)
+        # a power of a reduced quotient is reduced, and of a monic polynomial
+        # monic, since graded-lex is a monomial order
+        return RationalFunction(num ** abs(exp), den ** abs(exp), reduced=True)
 
     def substitute(self, mapping: Mapping) -> "RationalFunction":
         """Replace variables by rational functions (or exact rational values)."""

@@ -17,7 +17,6 @@ from typing import Callable, Mapping, Sequence
 from .exactnum import ConstraintError
 from .ratfunc import (
     ONE,
-    DivisionByZeroExpression,
     Polynomial,
     RationalFunction,
     Var,
@@ -403,8 +402,8 @@ def quotient_of_partials(f: RationalFunction) -> RationalFunction:
     if len(plane) != 2 or any(v.order != 0 for v in plane):
         raise ConstraintError("expected exactly two order-zero plane variables")
     xv, yv = plane
-    fy = f.partial(yv)
-    if fy.is_zero():
-        raise DivisionByZeroExpression(
-            f"partial derivative in {yv} vanishes identically")
-    return -f.partial(xv) / fy
+    # for f = n/d the d^2 of both partials cancels; f_y is not zero, since a
+    # variable of a reduced quotient has a nonzero partial in characteristic 0
+    n, d = f.num, f.den
+    return RationalFunction(n * d.partial(xv) - n.partial(xv) * d,
+                            n.partial(yv) * d - n * d.partial(yv))

@@ -4,6 +4,11 @@ import signal
 import pytest
 from hypothesis import HealthCheck, settings
 
+# Hypothesis draws from a pool that includes the literals of every loaded
+# package module; loading the whole package before any test runs makes that
+# pool, and so every draw, the same whichever test files are collected.
+import painstrata.cli  # noqa: F401
+
 settings.register_profile(
     "ci",
     max_examples=60,

@@ -8,8 +8,9 @@ decided on exponent vectors (not by the package's monomial key),
 rational functions are evaluated in floats term by term (not by the
 package's generated code), trajectories come from a plain stage loop
 over the Dormand-Prince tableau written as fractions (not from the
-package's generated step), and the curve check raises primes and then
-substitutes (not the package's derivation along the curve).  Random
+package's generated step), the curve check raises primes and then
+substitutes (not the package's derivation along the curve), and partial
+derivatives follow the textbook quotient rule (not that derivation).  Random
 parameter vectors come from seeded generators so frozen expectations stay
 stable.
 """
@@ -349,16 +350,23 @@ def random_field_case(rng: random.Random):
 # The curve check in two steps: raise the primes, then eliminate y'.
 # --------------------------------------------------------------------------
 
+def partial(f: RationalFunction, var) -> RationalFunction:
+    """The textbook quotient rule: (n'd - nd')/d^2 for f = n/d, with the
+    derivatives taken in ``var``, reduced by one gcd against d^2."""
+    n, d = f.num, f.den
+    return RationalFunction(n.partial(var) * d - n * d.partial(var), d * d)
+
+
 def raised_derivative(f: RationalFunction) -> RationalFunction:
     """The total derivative of f with each differential variable's prime
     raised (v -> v'), t' = 1 and parameters constant."""
     out = RationalFunction(Polynomial())
     for v in f.variables():
         if v.differential:
-            out = out + f.partial(v) * RationalFunction.variable(
+            out = out + partial(f, v) * RationalFunction.variable(
                 Var(True, v.name, v.order + 1))
         elif v == T:
-            out = out + f.partial(v)
+            out = out + partial(f, v)
     return out
 
 

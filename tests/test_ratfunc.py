@@ -20,10 +20,15 @@ from painstrata.ratfunc import (
     poly_gcd,
     poly_to_str,
 )
-from painstrata.symbolic import T, rf
+from painstrata.symbolic import T, derive, quotient_of_partials, rf
 
 VX, VY, VZ = (Var(True, name) for name in "xyz")
 X, Y, Z = map(Polynomial.variable, (VX, VY, VZ))
+
+
+def unit_field(var) -> dict:
+    """The field whose derivation is the partial in ``var`` on x and y."""
+    return {v: RationalFunction.constant(int(v == var)) for v in (VX, VY)}
 
 
 def small_polys(rng: random.Random, nvars=2, nterms=3, max_deg=2) -> Polynomial:
@@ -40,6 +45,18 @@ def small_polys(rng: random.Random, nvars=2, nterms=3, max_deg=2) -> Polynomial:
 class TestPolynomial:
     def test_expansion(self):
         assert (X + Y) ** 2 == X ** 2 + 2 * X * Y + Y ** 2
+
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        p = X + 2 * Y
+        expected = {0: Polynomial.constant(1), 1: p, 4: p * p * p * p}
+        calls = []
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+        # one multiplication per bit, plus one squaring per bit after the first
+        for k, muls in ((0, 0), (1, 1), (4, 3)):
+            calls.clear()
+            assert p ** k == expected[k]
+            assert len(calls) == muls, k
 
     def test_zero_and_constants(self):
         assert (X - X).is_zero()
@@ -310,7 +327,7 @@ class TestCoefficientTypes:
             elif op == "**" and not (k < 0 and value.is_zero()):
                 value = value ** k
             elif op == "partial":
-                value = value.partial(var)
+                value = derive(value, unit_field(var))
                 poly = poly.partial(var)
             elif op == "values":
                 if not value.den.substitute_values({var: c}).is_zero():
@@ -366,11 +383,44 @@ class TestRationalFunction:
     def test_negative_power(self):
         a = RationalFunction(X, Y)
         assert a ** -2 == RationalFunction(Y ** 2, X ** 2)
+        assert RationalFunction(2 * X, Y) ** -1 == RationalFunction(Y, 2 * X)
+        with pytest.raises(DivisionByZeroExpression):
+            RationalFunction(X - X) ** -1
 
     def test_partial_quotient_rule(self):
         f = RationalFunction(X ** 2, Y)
-        assert f.partial(VX) == RationalFunction(2 * X, Y)
-        assert f.partial(VY) == RationalFunction(-(X ** 2), Y ** 2)
+        assert derive(f, unit_field(VX)) == RationalFunction(2 * X, Y)
+        assert derive(f, unit_field(VY)) == RationalFunction(-(X ** 2), Y ** 2)
+
+    def test_quotients_powers_and_slopes_match_the_general_constructor(self, within):
+        # / cancels crosswise against the reciprocal and ** takes no gcd, so
+        # each must land on the quotient the general constructor reduces;
+        # the slope must match the textbook -f_x/f_y of the oracle
+        # (two-term parts: the general constructor's gcd of two cubes of
+        # three-term parts takes most of a second)
+        rng = random.Random(43)
+        pairs = slopes = 0
+        with within(20):
+            while pairs < 1000:
+                n1, d1, n2, d2 = (small_polys(rng, nterms=2) for _ in range(4))
+                if d1.is_zero() or d2.is_zero() or n2.is_zero():
+                    continue
+                a, b = RationalFunction(n1, d1), RationalFunction(n2, d2)
+                checks = [(a / b, RationalFunction(a.num * b.den, a.den * b.num))]
+                for k in range(-3, 4):
+                    if k >= 0:
+                        checks.append((a ** k, RationalFunction(a.num ** k, a.den ** k)))
+                    elif not a.is_zero():
+                        checks.append((a ** k, RationalFunction(a.den ** -k, a.num ** -k)))
+                if a.variables() == {VX, VY}:
+                    fx, fy = oracles.partial(a, VX), oracles.partial(a, VY)
+                    checks.append((quotient_of_partials(a),
+                                   RationalFunction(-fx.num * fy.den, fx.den * fy.num)))
+                    slopes += 1
+                for result, general in checks:
+                    assert result == general == RationalFunction(result.num, result.den)
+                pairs += 1
+        assert slopes > 300
 
     def test_substitute(self):
         f = RationalFunction(X ** 2 + Y, Y)
