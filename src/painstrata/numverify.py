@@ -120,8 +120,7 @@ _TERMS_PER_LINE = 64
 _MAX_TEMPLATES = 64
 
 
-def compile_rf(rhs: Sequence[RationalFunction], variables: Sequence[str],
-               tolerances: tuple[float, float] | None = None) -> Callable:
+def compile_rf(rhs: Sequence[RationalFunction], variables: Sequence[str]) -> Callable:
     """A float evaluator ``field(state, t) -> list[float]`` of ``rhs``.
 
     The code is generated once per *shape* and kept in a bounded cache: the
@@ -137,16 +136,16 @@ def compile_rf(rhs: Sequence[RationalFunction], variables: Sequence[str],
     components are evaluated in order, so the first ``ZeroDivisionError``
     or ``OverflowError`` is the same one too.
 
-    With ``tolerances=(abs_tol, rel_tol)`` and one right side per variable,
-    the field also carries ``field.step(t, y, k1, h)``: one Dormand-Prince
-    step with the field inlined at each stage (see ``integrate``).
+    With one right side per variable the field also carries
+    ``field.step(t, y, k1, h, abs_tol, rel_tol)``: one Dormand-Prince step
+    with the field inlined at each stage (see ``integrate``).
     """
     coeffs = []
-    shape = [tuple(variables), tolerances is not None]
+    shape = [tuple(variables)]
     for f in rhs:
         shape.append((_support(f.num, coeffs),
                       None if f.den.is_one() else _support(f.den, coeffs)))
-    return _template(tuple(shape))(coeffs, *(tolerances or ()))
+    return _template(tuple(shape))(coeffs)
 
 
 def _support(poly, coeffs: list) -> tuple:
@@ -167,19 +166,19 @@ def _support(poly, coeffs: list) -> tuple:
 
 @functools.lru_cache(maxsize=_MAX_TEMPLATES)
 def _template(shape) -> Callable:
-    """Compile ``bind(coeffs[, abs_tol, rel_tol])`` for one shape.
+    """Compile ``bind(coeffs)`` for one shape.
 
     The source holds only float literals of the tableau, the names
     ``c0..`` (coefficients), ``y0..``/``s0..`` (state and stage state),
     ``t``/``ts``, ``k<stage>_<i>`` and a few temporaries, and integer
     exponents: never a variable name or user text.
     """
-    variables, stepping, *parts = shape
+    variables, *parts = shape
     dim = len(variables)
     state = [f"y{i}" for i in range(dim)]
     n_coeffs = sum(scaled for part in parts for poly in part if poly
                    for _, scaled in poly)
-    lines = ["def bind(coeffs, abs_tol=None, rel_tol=None):"]
+    lines = ["def bind(coeffs):"]
     if n_coeffs:
         lines.append(f"    {', '.join(f'c{j}' for j in range(n_coeffs))}, = coeffs")
     lines.append("    def field(state, t):")
@@ -188,9 +187,7 @@ def _template(shape) -> Callable:
     outputs = [f"f{i}" for i in range(len(parts))]
     lines += _field_lines(parts, variables, state, "t", outputs)
     lines.append(f"        return [{', '.join(outputs)}]")
-    if stepping:
-        if len(parts) != dim:
-            raise ValueError("a step needs one right-hand side per variable")
+    if len(parts) == dim:
         lines += _step_lines(parts, variables)
         lines.append("    field.step = step")
     lines.append("    return field")
@@ -256,13 +253,13 @@ _STAGES = tuple(zip(_C[1:], _A[1:]))
 
 
 def _step_lines(parts, variables) -> list[str]:
-    """The source of ``step(t, y, k1, h)``, nested in ``bind``.
+    """The source of ``step(t, y, k1, h, abs_tol, rel_tol)``, nested in ``bind``.
 
     It computes the six stages after the first, each stage state followed
     by the field inlined at it, then y4 and the error norm, and returns
-    ``(y5, k7, err, max|y5 - y4|)``, or None when y4 is not finite.  A stage
-    state that is not finite raises ``OverflowError``; a field output that
-    is not finite raises ``ZeroDivisionError``, as ``n / 0.0`` does.
+    ``(y5, k7, err, max|y5 - y4|)``.  It fails only by raising: a stage
+    state or y4 that is not finite raises ``OverflowError``, a field output
+    that is not finite ``ZeroDivisionError``, as ``n / 0.0`` does.
     """
     idx = range(len(variables))
     stage = [f"s{i}" for i in idx]
@@ -278,7 +275,7 @@ def _step_lines(parts, variables) -> list[str]:
     def largest(items) -> str:
         return items[0] if len(items) == 1 else f"max({', '.join(items)})"
 
-    lines = ["    def step(t, y, k1, h):",
+    lines = ["    def step(t, y, k1, h, abs_tol, rel_tol):",
              f"        {''.join(f'y{i}, ' for i in idx)}= y",
              f"        {''.join(f'k1_{i}, ' for i in idx)}= k1"]
     autonomous = all(var != T for part in parts for poly in part if poly
@@ -295,7 +292,7 @@ def _step_lines(parts, variables) -> list[str]:
     # the last stage state is y5; w is y4 and e is |y5 - y4|
     lines += [f"        w{i} = {combination(i, _B4)}" for i in idx]
     lines += [f"        if not ({all_finite(f'w{i}' for i in idx)}):",
-              "            return None"]
+              '            raise OverflowError("embedded state overflow")']
     lines += [f"        e{i} = abs(s{i} - w{i})" for i in idx]
     err = [f"e{i} / (abs_tol + rel_tol * max(abs(y{i}), abs(s{i})))" for i in idx]
     lines.append(f"        return ({''.join(f's{i}, ' for i in idx)}), "
@@ -318,22 +315,21 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
     PoleProximity event is recorded as well.  Events terminate sampling.
 
     ``compile_rf`` gives the field and its step, bound to this system's
-    coefficients and tolerances; the loop here only accepts or rejects,
-    sets the next step size and records events.  Each stage state is
-    ``y + h * sum(a_s[j] * k_j)`` per component, summed by the builtin
-    ``sum`` over the stage's whole row, zeros included: the builtin is
-    compensated from Python 3.12 on, so a chain of ``+`` would round
-    differently there and move every trajectory.
+    coefficients; the loop here passes the tolerances to each step, halves
+    h when a step raises, accepts or rejects, sets the next step size and
+    records events.  Each stage state is ``y + h * sum(a_s[j] * k_j)`` per
+    component, summed by the builtin ``sum`` over the stage's whole row,
+    zeros included: the builtin is compensated from Python 3.12 on, so a
+    chain of ``+`` would round differently there and move every trajectory.
     """
-    field = compile_rf(spec.system.rhs, spec.system.variables,
-                       (spec.abs_tol, spec.rel_tol))
-    step = field.step
+    field = compile_rf(spec.system.rhs, spec.system.variables)
+    step, abs_tol, rel_tol = field.step, spec.abs_tol, spec.rel_tol
     t, y = spec.t0, spec.initial_state
     try:
         k1 = field(y, t)
         if not _finite(k1):
             raise ZeroDivisionError("right-hand side is not finite")
-    except (ZeroDivisionError, OverflowError) as exc:
+    except ArithmeticError as exc:
         raise SingularInitialState(
             f"cannot evaluate the field at the initial state: {exc}") from exc
 
@@ -351,14 +347,11 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
             events.append(Event(BLOWUP, t))
             break
         try:
-            result = step(t, y, k1, h)
-            pole_suspect = False
-        except (ZeroDivisionError, OverflowError) as exc:
-            result, pole_suspect = None, isinstance(exc, ZeroDivisionError)
-        if result is None:
+            y5, k7, err, difference = step(t, y, k1, h, abs_tol, rel_tol)
+        except ArithmeticError as exc:
             h *= 0.5
+            pole_suspect = isinstance(exc, ZeroDivisionError)
         else:
-            y5, k7, err, difference = result
             if err <= 1.0:
                 t += h
                 y, k1 = y5, k7
@@ -381,6 +374,29 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
     return traj
 
 
+def _along(traj: Trajectory, what: str, evaluate: Callable,
+           drift: bool = False) -> list[float]:
+    """``evaluate(state, t)`` at each sample, or with ``drift`` its distance
+    from the first sample's value.  A ``ZeroDivisionError`` there is a pole
+    of ``what``; an ``OverflowError``, or a value or drift that is not
+    finite, makes ``what`` not finite.  Both raise ``PoleOnTrajectory``."""
+    values, base = [], None
+    for t, state in traj.samples:
+        try:
+            value = evaluate(state, t)
+        except ZeroDivisionError as exc:
+            raise PoleOnTrajectory(f"{what} has a pole at t = {t}") from exc
+        except OverflowError:
+            value = math.inf
+        if drift:
+            base = value if base is None else base
+            value = abs(value - base)
+        if not math.isfinite(value):
+            raise PoleOnTrajectory(f"{what} is not finite at t = {t}")
+        values.append(value)
+    return values
+
+
 def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
                           target_rhs: RationalFunction) -> float:
     """Max residual of the implied second derivative against a target.
@@ -392,34 +408,19 @@ def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
     if traj.variables != (curve.variable,):
         raise ValueError("trajectory was not produced by this curve")
     both = compile_rf(curve.sides(target_rhs), traj.variables)
-    residuals = []
-    for t, state in traj.samples:
-        try:
-            implied, target = both(state, t)
-            residuals.append(abs(implied - target))
-        except ZeroDivisionError as exc:
-            raise PoleOnTrajectory(f"residual has a pole at t = {t}") from exc
-    traj.residuals = residuals
-    return max(residuals)
+
+    def residual(state, t):
+        implied, target = both(state, t)
+        return abs(implied - target)
+    traj.residuals = _along(traj, "residual", residual)
+    return max(traj.residuals)
 
 
 def conservation_drift(traj: Trajectory, f: RationalFunction) -> float:
     """Max deviation of a candidate first integral from its initial value."""
     fn = compile_rf((f,), traj.variables)
-    drifts = []
-    base = None
-    for t, state in traj.samples:
-        try:
-            value, = fn(state, t)
-        except ZeroDivisionError as exc:
-            raise PoleOnTrajectory(f"candidate has a pole at t = {t}") from exc
-        if not math.isfinite(value):
-            raise PoleOnTrajectory(f"candidate is not finite at t = {t}")
-        if base is None:
-            base = value
-        drifts.append(abs(value - base))
-    traj.drifts = drifts
-    return max(drifts)
+    traj.drifts = _along(traj, "candidate", lambda s, t: fn(s, t)[0], drift=True)
+    return max(traj.drifts)
 
 
 def log_relation_drift(traj: Trajectory, c: float) -> float:
@@ -430,18 +431,14 @@ def log_relation_drift(traj: Trajectory, c: float) -> float:
     """
     if len(traj.variables) != 2:
         raise ValueError("expected a plane trajectory")
-    drifts = []
-    base = None
-    for t, (x, y) in traj.samples:
+
+    def relation(state, t):
+        x, y = state
         if not (x > 0 and 0 < y < 1):
-            raise RegionViolation(
-                f"sample at t = {t} leaves the region x > 0, 0 < y < 1")
-        value = c * math.log(y) + math.log(1 - y) - math.log(x)
-        if base is None:
-            base = value
-        drifts.append(abs(value - base))
-    traj.drifts = drifts
-    return max(drifts)
+            raise RegionViolation(f"sample at t = {t} leaves the region x > 0, 0 < y < 1")
+        return c * math.log(y) + math.log(1 - y) - math.log(x)
+    traj.drifts = _along(traj, "log relation", relation, drift=True)
+    return max(traj.drifts)
 
 
 def export_csv(traj: Trajectory, stream) -> None:

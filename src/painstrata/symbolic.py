@@ -388,6 +388,8 @@ def verify_first_integral(f: RationalFunction,
     """
     if T in f.variables():
         raise ConstraintError("first-integral check expects an autonomous candidate")
+    if not any(v.differential for v in f.variables()):
+        raise ConstraintError("first-integral check expects a nonconstant candidate")
     return derive(f, {Var(True, name): rhs for name, rhs in field_rhs.items()})
 
 

@@ -248,6 +248,14 @@ class TestVerify:
         assert code == EXIT_NUMERIC
         assert doc["error"]["kind"] == "numeric"
 
+    def test_log_relation_not_finite(self, capsys):
+        # c*log(y) overflows to -inf at the first sample; the drift was NaN
+        code, (doc,) = run(capsys, ["verify", "log-relation", "--c", "1e306",
+                                    "--init", "1,1e-300", "--t1", "1e-320"])
+        assert code == EXIT_NUMERIC
+        assert doc["error"] == {"kind": "numeric",
+                                "message": "log relation is not finite at t = 0.0"}
+
 
 class TestSimulate:
     def test_smooth_window(self, capsys, tmp_path):

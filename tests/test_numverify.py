@@ -30,7 +30,7 @@ from painstrata.numverify import (
     residual_second_order,
 )
 from painstrata.ratfunc import Polynomial, Var
-from painstrata.symbolic import rf
+from painstrata.symbolic import FirstOrderCurve, rf
 
 import oracles
 
@@ -342,10 +342,16 @@ class TestTemplateCache:
             integrate(IntegrationSpec(system, t0, t0 + 0.3, init))
         conservation_drift(integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5))),
                            xc_first_integral(2))
-        # systems with their step, and the candidate's plain evaluator
-        assert {shape[1] for shape in shapes} == {True, False}
         for shape in shapes:
             assert numbers_in(shape) == [], shape
+
+    def test_step_follows_from_the_shape(self, cache):
+        # y' = y and the candidate y on (y,) share one template: whether it
+        # holds a step follows from the shape alone
+        _, info = cache
+        traj = integrate(IntegrationSpec(one_dim("y"), 0.0, 0.3, (1.0,)))
+        conservation_drift(traj, rf("y", variables=("y",)))
+        assert info().misses == 1
 
     def test_bounded(self, cache):
         shapes, info = cache
@@ -387,6 +393,14 @@ class TestResiduals:
                                     p2_second_order_rhs(Fraction(1, 2)))
         assert res < 1e-8
 
+    def test_overflowing_sides(self):
+        # y^400 at y = 10 overflows: no residual is recorded or returned
+        traj = Trajectory(("y",), [(0.0, (1.0,)), (0.1, (10.0,))])
+        curve = FirstOrderCurve("y", rf("y^200", variables=("y",)))
+        with pytest.raises(PoleOnTrajectory, match="residual is not finite at t = 0.1"):
+            residual_second_order(traj, curve, rf("y^400", variables=("y",)))
+        assert traj.residuals is None
+
     def test_trajectory_must_match_curve(self):
         traj = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5)))
         with pytest.raises(ValueError):
@@ -411,6 +425,18 @@ class TestDrift:
         traj = Trajectory(("x", "y"), [(0.0, (1.0, 0.5)), (0.1, (0.0, 0.4))])
         with pytest.raises(PoleOnTrajectory):
             conservation_drift(traj, xc_first_integral(2))
+
+    def test_overflowing_candidate(self):
+        # x^400 overflows at x = 10: a typed error, not a bare OverflowError
+        traj = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (10.0, 0.5)))
+        with pytest.raises(PoleOnTrajectory, match="candidate is not finite at t = 0.0"):
+            conservation_drift(traj, rf("x^400", variables=("x", "y")))
+        assert traj.drifts is None
+
+    def test_log_relation_not_finite(self):
+        traj = Trajectory(("x", "y"), [(0.0, (1.0, 1e-300))])
+        with pytest.raises(PoleOnTrajectory, match="log relation is not finite"):
+            log_relation_drift(traj, 1e306)
 
     def test_log_relation_integer_agreement(self):
         for c in range(1, 6):

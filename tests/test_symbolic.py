@@ -359,6 +359,12 @@ class TestFirstIntegral:
         with pytest.raises(ConstraintError, match="autonomous"):
             verify_first_integral(rf("y + t"), self.FIELD)
 
+    @pytest.mark.parametrize("text", ["1", "2/3 - 1", "x - x"])
+    def test_constant_candidate(self, text):
+        # a constant is conserved along every field and certifies nothing
+        with pytest.raises(ConstraintError, match="nonconstant candidate"):
+            verify_first_integral(rf(text), self.FIELD)
+
 
 class TestQuotientOfPartials:
     @pytest.mark.parametrize("c", range(1, 6))
