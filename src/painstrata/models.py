@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 
 from .exactnum import ComplexRational, ConstraintError, ParameterParseError, parse_cgauss
 from .ratfunc import RationalFunction, Var
-from .symbolic import FirstOrderCurve, T, rf
+from .symbolic import T, rf
 
 
 class Family(enum.Enum):
@@ -398,22 +398,18 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
     return SystemRHS(inst.family, variables, rhs, sing)
 
 
-def p2_second_order_rhs(alpha: Fraction) -> RationalFunction:
-    """The scalar second-order right side: y1' of the second family at alpha."""
-    return system_rhs(FamilyInstance(Family.PII, (ComplexRational(alpha),))).rhs[1]
+def riccati_curve(sign: str) -> RationalFunction:
+    """The right side g of the two signed Riccati curves  y1 = g  of the
+    second family's (y, y1) system at half-integer alpha.
 
-
-def riccati_curve(sign: str) -> FirstOrderCurve:
-    """The two signed order-one curves sitting inside the half-integer fibers.
-
-    ``plus`` is  y' = y^2 + t/2, contained in the alpha = +1/2 fiber, and
-    ``minus`` is its negation, contained in the alpha = -1/2 fiber; the
-    crossed pairings leave the constant residual 1.
+    ``plus`` is  g = y^2 + t/2, invariant at alpha = +1/2, and ``minus`` is
+    its negation, invariant at alpha = -1/2; the crossed pairings leave the
+    constant residuals 1 and -1.
     """
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    rhs = _parsed("y^2 + t/2", variables=("y",))
-    return FirstOrderCurve("y", rhs if sign == "plus" else -rhs)
+    g = _parsed("y^2 + t/2", variables=("y",))
+    return g if sign == "plus" else -g
 
 
 def xc_first_integral(c: int, convention: str = "y_minus_one") -> RationalFunction:

@@ -1,4 +1,4 @@
-"""Floating-point trajectory checks: residuals, conservation drift, blow-up.
+"""Floating-point trajectory checks: conservation drift and blow-up.
 
 The integrator is an adaptive Dormand-Prince 5(4) embedded pair.  Blow-up is
 an expected event, not an error: trajectories of these systems have movable
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .exactnum import ConstraintError
 from .models import SystemRHS
 from .ratfunc import RationalFunction, Var
-from .symbolic import FirstOrderCurve, T
+from .symbolic import T
 
 BLOWUP = "BlowUp"
 POLE_PROXIMITY = "PoleProximity"
@@ -59,7 +59,6 @@ class Trajectory:
     samples: list[tuple[float, tuple[float, ...]]]
     events: list[Event] = field(default_factory=list)
     error_estimate: float = 0.0
-    residuals: list[float] | None = None
     drifts: list[float] | None = None
 
     @property
@@ -397,25 +396,6 @@ def _along(traj: Trajectory, what: str, evaluate: Callable,
     return values
 
 
-def residual_second_order(traj: Trajectory, curve: FirstOrderCurve,
-                          target_rhs: RationalFunction) -> float:
-    """Max residual of the implied second derivative against a target.
-
-    The trajectory must come from integrating the curve as a one-dimensional
-    system; both sides are those ``verify_subvariety`` compares, evaluated
-    apart so that the residual is a difference of floats.
-    """
-    if traj.variables != (curve.variable,):
-        raise ValueError("trajectory was not produced by this curve")
-    both = compile_rf(curve.sides(target_rhs), traj.variables)
-
-    def residual(state, t):
-        implied, target = both(state, t)
-        return abs(implied - target)
-    traj.residuals = _along(traj, "residual", residual)
-    return max(traj.residuals)
-
-
 def conservation_drift(traj: Trajectory, f: RationalFunction) -> float:
     """Max deviation of a candidate first integral from its initial value."""
     fn = compile_rf((f,), traj.variables)
@@ -442,12 +422,13 @@ def log_relation_drift(traj: Trajectory, c: float) -> float:
 
 
 def export_csv(traj: Trajectory, stream) -> None:
-    """Write samples as CSV; events become trailing comment lines."""
+    """Write samples as CSV; events become trailing comment lines.  The
+    ``residual`` column is kept in the header for readers of the layout, and
+    its cells are always empty."""
     header = ["t", *traj.variables, "residual", "drift"]
     stream.write(",".join(header) + "\n")
     for i, (t, state) in enumerate(traj.samples):
-        row = [repr(t), *(repr(v) for v in state)]
-        row.append(repr(traj.residuals[i]) if traj.residuals else "")
+        row = [repr(t), *(repr(v) for v in state), ""]
         row.append(repr(traj.drifts[i]) if traj.drifts else "")
         stream.write(",".join(row) + "\n")
     for event in traj.events:

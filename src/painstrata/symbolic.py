@@ -2,7 +2,7 @@
 
 The one derivation, :func:`derive`, treats ``t`` as the element with
 derivative 1, declared parameters as constants and each differential variable
-as having the derivative its field assigns, so the curve containment and
+as having the derivative its field assigns, so the invariant-curve and
 first-integral checks below are exact identities over Q(parameter symbols).
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 import string
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .exactnum import ConstraintError
@@ -344,39 +343,27 @@ def derive(f: RationalFunction,
 # The verification operations.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FirstOrderCurve:
-    """An order-one curve  v' = rhs(v, t)  inside a second-order fiber."""
+def verify_subvariety(field_rhs: Mapping, variable: str,
+                      g: RationalFunction) -> RationalFunction:
+    """The residual of the curve  variable = g  under a first-order field:
+    derive(g) minus the field's ``variable`` component, both restricted to
+    the curve.  Zero iff the curve is invariant.
 
-    variable: str
-    rhs: RationalFunction
+    ``field_rhs`` maps variable names to rational functions.  The components
+    g moves along are restricted to the curve before g is derived along
+    them, so no derivative holds the eliminated variable.
+    """
+    v, moving = Var(True, variable), g.variables()
+    if variable not in field_rhs:
+        raise ConstraintError(f"the field has no component for {v}")
+    if v in moving:
+        raise ConstraintError(f"the curve {v} = {g} involves {v} itself")
 
-    def __post_init__(self):
-        for v in sorted(self.rhs.variables()):
-            if v.differential and (v.order != 0 or v.name != self.variable):
-                raise ValueError(
-                    f"curve right side may only involve {self.variable!r} "
-                    f"at order zero, t and parameters; found {v}")
-
-    def sides(self, target: RationalFunction) -> tuple[RationalFunction, RationalFunction]:
-        """The two sides of  v'' = target  on the curve: its right side derived
-        along the curve itself, and the target with v' replaced by that side."""
-        y, y1 = Var(True, self.variable), Var(True, self.variable, 1)
-        for v in sorted(target.variables()):
-            if v.differential and (v.name != self.variable or v.order > 1):
-                raise ValueError(f"target involves {v}, which is outside the "
-                                 f"order-one frame of the curve in {self.variable!r}")
-        if y1 in target.variables():
-            target = target.substitute({y1: self.rhs})
-        return derive(self.rhs, {y: self.rhs}), target
-
-
-def verify_subvariety(curve: FirstOrderCurve,
-                      target: RationalFunction) -> RationalFunction:
-    """The residual of  v'' = target  on solutions of the curve: zero iff
-    the curve lies inside the fiber."""
-    implied, on_curve = curve.sides(target)
-    return implied - on_curve
+    def on_curve(f: RationalFunction) -> RationalFunction:
+        return f.substitute({v: g}) if v in f.variables() else f
+    restricted = {w: on_curve(rhs) for name, rhs in field_rhs.items()
+                  if (w := Var(True, name)) in moving}
+    return derive(g, restricted) - on_curve(field_rhs[variable])
 
 
 def verify_first_integral(f: RationalFunction,

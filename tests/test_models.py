@@ -25,13 +25,12 @@ from painstrata.models import (
     imp_slope_rhs,
     in_fundamental_region_p4,
     orbit_search,
-    p2_second_order_rhs,
     reduce_to_fundamental_region_p4,
     riccati_curve,
     system_rhs,
     xc_first_integral,
 )
-from painstrata.symbolic import rf
+from painstrata.symbolic import derive, rf, verify_subvariety
 
 import oracles
 
@@ -112,9 +111,98 @@ class TestSystems:
         sys = system_rhs(inst)
         assert sys.free_parameters() == {"a"}
 
-    def test_p2_second_order_rhs(self):
-        assert p2_second_order_rhs(Fraction(1, 2)) == \
-            rf("2*y^3 + t*y + 1/2", variables=("y",))
+
+PARAMS = ("v1", "v2", "v3", "v4")
+
+
+def generic_system(family: str):
+    """The shipped system with every parameter left symbolic."""
+    n = models.PARAM_COUNT[Family(family)]
+    return system_rhs(FamilyInstance.from_strings(family, ["generic"] * n))
+
+
+def field_of(system) -> dict:
+    return {Var(True, name): f for name, f in system.as_map().items()}
+
+
+class TestInvariantCurves:
+    """The order-one invariant curves on the reflection walls: each curve's
+    residual on the shipped field depends only on the parameters and t, so
+    the curve is invariant exactly where it vanishes."""
+
+    @pytest.mark.parametrize("family, variable, curve, residual", [
+        ("p4", "q", "0", "-2*v1 + 2*v2"),
+        ("p4", "p", "0", "-2*v1 + 2*v3"),
+        ("p4", "p", "q + 2*t", "-2*v2 + 2*v3 + 2"),
+        ("p5", "q", "0", "(v1 - v2)/t"),
+        ("p5", "q", "1", "(v3 - v4)/t"),
+        ("p5", "p", "0", "v1 - v3"),
+        ("p5", "p", "-t", "v2 - v4 - 1"),
+        ("p3", "p", "0", "-(v1 + v2)/(2*t)"),
+        ("p3", "p", "1", "(v1 - v2)/(2*t)"),
+    ])
+    def test_wall_residuals(self, family, variable, curve, residual):
+        system = generic_system(family)
+        g = rf(curve, variables=system.variables)
+        assert verify_subvariety(system.as_map(), variable, g) == \
+            rf(residual, params=PARAMS, variables=())
+
+    def test_shifted_curve_is_not_invariant(self):
+        system = generic_system("p4")
+        out = verify_subvariety(system.as_map(), "p", rf("q + 2*t + 1"))
+        assert out == rf("2*q + 2*t - 2*v2 + 2*v3 + 3", params=PARAMS)
+
+
+class TestScalarEquations:
+    """The shipped (q, p) systems imply the scalar Painleve equations: the
+    second derivative along the field minus the scalar right side, with the
+    first derivative replaced by the field's, is zero on the phase space."""
+
+    def test_p4(self):
+        system = generic_system("p4")
+        dq = system.rhs[0]
+        rhs = rf("q'^2/(2*q) + 3/2*q^3 + 4*t*q^2 + 2*(t^2 - alpha)*q + beta/q",
+                 params=("alpha", "beta"))
+        rhs = rhs.substitute({Var(False, "alpha"): rf("1 - v1 - v2 + 2*v3", params=PARAMS),
+                              Var(False, "beta"): rf("-2*(v1 - v2)^2", params=PARAMS),
+                              Var(True, "q", 1): dq})
+        assert derive(dq, field_of(system)) == rhs
+
+    @pytest.mark.parametrize("v", [("1/3", "-2/5", "7/4", "-101/60"),
+                                   ("2", "1/7", "-1", "-8/7")])
+    def test_p5(self, v):
+        # y = 1 - 1/q satisfies P_V with delta = -1/2
+        field = field_of(system_rhs(FamilyInstance.from_strings("p5", v)))
+        v1, v2, v3, v4 = (Fraction(c) for c in v)
+        y = rf("1 - 1/q")
+        dy = derive(y, field)
+        rhs = rf("(1/(2*y) + 1/(y - 1))*y'^2 - y'/t + (y - 1)^2/t^2*(alpha*y + beta/y)"
+                 " + gamma*y/t + delta*y*(y + 1)/(y - 1)",
+                 params=("alpha", "beta", "gamma", "delta"))
+        rhs = rhs.substitute({Var(False, "alpha"): (v1 - v2) ** 2 / 2,
+                              Var(False, "beta"): -(v3 - v4) ** 2 / 2,
+                              Var(False, "gamma"): 1 - 2 * (v1 + v2),
+                              Var(False, "delta"): Fraction(-1, 2),
+                              Var(True, "y"): y, Var(True, "y", 1): dy})
+        assert derive(dy, field) == rhs
+
+
+class TestDivergence:
+    """Each Hamiltonian system has dF_q/dq + dF_p/dp = 0."""
+
+    @pytest.mark.parametrize("family", [
+        "p2",
+        pytest.param("p3", marks=pytest.mark.xfail(
+            strict=True, reason="the shipped p3 field has divergence -2*v1/t, "
+                                "so it is not Hamiltonian (ROADMAP item 1)")),
+        "p4",
+        "p5",
+    ])
+    def test_divergence_free(self, family):
+        system = generic_system(family)
+        div = sum((oracles.partial(f, Var(True, name))
+                   for name, f in system.as_map().items()), rf("0"))
+        assert div.is_zero(), div
 
 
 class TestGenerators:
@@ -333,8 +421,8 @@ class TestTextEquivalence:
 
 class TestFixtures:
     def test_riccati_signs(self):
-        assert riccati_curve("plus").rhs == rf("y^2 + t/2", variables=("y",))
-        assert riccati_curve("minus").rhs == rf("-y^2 - t/2", variables=("y",))
+        assert riccati_curve("plus") == rf("y^2 + t/2", variables=("y",))
+        assert riccati_curve("minus") == rf("-y^2 - t/2", variables=("y",))
         with pytest.raises(ValueError):
             riccati_curve("up")
 

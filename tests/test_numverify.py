@@ -1,6 +1,6 @@
 """Integrator accuracy and bit identity with the reference loop, the
-generated field and its template cache, residual/drift checks, events and
-CSV export."""
+generated field and its template cache, drift checks, events and CSV
+export."""
 
 import collections
 import io
@@ -13,7 +13,7 @@ import pytest
 from painstrata import numverify
 from painstrata.exactnum import ComplexRational, ConstraintError
 from painstrata.models import Family, FamilyInstance, SystemRHS, riccati_curve, \
-    p2_second_order_rhs, system_rhs, xc_first_integral
+    system_rhs, xc_first_integral
 from painstrata.numverify import (
     BLOWUP,
     DEFAULT_BLOWUP_THRESHOLD,
@@ -27,10 +27,9 @@ from painstrata.numverify import (
     export_csv,
     integrate,
     log_relation_drift,
-    residual_second_order,
 )
 from painstrata.ratfunc import Polynomial, Var
-from painstrata.symbolic import FirstOrderCurve, rf
+from painstrata.symbolic import rf
 
 import oracles
 
@@ -364,48 +363,36 @@ class TestTemplateCache:
         assert info().currsize == bound
 
 
+def riccati_drift(sign: str, fiber: Fraction) -> tuple[float, Trajectory]:
+    """The drift of y1 - g along the (y, y1) system at alpha = fiber, started
+    on the ``sign`` curve y1 = g at (t, y) = (0, 1), over [0, 1/2]."""
+    g = riccati_curve(sign)
+    system = system_rhs(FamilyInstance(Family.PII, (CR(fiber),)))
+    start = (1.0, 1.0 if sign == "plus" else -1.0)
+    traj = integrate(IntegrationSpec(system, 0.0, 0.5, start))
+    assert traj.completed
+    return conservation_drift(traj, rf("y1") - g), traj
+
+
 class TestResiduals:
-    def run_riccati(self, sign: str):
-        text = "y^2 + t/2" if sign == "plus" else "-y^2 - t/2"
-        system = one_dim(text)
-        if sign == "plus":
-            # the growing branch blows up quickly; keep a short window
-            return integrate(IntegrationSpec(system, 0.0, 0.2, (0.1,)))
-        return integrate(IntegrationSpec(system, 0.0, 0.5, (1.0,)))
-
     def test_matched_residual_small(self):
-        traj = self.run_riccati("minus")
-        res = residual_second_order(traj, riccati_curve("minus"),
-                                    p2_second_order_rhs(Fraction(-1, 2)))
-        assert res < 1e-8
-        assert traj.residuals is not None
-        assert max(traj.residuals) == res
+        drift, traj = riccati_drift("minus", Fraction(-1, 2))
+        assert drift < 1e-8
+        assert traj.drifts[0] == 0.0
+        assert max(traj.drifts) == drift
 
-    def test_crossed_residual_is_one(self):
-        traj = self.run_riccati("minus")
-        res = residual_second_order(traj, riccati_curve("minus"),
-                                    p2_second_order_rhs(Fraction(1, 2)))
-        assert abs(res - 1.0) < 1e-9
+    def test_crossed_fiber_drifts(self):
+        assert riccati_drift("minus", Fraction(1, 2))[0] > 0.1
+        assert riccati_drift("plus", Fraction(-1, 2))[0] > 0.1
 
     def test_plus_branch_matches_its_fiber(self):
-        traj = self.run_riccati("plus")
-        res = residual_second_order(traj, riccati_curve("plus"),
-                                    p2_second_order_rhs(Fraction(1, 2)))
-        assert res < 1e-8
-
-    def test_overflowing_sides(self):
-        # y^400 at y = 10 overflows: no residual is recorded or returned
-        traj = Trajectory(("y",), [(0.0, (1.0,)), (0.1, (10.0,))])
-        curve = FirstOrderCurve("y", rf("y^200", variables=("y",)))
-        with pytest.raises(PoleOnTrajectory, match="residual is not finite at t = 0.1"):
-            residual_second_order(traj, curve, rf("y^400", variables=("y",)))
-        assert traj.residuals is None
+        assert riccati_drift("plus", Fraction(1, 2))[0] < 1e-8
 
     def test_trajectory_must_match_curve(self):
+        # y1 - g names a variable the plane trajectory does not have
         traj = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5)))
-        with pytest.raises(ValueError):
-            residual_second_order(traj, riccati_curve("minus"),
-                                  p2_second_order_rhs(Fraction(-1, 2)))
+        with pytest.raises(ValueError, match="unbound variable y1"):
+            conservation_drift(traj, rf("y1") - riccati_curve("minus"))
 
 
 class TestDrift:

@@ -11,7 +11,6 @@ from painstrata.ratfunc import DivisionByZeroExpression, RationalFunction, Var
 from painstrata.exactnum import ConstraintError
 from painstrata.symbolic import (
     ExprSyntaxError,
-    FirstOrderCurve,
     T,
     UnsupportedExponentError,
     derive,
@@ -26,6 +25,13 @@ import oracles
 Y, Y1, Y2 = Var(True, "y"), Var(True, "y", 1), Var(True, "y", 2)
 X = Var(True, "x")
 A = Var(False, "a")
+
+
+def second_order_field(target: RationalFunction) -> dict:
+    """The first-order field {y: y1, y1: target} of  y'' = target, with the
+    target's y' renamed to the order-zero variable y1."""
+    y1 = RationalFunction.variable(Var(True, "y1"))
+    return {"y": y1, "y1": target.substitute({Y1: y1})}
 
 
 def primed(f: RationalFunction) -> RationalFunction:
@@ -221,7 +227,7 @@ class TestDerivation:
         for seed in range(300):
             rhs, target = oracles.random_curve_case(random.Random(f"curve:{seed}"))
             expected = oracles.subvariety_residual("y", rhs, target)
-            assert verify_subvariety(FirstOrderCurve("y", rhs), target) == expected, seed
+            assert verify_subvariety(second_order_field(target), "y1", rhs) == expected, seed
             mentions_y1 += Y1 in target.variables()
         assert mentions_y1 >= 100
 
@@ -303,41 +309,46 @@ class TestCanonicalEqual:
 
 
 class TestSubvariety:
-    def curve(self, text):
-        return FirstOrderCurve("y", rf(text))
+    def residual(self, g, target):
+        return verify_subvariety(second_order_field(rf(target)), "y1", rf(g))
 
     def test_plus_contained(self):
-        out = verify_subvariety(self.curve("y^2 + t/2"), rf("2*y^3 + t*y + 1/2"))
-        assert out.is_zero()
+        assert self.residual("y^2 + t/2", "2*y^3 + t*y + 1/2").is_zero()
 
     def test_minus_contained(self):
-        out = verify_subvariety(self.curve("-y^2 - t/2"), rf("2*y^3 + t*y - 1/2"))
-        assert out.is_zero()
+        assert self.residual("-y^2 - t/2", "2*y^3 + t*y - 1/2").is_zero()
 
     def test_crossed_residual_one(self):
-        out = verify_subvariety(self.curve("y^2 + t/2"), rf("2*y^3 + t*y - 1/2"))
+        out = self.residual("y^2 + t/2", "2*y^3 + t*y - 1/2")
         assert out == RationalFunction.constant(1)
 
     def test_target_may_use_first_derivative(self):
-        # y' = y  sits inside  y'' = y'
-        out = verify_subvariety(self.curve("y"), rf("y'"))
-        assert out.is_zero()
+        # y1 = y  is invariant under  y'' = y'
+        assert self.residual("y", "y'").is_zero()
 
     def test_rejects_foreign_variables(self):
-        with pytest.raises(ValueError):
-            verify_subvariety(self.curve("y"), rf("q + y"))
-        with pytest.raises(ValueError):
-            verify_subvariety(self.curve("y"), rf("y''"))
+        # a variable without a field component, as the curve's or in g
+        with pytest.raises(ConstraintError, match="no component for q"):
+            verify_subvariety({"y": rf("y")}, "q", rf("y"))
+        with pytest.raises(ConstraintError, match="supplied for q"):
+            verify_subvariety({"y": rf("y")}, "y", rf("q"))
 
     def test_curve_invariant_rejects_higher_order(self):
-        with pytest.raises(ValueError):
-            FirstOrderCurve("y", rf("y' + 1"))
+        # g may not involve the curve's own variable, nor a primed one
+        with pytest.raises(ConstraintError, match="involves y1"):
+            verify_subvariety(second_order_field(rf("y")), "y1", rf("y1 + 1"))
+        with pytest.raises(ConstraintError, match="supplied for y'"):
+            verify_subvariety(second_order_field(rf("y")), "y1", rf("y'"))
+
+    def test_restricts_before_deriving(self):
+        # x' = y1 - x, y1' = ..., curve y1 = x: derive(x) on the curve is 0
+        field = {"x": rf("y1 - x"), "y1": rf("t*x")}
+        assert verify_subvariety(field, "y1", rf("x")) == rf("-t*x")
 
     def test_substitution_pole_names_factor(self):
-        # the target's denominator vanishes identically once y' is eliminated
+        # the target's denominator vanishes identically on the curve
         with pytest.raises(DivisionByZeroExpression, match="vanishes"):
-            verify_subvariety(self.curve("y^2 + t/2"),
-                              rf("1/(y' - y^2 - t/2)"))
+            self.residual("y^2 + t/2", "1/(y' - y^2 - t/2)")
 
 
 class TestFirstIntegral:
