@@ -394,7 +394,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
                 f"coordinate {name}={value} has a nonzero imaginary part")
         env[Var(False, name)] = value.as_fraction()
     rhs = tuple(_parsed(text, params=param_names, variables=variables)
-                .substitute_values(env) for text in texts)
+                .substitute(env) for text in texts)
     return SystemRHS(inst.family, variables, rhs, sing)
 
 

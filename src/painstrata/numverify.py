@@ -373,13 +373,12 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
     return traj
 
 
-def _along(traj: Trajectory, what: str, evaluate: Callable,
-           drift: bool = False) -> list[float]:
-    """``evaluate(state, t)`` at each sample, or with ``drift`` its distance
-    from the first sample's value.  A ``ZeroDivisionError`` there is a pole
-    of ``what``; an ``OverflowError``, or a value or drift that is not
-    finite, makes ``what`` not finite.  Both raise ``PoleOnTrajectory``."""
-    values, base = [], None
+def _along(traj: Trajectory, what: str, evaluate: Callable) -> list[float]:
+    """The drift of ``evaluate(state, t)``: its distance at each sample from
+    the first sample's value.  A ``ZeroDivisionError`` there is a pole of
+    ``what``; an ``OverflowError``, or a value or drift that is not finite,
+    makes ``what`` not finite.  Both raise ``PoleOnTrajectory``."""
+    drifts, base = [], None
     for t, state in traj.samples:
         try:
             value = evaluate(state, t)
@@ -387,19 +386,17 @@ def _along(traj: Trajectory, what: str, evaluate: Callable,
             raise PoleOnTrajectory(f"{what} has a pole at t = {t}") from exc
         except OverflowError:
             value = math.inf
-        if drift:
-            base = value if base is None else base
-            value = abs(value - base)
-        if not math.isfinite(value):
+        base = value if base is None else base
+        if not math.isfinite(drift := abs(value - base)):
             raise PoleOnTrajectory(f"{what} is not finite at t = {t}")
-        values.append(value)
-    return values
+        drifts.append(drift)
+    return drifts
 
 
 def conservation_drift(traj: Trajectory, f: RationalFunction) -> float:
     """Max deviation of a candidate first integral from its initial value."""
     fn = compile_rf((f,), traj.variables)
-    traj.drifts = _along(traj, "candidate", lambda s, t: fn(s, t)[0], drift=True)
+    traj.drifts = _along(traj, "candidate", lambda s, t: fn(s, t)[0])
     return max(traj.drifts)
 
 
@@ -417,7 +414,7 @@ def log_relation_drift(traj: Trajectory, c: float) -> float:
         if not (x > 0 and 0 < y < 1):
             raise RegionViolation(f"sample at t = {t} leaves the region x > 0, 0 < y < 1")
         return c * math.log(y) + math.log(1 - y) - math.log(x)
-    traj.drifts = _along(traj, "log relation", relation, drift=True)
+    traj.drifts = _along(traj, "log relation", relation)
     return max(traj.drifts)
 
 

@@ -94,7 +94,7 @@ def _coeff(value):
     integral, else a ``Fraction``."""
     if value.__class__ is int:
         return value
-    value = Fraction(value)
+    value = value if value.__class__ is Fraction else Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -246,21 +246,6 @@ class Polynomial:
                     out[m[:i] + lowered + m[i + 1:]] = c * e
                     break
         return _raw(out)
-
-    def substitute_values(self, env: Mapping) -> "Polynomial":
-        """Replace some variables by exact rational values."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            coeff = c
-            rest = []
-            for var, e in m:
-                if var in env:
-                    coeff *= _coeff(env[var]) ** e
-                else:
-                    rest.append((var, e))
-            mono = tuple(rest)
-            out[mono] = out.get(mono, 0) + coeff
-        return Polynomial(out)
 
     def as_univariate(self, var) -> dict[int, "Polynomial"]:
         """View as a univariate polynomial in ``var`` with Polynomial coefficients."""
@@ -524,19 +509,23 @@ class RationalFunction:
         return RationalFunction(num ** abs(exp), den ** abs(exp), reduced=True)
 
     def substitute(self, mapping: Mapping) -> "RationalFunction":
-        """Replace variables by rational functions (or exact rational values)."""
-        rf_map = {var: _as_rf(value) for var, value in mapping.items()}
-        den_sub = _poly_sub(self.den, rf_map)
-        if den_sub.is_zero():
+        """Replace variables by exact rational values or rational functions,
+        all at once, composed as :func:`_compose` says and reduced by one gcd.
+        A mapping in which no variable of self occurs returns self."""
+        present = self.variables()
+        values = {v: _coeff(x) for v, x in mapping.items()
+                  if v in present and isinstance(x, (int, Fraction))}
+        quotients = {v: _as_rf(x) for v, x in mapping.items() if v in present and v not in values}
+        if not values and not quotients:
+            return self
+        # num and den over the same common denominator prod d^E, which cancels
+        tops = {v: max(self.num.degree_in(v), self.den.degree_in(v)) for v in quotients}
+        powers: dict = {}
+        num, den = (_compose(p, values, quotients, tops, powers) for p in (self.num, self.den))
+        if den.is_zero():
             raise DivisionByZeroExpression(
                 f"factor {poly_to_str(self.den)} vanishes under substitution")
-        return _poly_sub(self.num, rf_map) / den_sub
-
-    def substitute_values(self, env: Mapping) -> "RationalFunction":
-        den = self.den.substitute_values(env)
-        if den.is_zero():
-            raise DivisionByZeroExpression("substitution makes the denominator vanish")
-        return RationalFunction(self.num.substitute_values(env), den)
+        return RationalFunction(num, den)
 
     def __str__(self) -> str:
         if self.den.is_one():
@@ -549,30 +538,45 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-RF_ZERO = RationalFunction(ZERO)
-
-
 def _as_rf(value):
     if isinstance(value, RationalFunction):
         return value
-    if isinstance(value, Polynomial):
-        return RationalFunction(value)
-    if isinstance(value, (int, Fraction)):
-        return RationalFunction(Polynomial.constant(value))
+    if isinstance(value, (Polynomial, int, Fraction)):
+        return RationalFunction(value, reduced=True)   # over 1: reduced
     return NotImplemented
 
 
-def _poly_sub(p: Polynomial, rf_map: Mapping) -> RationalFunction:
-    total = RF_ZERO
+def _compose(p: Polynomial, values: Mapping, quotients: Mapping, tops: Mapping,
+             powers: dict) -> Polynomial:
+    """p with values and quotients n/d put in, times the common denominator:
+    the product of d^E, E = tops[v] at least p's degree in the quotient's v.
+    A value multiplies into each term's coefficient; a term holding v^e takes
+    n^e * d^(E - e), kept in ``powers`` per (v, e)."""
+    buckets: dict = {}
     for m, c in p.terms.items():
-        term = RationalFunction(Polynomial.constant(c))
+        moved, rest = [], []
         for var, e in m:
-            base = rf_map.get(var)
-            if base is None:
-                base = RationalFunction.variable(var)
-            term = term * base ** e
-        total = total + term
-    return total
+            if var in values:
+                c = c * values[var] ** e if e > 1 else c * values[var]
+            elif var in quotients:
+                moved.append((var, e))
+            else:
+                rest.append((var, e))
+        bucket, mono = buckets.setdefault(tuple(moved), {}), tuple(rest)
+        bucket[mono] = bucket.get(mono, 0) + c
+    if not tops:
+        return Polynomial(buckets.get(()))
+    out: dict = {}
+    for moved, bucket in buckets.items():
+        term, exps = _raw(bucket), dict(moved)
+        for var, top in tops.items():
+            e = exps.get(var, 0)
+            if (var, e) not in powers:
+                powers[var, e] = quotients[var].num ** e * quotients[var].den ** (top - e)
+            term = term * powers[var, e]
+        for m, c in term.terms.items():
+            out[m] = out.get(m, 0) + c
+    return Polynomial(out)
 
 
 def poly_to_str(p: Polynomial) -> str:

@@ -358,12 +358,9 @@ def verify_subvariety(field_rhs: Mapping, variable: str,
         raise ConstraintError(f"the field has no component for {v}")
     if v in moving:
         raise ConstraintError(f"the curve {v} = {g} involves {v} itself")
-
-    def on_curve(f: RationalFunction) -> RationalFunction:
-        return f.substitute({v: g}) if v in f.variables() else f
-    restricted = {w: on_curve(rhs) for name, rhs in field_rhs.items()
+    restricted = {w: rhs.substitute({v: g}) for name, rhs in field_rhs.items()
                   if (w := Var(True, name)) in moving}
-    return derive(g, restricted) - on_curve(field_rhs[variable])
+    return derive(g, restricted) - field_rhs[variable].substitute({v: g})
 
 
 def verify_first_integral(f: RationalFunction,

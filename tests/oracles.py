@@ -9,8 +9,10 @@ rational functions are evaluated in floats term by term (not by the
 package's generated code), trajectories come from a plain stage loop
 over the Dormand-Prince tableau written as fractions (not from the
 package's generated step), the curve check raises primes and then
-substitutes (not the package's derivation along the curve), and partial
-derivatives follow the textbook quotient rule (not that derivation).  Random
+substitutes (not the package's derivation along the curve), substitution
+rebuilds each term by rational products and sums (not the package's
+composition over a common denominator), and partial derivatives follow the
+textbook quotient rule (not that derivation).  Random
 parameter vectors come from seeded generators so frozen expectations stay
 stable.
 """
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from painstrata.exactnum import ComplexRational
 from painstrata.models import SpecialValue
-from painstrata.ratfunc import Polynomial, RationalFunction, Var
+from painstrata.ratfunc import DivisionByZeroExpression, Polynomial, RationalFunction, Var
 from painstrata.symbolic import T
 
 # the vectors with exactly two nonzero entries, each +-1
@@ -347,6 +349,80 @@ def random_field_case(rng: random.Random):
 
 
 # --------------------------------------------------------------------------
+# Substitution term by term, by rational products and sums.
+# --------------------------------------------------------------------------
+
+def substitute(f: RationalFunction, mapping) -> RationalFunction:
+    """f with the mapping's variables replaced at once by exact values or
+    rational functions: each term of numerator and denominator is rebuilt as
+    a product of rational powers, and the terms are summed."""
+    def value(var) -> RationalFunction:
+        if var not in mapping:
+            return RationalFunction.variable(var)
+        v = mapping[var]
+        return v if isinstance(v, RationalFunction) else RationalFunction(Polynomial.constant(v))
+
+    def compose(p: Polynomial) -> RationalFunction:
+        total = RationalFunction(Polynomial())
+        for mono, c in p.terms.items():
+            term = RationalFunction(Polynomial.constant(c))
+            for var, e in mono:
+                term = term * value(var) ** e
+            total = total + term
+        return total
+    den = compose(f.den)
+    if den.is_zero():
+        raise DivisionByZeroExpression("the denominator vanishes")
+    return compose(f.num) / den
+
+
+def random_substitution_case(rng: random.Random):
+    """``(f, mapping)``: f a quotient of small polynomials in t, x and y; the
+    mapping sends one or two of x, y and z (z never occurs in f) to exact
+    values (0, negative, non-integer) or to quotients with nonconstant
+    denominators.  About one case in eight makes f's denominator vanish: it
+    is  d*v - n  and the mapping sends v to n/d.  The polynomials stay
+    small, since a gcd of larger ones in three variables can take minutes."""
+    x, y, z = Var(True, "x"), Var(True, "y"), Var(True, "z")
+    pool = [T, x, y]
+
+    def small(variables, n_terms) -> Polynomial:
+        terms = {}
+        for _ in range(n_terms):
+            chosen = sorted(rng.sample(variables, rng.randint(0, len(variables))),
+                            key=variable_rank)
+            terms[tuple((v, rng.randint(1, 2)) for v in chosen)] = Fraction(
+                rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((1, 1, 2, 3)))
+        return Polynomial(terms)
+
+    def nonconstant(variables) -> Polynomial:
+        while (p := small(variables, rng.randint(1, 2))).is_constant():
+            pass
+        return p
+
+    def value(variables):
+        draw = rng.random()
+        if draw < 0.1:
+            return 0
+        if draw < 0.4:
+            return Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+        return RationalFunction(small(variables, rng.randint(1, 2)), nonconstant(variables))
+
+    chosen = rng.sample([x, y, z], rng.randint(1, 2))
+    mapping = {v: value(rng.sample(pool, 2)) for v in chosen}
+    num = small(pool, rng.randint(1, 3))
+    if rng.random() < 0.125 and chosen[0] != z:
+        v = chosen[0]
+        mapping[v] = value([w for w in pool if w not in chosen])
+        target = mapping[v] if isinstance(mapping[v], RationalFunction) else RationalFunction(
+            Polynomial.constant(mapping[v]))
+        den = target.den * Polynomial.variable(v) - target.num
+    else:
+        den = nonconstant(pool) if rng.random() < 0.7 else Polynomial.constant(1)
+    return RationalFunction(num, den), mapping
+
+
+# --------------------------------------------------------------------------
 # The curve check in two steps: raise the primes, then eliminate y'.
 # --------------------------------------------------------------------------
 
@@ -375,7 +451,7 @@ def subvariety_residual(variable: str, rhs: RationalFunction,
     """v'' - target on the curve v' = rhs: the raised derivative of rhs and
     the target, each with v' replaced by rhs."""
     on_curve = {Var(True, variable, 1): rhs}
-    return raised_derivative(rhs).substitute(on_curve) - target.substitute(on_curve)
+    return substitute(raised_derivative(rhs), on_curve) - substitute(target, on_curve)
 
 
 def random_curve_case(rng: random.Random):

@@ -168,12 +168,10 @@ class TestScalarEquations:
                               Var(True, "q", 1): dq})
         assert derive(dq, field_of(system)) == rhs
 
-    @pytest.mark.parametrize("v", [("1/3", "-2/5", "7/4", "-101/60"),
-                                   ("2", "1/7", "-1", "-8/7")])
-    def test_p5(self, v):
-        # y = 1 - 1/q satisfies P_V with delta = -1/2
-        field = field_of(system_rhs(FamilyInstance.from_strings("p5", v)))
-        v1, v2, v3, v4 = (Fraction(c) for c in v)
+    @staticmethod
+    def p5_residual(field, v1, v2, v3, v4, gamma_shift=0):
+        """derive(y') minus P_V's right side, for y = 1 - 1/q along the field
+        and alpha, beta, gamma, delta as the v's map to them."""
         y = rf("1 - 1/q")
         dy = derive(y, field)
         rhs = rf("(1/(2*y) + 1/(y - 1))*y'^2 - y'/t + (y - 1)^2/t^2*(alpha*y + beta/y)"
@@ -181,10 +179,28 @@ class TestScalarEquations:
                  params=("alpha", "beta", "gamma", "delta"))
         rhs = rhs.substitute({Var(False, "alpha"): (v1 - v2) ** 2 / 2,
                               Var(False, "beta"): -(v3 - v4) ** 2 / 2,
-                              Var(False, "gamma"): 1 - 2 * (v1 + v2),
+                              Var(False, "gamma"): 1 - 2 * (v1 + v2) + gamma_shift,
                               Var(False, "delta"): Fraction(-1, 2),
                               Var(True, "y"): y, Var(True, "y", 1): dy})
-        assert derive(dy, field) == rhs
+        return derive(dy, field) - rhs
+
+    @pytest.mark.parametrize("v", [("1/3", "-2/5", "7/4", "-101/60"),
+                                   ("2", "1/7", "-1", "-8/7")])
+    def test_p5(self, v):
+        # y = 1 - 1/q satisfies P_V with delta = -1/2
+        field = field_of(system_rhs(FamilyInstance.from_strings("p5", v)))
+        assert self.p5_residual(field, *(Fraction(c) for c in v)).is_zero()
+
+    @pytest.mark.parametrize("gamma_shift, holds", [(0, True), (1, False)])
+    def test_p5_symbolic(self, within, gamma_shift, holds):
+        # the same map with v symbolic on the plane v1 + v2 + v3 + v4 = 0
+        v1, v2, v3 = (rf(name, params=PARAMS) for name in PARAMS[:3])
+        v4 = -v1 - v2 - v3
+        on_plane = {Var(False, "v4"): v4}
+        field = {v: f.substitute(on_plane) for v, f in field_of(generic_system("p5")).items()}
+        with within(10):
+            residual = self.p5_residual(field, v1, v2, v3, v4, gamma_shift)
+        assert residual.is_zero() == holds
 
 
 class TestDivergence:
@@ -382,7 +398,7 @@ class TestTextEquivalence:
         variables, names, texts, _ = models._SYSTEM_TEMPLATES[inst.family]
         env = {Var(False, name): c.as_fraction() for name, c in zip(names, inst.params)
                if isinstance(c, CR)}
-        return tuple(rf(text, params=names, variables=variables).substitute_values(env)
+        return tuple(rf(text, params=names, variables=variables).substitute(env)
                      for text in texts)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)

@@ -400,7 +400,7 @@ class TestDrift:
         traj = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5)))
         F = xc_first_integral(2)
         env = {Var(True, "x"): Fraction(1), Var(True, "y"): Fraction(1, 2)}
-        assert F.substitute_values(env) == rf("-1/8")
+        assert F.substitute(env) == rf("-1/8")
         assert conservation_drift(traj, F) < 1e-6
 
     def test_non_conserved_candidate(self):

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, gcd and the canonical form of rational functions."""
 
 import collections
+import contextlib
 import random
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from painstrata import ratfunc
 from painstrata.ratfunc import (
     DivisionByZeroExpression,
     Polynomial,
@@ -70,16 +72,16 @@ class TestPolynomial:
         assert Polynomial.constant(5).partial(VX).is_zero()
 
     def test_evaluate(self):
-        p = X ** 2 + Y
-        value = p.substitute_values({VX: Fraction(1, 2), VY: 3}).constant_value()
+        p = RationalFunction(X ** 2 + Y)
+        value = p.substitute({VX: Fraction(1, 2), VY: 3}).num.constant_value()
         assert value == Fraction(13, 4)
         with pytest.raises(ValueError, match="not constant"):
-            p.substitute_values({VX: 1}).constant_value()
+            p.substitute({VX: 1}).num.constant_value()
 
     def test_substitute_values_partial(self):
-        p = X ** 2 * Y + X
-        q = p.substitute_values({VX: Fraction(2)})
-        assert q == 4 * Y + Polynomial.constant(2)
+        p = RationalFunction(X ** 2 * Y + X)
+        q = p.substitute({VX: Fraction(2)})
+        assert q.num == 4 * Y + Polynomial.constant(2) and q.den.is_one()
 
     def test_pow_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -330,9 +332,9 @@ class TestCoefficientTypes:
                 value = derive(value, unit_field(var))
                 poly = poly.partial(var)
             elif op == "values":
-                if not value.den.substitute_values({var: c}).is_zero():
-                    value = value.substitute_values({var: c})
-                poly = poly.substitute_values({var: c})
+                with contextlib.suppress(DivisionByZeroExpression):
+                    value = value.substitute({var: c})
+                poly = RationalFunction(poly).substitute({var: c}).num
             elif op == "div" and not p.is_zero():
                 quotient = exact_div(poly * p, p)
                 assert quotient == poly
@@ -429,9 +431,9 @@ class TestRationalFunction:
 
     def test_evaluate(self):
         f = RationalFunction(X + 1, Y)
-        assert f.substitute_values({VX: 1, VY: 4}) == RationalFunction.constant(Fraction(1, 2))
-        with pytest.raises(ZeroDivisionError):
-            f.substitute_values({VX: 1, VY: 0})
+        assert f.substitute({VX: 1, VY: 4}) == RationalFunction.constant(Fraction(1, 2))
+        with pytest.raises(DivisionByZeroExpression, match="vanishes"):
+            f.substitute({VX: 1, VY: 0})
 
     def test_equality_matches_cross_multiplication(self):
         # independent equality oracle: n1/d1 == n2/d2 iff n1*d2 == n2*d1
@@ -500,3 +502,64 @@ class TestRationalFunction:
                                  2 * t * y1 - a * b * y + b)
         for f, params in ((plane, ()), (mixed, ("a", "b"))):
             assert rf(str(f), params=params) == f
+
+
+class TestSubstitution:
+    """One substitution for exact values and rational functions, checked
+    against the term-by-term oracle, with one gcd per call."""
+
+    def test_matches_term_by_term_oracle(self, within):
+        rng = random.Random(1)
+        seen = collections.Counter()
+        with within(60):
+            for _ in range(1200):
+                f, mapping = oracles.random_substitution_case(rng)
+                try:
+                    expected = oracles.substitute(f, mapping)
+                except DivisionByZeroExpression:
+                    with pytest.raises(DivisionByZeroExpression, match="vanishes"):
+                        f.substitute(mapping)
+                    seen["vanishing"] += 1
+                    continue
+                result = f.substitute(mapping)
+                assert result == expected, (f, mapping)
+                assert result == RationalFunction(result.num, result.den)
+                assert all(type(c) is int for c in _coefficients(result)
+                           if c.denominator == 1), result
+                for var, value in mapping.items():
+                    seen[f"map{len(mapping)}"] += 1
+                    seen["absent"] += var not in f.variables()
+                    if isinstance(value, RationalFunction):
+                        seen[f"quotient{len(mapping)}"] += not value.den.is_constant()
+                    else:
+                        seen["zero"] += value == 0
+                        seen["negative"] += value < 0
+                        seen["non-integer"] += Fraction(value).denominator != 1
+        for kind in ("vanishing", "absent", "quotient1", "quotient2",
+                     "zero", "negative", "non-integer"):
+            assert seen[kind] >= 50, seen
+
+    @staticmethod
+    def count_gcds(monkeypatch) -> list:
+        calls = []
+        gcd = ratfunc.poly_gcd
+        monkeypatch.setattr(ratfunc, "poly_gcd", lambda f, g: calls.append(1) or gcd(f, g))
+        return calls
+
+    @pytest.mark.parametrize("value", ["y^2 + t/2", "1/(y - t)"])
+    @pytest.mark.parametrize("text", ["y1^3 + t*y1 + 1/2", "(y1^2 + 1)/(y1 - t)"])
+    def test_one_gcd(self, monkeypatch, text, value):
+        f, y1 = rf(text), Var(True, "y1")
+        expected = oracles.substitute(f, {y1: rf(value)})
+        mapping = {y1: rf(value)}
+        calls = self.count_gcds(monkeypatch)
+        result = f.substitute(mapping)
+        assert len(calls) == 1
+        assert result == expected
+
+    def test_absent_variable_takes_no_gcd(self, monkeypatch):
+        f = rf("(y1^2 + 1)/(y1 - t)")
+        mapping = {Var(True, "y"): rf("y^2 + t/2"), Var(True, "z"): 3}
+        calls = self.count_gcds(monkeypatch)
+        assert f.substitute(mapping) is f
+        assert not calls

@@ -286,7 +286,7 @@ class TestPartials:
         h = 1e-6
         for x0, y0 in [(1.3, 0.4), (0.7, 2.1), (-1.1, 0.9)]:
             def val(f, x, y):
-                return float(f.substitute_values({X: Fraction(x), Y: Fraction(y)}).num
+                return float(f.substitute({X: Fraction(x), Y: Fraction(y)}).num
                              .constant_value())
             numeric = (val(F, x0 + h, y0) - val(F, x0 - h, y0)) / (2 * h)
             exact = val(fx, x0, y0)
