@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from painstrata.exactnum import ComplexRational
 from painstrata.models import ConstraintError, Family, FamilyInstance
-from painstrata.strata import classify, degree_to_json
+from painstrata.strata import classify
 
 GRID = [Fraction(n, d) for d in (1, 2, 3) for n in range(-2 * d, 2 * d + 1)]
 COARSE = [Fraction(n, d) for d in (1, 2) for n in range(-d, d + 1)]
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
             except ConstraintError:
                 continue
             c = classify(inst)
-            counts[(c.stratum, json.dumps(degree_to_json(c.morley_degree)))] += 1
+            counts[(c.stratum, json.dumps(c.morley_degree))] += 1
             if sink:
                 sink.write(json.dumps(c.to_json_dict()) + "\n")
         print(f"\n{family.value}: {sum(counts.values())} points")

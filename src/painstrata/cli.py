@@ -33,7 +33,7 @@ from .models import (
 )
 from .numverify import (
     DEFAULT_BLOWUP_THRESHOLD,
-    DEFAULT_REL_TOL,
+    DEFAULT_TOL,
     IntegrationSpec,
     PoleOnTrajectory,
     RegionViolation,
@@ -242,8 +242,7 @@ def cmd_verify_log_relation(args) -> int:
         "max_drift_allowed": args.max_drift,
     }
     system = system_rhs(FamilyInstance(Family.XC, (ComplexRational(Fraction(args.c)),)))
-    spec = IntegrationSpec(system, args.t0, args.t1, args.init,
-                           rel_tol=args.tol, abs_tol=args.tol)
+    spec = IntegrationSpec(system, args.t0, args.t1, args.init, tol=args.tol)
     traj = integrate(spec)
     if traj.events:
         _emit({
@@ -267,8 +266,7 @@ def cmd_verify_log_relation(args) -> int:
 def cmd_simulate(args) -> int:
     inst = FamilyInstance.from_strings(args.family, args.params.split(","))
     system = system_rhs(inst)
-    spec = IntegrationSpec(system, args.t0, args.t1, args.init,
-                           rel_tol=args.tol, abs_tol=args.tol,
+    spec = IntegrationSpec(system, args.t0, args.t1, args.init, tol=args.tol,
                            blowup_threshold=args.blowup_threshold)
     traj = integrate(spec)
     if args.out:
@@ -391,7 +389,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, default=STANDARD_WINDOW[1])
     p.add_argument("--init", type=_split_floats, default=STANDARD_START,
                    help="comma-separated x,y start (default 1,0.5)")
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-drift", type=float, default=DEFAULT_DRIFT_BOUND)
     p.set_defaults(handler="cmd_verify_log_relation")
 
@@ -402,7 +400,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--init", type=_split_floats, required=True)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--blowup-threshold", type=float,
                    default=DEFAULT_BLOWUP_THRESHOLD)
     p.add_argument("--out", help="CSV output path")

@@ -231,6 +231,8 @@ def in_fundamental_region_p4(v: Sequence[ComplexRational]) -> bool:
 
 _WALL_GENERATOR = (P4Generator.S1, P4Generator.S2, P4Generator.S0)
 
+MAX_REDUCTION_STEPS = 10_000   # the partial word is held and printed in full
+
 
 def reduce_to_fundamental_region_p4(v: Sequence[ComplexRational],
                                     max_steps: int = 200) -> tuple[tuple, GroupWord]:
@@ -241,8 +243,9 @@ def reduce_to_fundamental_region_p4(v: Sequence[ComplexRational],
     :class:`BudgetExceededError` rather than returning a point outside the
     region.
     """
-    if max_steps < 1:
-        raise ConstraintError("max_steps must be at least 1")
+    if not 1 <= max_steps <= MAX_REDUCTION_STEPS:
+        raise ConstraintError(f"max_steps must be between 1 and "
+                              f"{MAX_REDUCTION_STEPS}, got {max_steps}")
     v = _check_params(Family.PIV, v)
     _require_sum_zero(v)
     word: list[Generator] = []

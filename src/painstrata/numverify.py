@@ -24,15 +24,14 @@ from .symbolic import T
 BLOWUP = "BlowUp"
 POLE_PROXIMITY = "PoleProximity"
 
-DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-10
+DEFAULT_TOL = 1e-10   # the step tolerance, relative and absolute alike
 DEFAULT_BLOWUP_THRESHOLD = 1e8
 
 # step-size collapse bound, relative to the window length
 _MIN_STEP_FACTOR = 1e-13
 # the smallest relative tolerance an RK45 step can honour in double precision
 # (the floor scipy's RK45 applies)
-_MIN_REL_TOL = 100 * sys.float_info.epsilon
+_MIN_TOL = 100 * sys.float_info.epsilon
 
 
 class SingularInitialState(ValueError):
@@ -80,8 +79,7 @@ class IntegrationSpec:
     t0: float
     t1: float
     initial_state: tuple[float, ...]
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
+    tol: float = DEFAULT_TOL
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
 
     def __post_init__(self):
@@ -89,10 +87,10 @@ class IntegrationSpec:
                            tuple(float(x) for x in self.initial_state))
         if not _finite((self.t0, self.t1, *self.initial_state)):
             raise ConstraintError("the window and the initial state must be finite")
-        if not (_finite((self.rel_tol, self.abs_tol)) and self.abs_tol > 0):
+        if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConstraintError("tolerances must be positive and finite")
-        if self.rel_tol < _MIN_REL_TOL:
-            raise ConstraintError(f"relative tolerance must be at least {_MIN_REL_TOL!r}")
+        if self.tol < _MIN_TOL:
+            raise ConstraintError(f"relative tolerance must be at least {_MIN_TOL!r}")
         if not self.blowup_threshold > 0:
             raise ConstraintError("the blow-up threshold must be positive")
         if math.isinf(self.blowup_threshold):
@@ -136,7 +134,7 @@ def compile_rf(rhs: Sequence[RationalFunction], variables: Sequence[str]) -> Cal
     or ``OverflowError`` is the same one too.
 
     With one right side per variable the field also carries
-    ``field.step(t, y, k1, h, abs_tol, rel_tol)``: one Dormand-Prince step
+    ``field.step(t, y, k1, h, tol)``: one Dormand-Prince step
     with the field inlined at each stage (see ``integrate``).
     """
     coeffs = []
@@ -252,7 +250,7 @@ _STAGES = tuple(zip(_C[1:], _A[1:]))
 
 
 def _step_lines(parts, variables) -> list[str]:
-    """The source of ``step(t, y, k1, h, abs_tol, rel_tol)``, nested in ``bind``.
+    """The source of ``step(t, y, k1, h, tol)``, nested in ``bind``.
 
     It computes the six stages after the first, each stage state followed
     by the field inlined at it, then y4 and the error norm, and returns
@@ -274,7 +272,7 @@ def _step_lines(parts, variables) -> list[str]:
     def largest(items) -> str:
         return items[0] if len(items) == 1 else f"max({', '.join(items)})"
 
-    lines = ["    def step(t, y, k1, h, abs_tol, rel_tol):",
+    lines = ["    def step(t, y, k1, h, tol):",
              f"        {''.join(f'y{i}, ' for i in idx)}= y",
              f"        {''.join(f'k1_{i}, ' for i in idx)}= k1"]
     autonomous = all(var != T for part in parts for poly in part if poly
@@ -293,7 +291,7 @@ def _step_lines(parts, variables) -> list[str]:
     lines += [f"        if not ({all_finite(f'w{i}' for i in idx)}):",
               '            raise OverflowError("embedded state overflow")']
     lines += [f"        e{i} = abs(s{i} - w{i})" for i in idx]
-    err = [f"e{i} / (abs_tol + rel_tol * max(abs(y{i}), abs(s{i})))" for i in idx]
+    err = [f"e{i} / (tol + tol * max(abs(y{i}), abs(s{i})))" for i in idx]
     lines.append(f"        return ({''.join(f's{i}, ' for i in idx)}), "
                  f"[{', '.join(f'k7_{i}' for i in idx)}], "
                  f"{largest(err)}, {largest([f'e{i}' for i in idx])}")
@@ -314,7 +312,7 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
     PoleProximity event is recorded as well.  Events terminate sampling.
 
     ``compile_rf`` gives the field and its step, bound to this system's
-    coefficients; the loop here passes the tolerances to each step, halves
+    coefficients; the loop here passes the tolerance to each step, halves
     h when a step raises, accepts or rejects, sets the next step size and
     records events.  Each stage state is ``y + h * sum(a_s[j] * k_j)`` per
     component, summed by the builtin ``sum`` over the stage's whole row,
@@ -322,7 +320,7 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
     chain of ``+`` would round differently there and move every trajectory.
     """
     field = compile_rf(spec.system.rhs, spec.system.variables)
-    step, abs_tol, rel_tol = field.step, spec.abs_tol, spec.rel_tol
+    step, tol = field.step, spec.tol
     t, y = spec.t0, spec.initial_state
     try:
         k1 = field(y, t)
@@ -346,7 +344,7 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
             events.append(Event(BLOWUP, t))
             break
         try:
-            y5, k7, err, difference = step(t, y, k1, h, abs_tol, rel_tol)
+            y5, k7, err, difference = step(t, y, k1, h, tol)
         except ArithmeticError as exc:
             h *= 0.5
             pole_suspect = isinstance(exc, ZeroDivisionError)

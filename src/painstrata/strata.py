@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exactnum import ComplexRational, Lattice, lattice_member, rational_member
 from .models import (
@@ -25,95 +25,32 @@ from .models import (
 )
 
 
-class _OutOfScope:
-    """Singleton marker for values the cited literature does not cover."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OUT_OF_SCOPE"
-
-
-OUT_OF_SCOPE = _OutOfScope()
-
-
-@dataclass(frozen=True)
-class Exact:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("Morley degree is a positive integer")
-
-
-@dataclass(frozen=True)
-class Range:
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not 1 <= self.lo < self.hi:
-            raise ValueError("degree range must be increasing")
-
-
-@dataclass(frozen=True)
-class Conflict:
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(sorted(set(self.values))))
-        if len(self.values) < 2:
-            raise ValueError("a conflict needs at least two competing values")
-
-
-DegreeValue = Union[Exact, Range, Conflict, _OutOfScope]
-
-STRONGLY_MINIMAL = Exact(1)
-
-
-def degree_to_json(d: DegreeValue):
-    if isinstance(d, Exact):
-        return {"exact": d.n}
-    if isinstance(d, Range):
-        return {"range": [d.lo, d.hi]}
-    if isinstance(d, Conflict):
-        return {"conflict": list(d.values)}
-    return "outside_paper_scope"
-
-
-def rank_to_json(r):
-    return r if isinstance(r, int) else "outside_paper_scope"
+OUT_OF_SCOPE = "outside_paper_scope"
 
 
 @dataclass(frozen=True)
 class Classification:
+    """One table entry, its rank and degree in the form the document prints.
+
+    The degree is ``{"exact": n}``, ``{"range": [lo, hi]}``,
+    ``{"conflict": [a, b, ...]}`` or ``OUT_OF_SCOPE``.
+    """
+
     family: Family
     params: tuple[Coord, ...]
     stratum: str
-    morley_rank: Union[int, _OutOfScope]
-    morley_degree: DegreeValue
+    morley_rank: int | str
+    morley_degree: dict | str
     citation: str
     notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        in_scope = not isinstance(self.morley_degree, _OutOfScope)
-        if in_scope and self.morley_rank != 1:
-            raise ValueError("all in-scope fibers have Morley rank one")
-        if in_scope and not self.citation:
-            raise ValueError("in-scope classifications carry a citation")
 
     def to_json_dict(self) -> dict:
         return {
             "family": self.family.value,
             "params": [coord_to_str(p) for p in self.params],
             "stratum": self.stratum,
-            "morley_rank": rank_to_json(self.morley_rank),
-            "morley_degree": degree_to_json(self.morley_degree),
+            "morley_rank": self.morley_rank,
+            "morley_degree": self.morley_degree,
             "citation": self.citation,
             "notes": list(self.notes),
         }
@@ -238,9 +175,9 @@ def _out_of_scope(inst: FamilyInstance, note: str) -> Classification:
                           OUT_OF_SCOPE, OUT_OF_SCOPE, "", (note,))
 
 
-def _in_scope(inst: FamilyInstance, stratum: str, degree: DegreeValue,
+def _in_scope(inst: FamilyInstance, stratum: str, degree: dict,
               citation: str, notes: tuple[str, ...] = ()) -> Classification:
-    if degree == STRONGLY_MINIMAL and _SM_NOTE not in notes:
+    if degree == {"exact": 1}:
         notes = notes + (_SM_NOTE,)
     return Classification(inst.family, inst.params, stratum, 1, degree,
                           citation, notes)
@@ -250,7 +187,7 @@ def _classify_p2(inst: FamilyInstance) -> Classification:
     alpha = inst.params[0]
     if _member(Lattice.HALF_PLUS_INTEGERS, alpha):
         return _in_scope(
-            inst, "half_plus_integer", Exact(2), CITATIONS["p2_half"],
+            inst, "half_plus_integer", {"exact": 2}, CITATIONS["p2_half"],
             ("the fiber splits as an order-one curve plus its strongly "
              "minimal complement",))
     return _out_of_scope(
@@ -262,10 +199,10 @@ def _classify_p3(inst: FamilyInstance) -> Classification:
     even_sum = _member(Lattice.TWO_INTEGERS, v1, 1, v2)
     integers = _member(Lattice.INTEGERS, v1) and _member(Lattice.INTEGERS, v2)
     if integers and even_sum:
-        return _in_scope(inst, "D1", Exact(3), CITATIONS["p3_D1"])
+        return _in_scope(inst, "D1", {"exact": 3}, CITATIONS["p3_D1"])
     if even_sum or _member(Lattice.TWO_INTEGERS, v1, -1, v2):
-        return _in_scope(inst, "W1_minus_D1", Exact(2), CITATIONS["p3_W1"])
-    return _in_scope(inst, "generic", STRONGLY_MINIMAL, CITATIONS["p3_generic"])
+        return _in_scope(inst, "W1_minus_D1", {"exact": 2}, CITATIONS["p3_W1"])
+    return _in_scope(inst, "generic", {"exact": 1}, CITATIONS["p3_generic"])
 
 
 def _classify_p4(inst: FamilyInstance) -> Classification:
@@ -273,43 +210,43 @@ def _classify_p4(inst: FamilyInstance) -> Classification:
     integral = [_member(Lattice.INTEGERS, a, -1, b)
                 for a, b in ((v1, v2), (v3, v2), (v1, v3))]
     if all(integral):
-        return _in_scope(inst, "D", Exact(3), CITATIONS["p4_D"])
+        return _in_scope(inst, "D", {"exact": 3}, CITATIONS["p4_D"])
     if any(integral):
-        return _in_scope(inst, "W_minus_D", Exact(2), CITATIONS["p4_W"])
-    return _in_scope(inst, "generic", STRONGLY_MINIMAL, CITATIONS["p4_generic"])
+        return _in_scope(inst, "W_minus_D", {"exact": 2}, CITATIONS["p4_W"])
+    return _in_scope(inst, "generic", {"exact": 1}, CITATIONS["p4_generic"])
 
 
 def _classify_p5(inst: FamilyInstance) -> Classification:
     pairs = itertools.combinations(inst.params, 2)
     if any(_member(Lattice.INTEGERS, a, -1, b) for a, b in pairs):
         return _in_scope(
-            inst, "W", Range(2, 4), CITATIONS["p5_W"],
+            inst, "W", {"range": [2, 4]}, CITATIONS["p5_W"],
             ("the cited lemmas bound the degree without spelling out the "
              "exact locus for each value",))
-    return _in_scope(inst, "generic", STRONGLY_MINIMAL, CITATIONS["p5_generic"])
+    return _in_scope(inst, "generic", {"exact": 1}, CITATIONS["p5_generic"])
 
 
 def _classify_p6(inst: FamilyInstance) -> Classification:
     info = p6_stratum(inst.params)
     if info.rank == 0:
-        return _in_scope(inst, "generic", STRONGLY_MINIMAL, CITATIONS["p6_generic"])
+        return _in_scope(inst, "generic", {"exact": 1}, CITATIONS["p6_generic"])
     if info.rank == 1:
         v1, v2, v3, v4 = inst.params
         if (_member(Lattice.HALF_PLUS_INTEGERS, v1, -1, v2)
                 and _member(Lattice.INTEGERS, v3, -1, v4)):
             return _in_scope(
-                inst, "M_minus_P", Exact(4), CITATIONS["p6_M"],
+                inst, "M_minus_P", {"exact": 4}, CITATIONS["p6_M"],
                 ("degree-four subcase: v1 - v2 in 1/2 + Z and v3 - v4 in Z",))
-        return _in_scope(inst, "M_minus_P", Exact(2), CITATIONS["p6_M"])
+        return _in_scope(inst, "M_minus_P", {"exact": 2}, CITATIONS["p6_M"])
     if info.rank == 2:
-        return _in_scope(inst, "P_minus_L", Exact(3), CITATIONS["p6_P"])
+        return _in_scope(inst, "P_minus_L", {"exact": 3}, CITATIONS["p6_P"])
     if info.rank == 3:
         citation = f"{CITATIONS['p6_L_three']}; {CITATIONS['p6_L_four']}"
         return _in_scope(
-            inst, "L_minus_D", Conflict((3, 4)), citation,
+            inst, "L_minus_D", {"conflict": [3, 4]}, citation,
             ("the cited propositions assign both degree three and degree "
              "four to this stratum; the conflict is reported, not resolved",))
-    return _in_scope(inst, "D", Exact(5), CITATIONS["p6_D"])
+    return _in_scope(inst, "D", {"exact": 5}, CITATIONS["p6_D"])
 
 
 _CLASSIFIERS = {
@@ -345,8 +282,8 @@ class XcReport:
 
     c: Coord
     c_kind: str
-    fiber_lascar: Union[int, _OutOfScope]
-    fiber_morley: Union[int, _OutOfScope]
+    fiber_lascar: int | str
+    fiber_morley: int | str
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -354,8 +291,8 @@ class XcReport:
             "family": Family.XC.value,
             "c": coord_to_str(self.c),
             "c_kind": self.c_kind,
-            "fiber_lascar": rank_to_json(self.fiber_lascar),
-            "fiber_morley": rank_to_json(self.fiber_morley),
+            "fiber_lascar": self.fiber_lascar,
+            "fiber_morley": self.fiber_morley,
             "family_lascar": 2,
             "family_morley": 3,
             "notes": list(self.notes),

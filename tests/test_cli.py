@@ -320,6 +320,14 @@ class TestReduceAndOrbit:
         assert code == EXIT_NUMERIC
         assert doc["error"]["kind"] == "numeric"
 
+    def test_reduce_step_bound(self, capsys, within):
+        with within(5):
+            code, (doc,) = run(capsys, ["reduce-p4", "--params=3000000,-3000000,0",
+                                        "--max-steps", "10001"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"] == {"kind": "constraint", "message":
+                                "max_steps must be between 1 and 10000, got 10001"}
+
     def test_orbit_related(self, capsys):
         code, (doc,) = run(capsys, ["orbit", "--family", "p3",
                                     "--from", "1,1", "--to", "2,0",

@@ -14,6 +14,7 @@ from painstrata.models import (
     Family,
     FamilyInstance,
     GroupWord,
+    MAX_REDUCTION_STEPS,
     MAX_WORD_LENGTH,
     P3Generator,
     P4Generator,
@@ -337,6 +338,15 @@ class TestFundamentalRegion:
             reduce_to_fundamental_region_p4(far, max_steps=2)
         assert len(err.value.partial_word) == 2
         assert str(err.value).endswith("; partial word ['s1', 's2']")
+
+    def test_step_bound(self, within):
+        far = crs(3000000, -3000000, 0)
+        with pytest.raises(ConstraintError, match="between 1 and 10000, got 10001"):
+            reduce_to_fundamental_region_p4(far, MAX_REDUCTION_STEPS + 1)
+        with within(5):   # a far point descended to the bound
+            with pytest.raises(BudgetExceededError) as err:
+                reduce_to_fundamental_region_p4(far, MAX_REDUCTION_STEPS)
+        assert len(err.value.partial_word) == MAX_REDUCTION_STEPS
 
 
 class TestOrbitSearch:

@@ -1,8 +1,11 @@
 """Classification tables, the root-hyperplane strata and the rank reports."""
 
+import importlib.resources
+import json
 import random
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
 from painstrata.exactnum import ComplexRational, Lattice, lattice_member
@@ -17,13 +20,9 @@ from painstrata.models import (
 from painstrata.strata import (
     CITATIONS,
     Classification,
-    Conflict,
-    Exact,
     OUT_OF_SCOPE,
-    Range,
     classify,
     classify_xc,
-    degree_to_json,
     integral_roots,
     p6_stratum,
 )
@@ -135,19 +134,19 @@ class TestP6Stratum:
 
 class TestGoldenTable:
     @pytest.mark.parametrize("family,tokens,stratum,degree", [
-        ("p2", ["-1/2"], "half_plus_integer", Exact(2)),
-        ("p2", ["7/2"], "half_plus_integer", Exact(2)),
-        ("p3", ["1", "1"], "D1", Exact(3)),
-        ("p3", ["1/2", "3/2"], "W1_minus_D1", Exact(2)),
-        ("p3", ["1", "0"], "generic", Exact(1)),
-        ("p4", ["0", "0", "0"], "D", Exact(3)),
-        ("p4", ["1/3", "-1/3", "0"], "generic", Exact(1)),
-        ("p5", ["0", "0", "0", "0"], "W", Range(2, 4)),
-        ("p6", ["0", "0", "0", "0"], "D", Exact(5)),
-        ("p6", ["1/5", "1/7", "1/11", "1/13"], "generic", Exact(1)),
-        ("p6", ["1/2", "-1/2", "1/7", "1/11"], "P_minus_L", Exact(3)),
-        ("p6", ["1/2", "0", "1/7", "1/7"], "M_minus_P", Exact(4)),
-        ("p6", ["1/4", "3/4", "1/7", "1/9"], "M_minus_P", Exact(2)),
+        ("p2", ["-1/2"], "half_plus_integer", {"exact": 2}),
+        ("p2", ["7/2"], "half_plus_integer", {"exact": 2}),
+        ("p3", ["1", "1"], "D1", {"exact": 3}),
+        ("p3", ["1/2", "3/2"], "W1_minus_D1", {"exact": 2}),
+        ("p3", ["1", "0"], "generic", {"exact": 1}),
+        ("p4", ["0", "0", "0"], "D", {"exact": 3}),
+        ("p4", ["1/3", "-1/3", "0"], "generic", {"exact": 1}),
+        ("p5", ["0", "0", "0", "0"], "W", {"range": [2, 4]}),
+        ("p6", ["0", "0", "0", "0"], "D", {"exact": 5}),
+        ("p6", ["1/5", "1/7", "1/11", "1/13"], "generic", {"exact": 1}),
+        ("p6", ["1/2", "-1/2", "1/7", "1/11"], "P_minus_L", {"exact": 3}),
+        ("p6", ["1/2", "0", "1/7", "1/7"], "M_minus_P", {"exact": 4}),
+        ("p6", ["1/4", "3/4", "1/7", "1/9"], "M_minus_P", {"exact": 2}),
     ])
     def test_in_scope(self, family, tokens, stratum, degree):
         c = classify_strings(family, tokens)
@@ -158,16 +157,16 @@ class TestGoldenTable:
 
     def test_p2_outside_scope(self):
         c = classify_strings("p2", ["1/3"])
-        assert c.morley_degree is OUT_OF_SCOPE
-        assert c.morley_rank is OUT_OF_SCOPE
+        assert c.morley_degree == OUT_OF_SCOPE
+        assert c.morley_rank == OUT_OF_SCOPE
         assert c.notes
         c = classify_strings("p2", ["2"])
-        assert c.morley_degree is OUT_OF_SCOPE
+        assert c.morley_degree == OUT_OF_SCOPE
 
     def test_p6_conflict_with_both_citations(self):
         c = classify_strings("p6", ["0", "0", "0", "1/7"])
         assert c.stratum == "L_minus_D"
-        assert c.morley_degree == Conflict((3, 4))
+        assert c.morley_degree == {"conflict": [3, 4]}
         assert CITATIONS["p6_L_three"] in c.citation
         assert CITATIONS["p6_L_four"] in c.citation
 
@@ -177,11 +176,11 @@ class TestGoldenTable:
 
     def test_generic_tags(self):
         c = classify_strings("p2", ["generic"])
-        assert c.morley_degree is OUT_OF_SCOPE
+        assert c.morley_degree == OUT_OF_SCOPE
         c = classify_strings("p3", ["generic", "1"])
-        assert signature(c) == ("generic", 1, Exact(1))
+        assert signature(c) == ("generic", 1, {"exact": 1})
         c = classify_strings("p6", ["generic", "0", "0", "0"])
-        assert signature(c) == ("L_minus_D", 1, Conflict((3, 4)))
+        assert signature(c) == ("L_minus_D", 1, {"conflict": [3, 4]})
 
     def test_complex_parameters_fall_outside_loci(self):
         c = classify(FamilyInstance(Family.PIII,
@@ -252,14 +251,14 @@ class TestP5:
     def test_integer_difference_locus(self):
         c = classify_strings("p5", ["1/2", "-1/2", "3/2", "-3/2"])
         assert c.stratum == "W"
-        assert c.morley_degree == Range(2, 4)
+        assert c.morley_degree == {"range": [2, 4]}
         assert any("locus" in n for n in c.notes)
 
     def test_generic(self):
         # fourth coordinate closes the sum to zero; no pairwise difference
         # is an integer
         c = classify_strings("p5", ["1/3", "1/7", "1/11", "-131/231"])
-        assert signature(c) == ("generic", 1, Exact(1))
+        assert signature(c) == ("generic", 1, {"exact": 1})
 
 
 class TestCosetOracle:
@@ -299,7 +298,7 @@ class TestCosetOracle:
                     classify_xc(c)
                 continue
             report = classify_xc(c)
-            rank = None if report.fiber_morley is OUT_OF_SCOPE else report.fiber_morley
+            rank = None if report.fiber_morley == OUT_OF_SCOPE else report.fiber_morley
             assert (report.c_kind, rank) == want, c
         assert seen == {"constraint", ("rational", 2), ("rational", None),
                         ("non_rational_constant", 1)}
@@ -322,8 +321,8 @@ class TestXcReport:
 
     def test_minus_one_excluded(self):
         report = classify_xc(CR(Fraction(-1)))
-        assert report.fiber_lascar is OUT_OF_SCOPE
-        assert report.fiber_morley is OUT_OF_SCOPE
+        assert report.fiber_lascar == OUT_OF_SCOPE
+        assert report.fiber_morley == OUT_OF_SCOPE
         assert any("-1" in n for n in report.notes)
 
     def test_complex_rejected(self):
@@ -347,12 +346,6 @@ class TestXcReport:
 
 
 class TestSerialization:
-    def test_degree_encodings(self):
-        assert degree_to_json(Exact(3)) == {"exact": 3}
-        assert degree_to_json(Range(2, 4)) == {"range": [2, 4]}
-        assert degree_to_json(Conflict((4, 3))) == {"conflict": [3, 4]}
-        assert degree_to_json(OUT_OF_SCOPE) == "outside_paper_scope"
-
     def test_classification_json(self):
         doc = classify_strings("p3", ["1", "1"]).to_json_dict()
         assert doc == {
@@ -371,8 +364,57 @@ class TestSerialization:
         assert doc["morley_degree"] == "outside_paper_scope"
         assert doc["citation"] == ""
 
-    def test_invariant_guard(self):
-        with pytest.raises(ValueError):
-            Classification(Family.PIII, crs(1, 1), "D1", 2, Exact(3), "cite")
-        with pytest.raises(ValueError):
-            Classification(Family.PIII, crs(1, 1), "D1", 1, Exact(3), "")
+
+class TestTableValues:
+    """One representative per table branch: the document validates, an
+    in-scope entry has rank one and a citation, a range increases and a
+    conflict lists at least two distinct values in order."""
+
+    SCHEMA = json.loads(
+        importlib.resources.files("painstrata").joinpath("schema.json").read_text())
+
+    @pytest.mark.parametrize("family,tokens,stratum", [
+        ("p2", ["1/2"], "half_plus_integer"),
+        ("p2", ["1/3"], "outside_paper_scope"),
+        ("p3", ["1", "1"], "D1"),
+        ("p3", ["1/2", "3/2"], "W1_minus_D1"),
+        ("p3", ["1", "0"], "generic"),
+        ("p4", ["0", "0", "0"], "D"),
+        ("p4", ["1/2", "1/2", "-1"], "W_minus_D"),
+        ("p4", ["1/3", "-1/3", "0"], "generic"),
+        ("p5", ["0", "0", "0", "0"], "W"),
+        ("p5", ["1/3", "1/7", "1/11", "-131/231"], "generic"),
+        ("p6", ["1/5", "1/7", "1/11", "1/13"], "generic"),
+        ("p6", ["1/4", "3/4", "1/7", "1/9"], "M_minus_P"),
+        ("p6", ["1/2", "0", "1/7", "1/7"], "M_minus_P"),
+        ("p6", ["1/2", "-1/2", "1/7", "1/11"], "P_minus_L"),
+        ("p6", ["0", "0", "0", "1/7"], "L_minus_D"),
+        ("p6", ["0", "0", "0", "0"], "D"),
+    ])
+    def test_classification(self, family, tokens, stratum):
+        c = classify_strings(family, tokens)
+        assert c.stratum == stratum
+        doc = c.to_json_dict()
+        jsonschema.validate(doc, self.SCHEMA)
+        degree = doc["morley_degree"]
+        if degree == OUT_OF_SCOPE:
+            assert doc["morley_rank"] == OUT_OF_SCOPE
+            return
+        assert doc["morley_rank"] == 1
+        assert doc["citation"]
+        if "range" in degree:
+            lo, hi = degree["range"]
+            assert 1 <= lo < hi
+        if "conflict" in degree:
+            values = degree["conflict"]
+            assert values == sorted(set(values)) and len(values) >= 2
+
+    @pytest.mark.parametrize("c,ranks", [
+        (CR(Fraction(2)), (2, 2)),
+        (CR(Fraction(-1)), (OUT_OF_SCOPE, OUT_OF_SCOPE)),
+        (SpecialValue.NON_RATIONAL, (1, 1)),
+    ])
+    def test_xc(self, c, ranks):
+        doc = classify_xc(c).to_json_dict()
+        jsonschema.validate(doc, self.SCHEMA)
+        assert (doc["fiber_lascar"], doc["fiber_morley"]) == ranks
