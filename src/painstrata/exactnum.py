@@ -108,10 +108,6 @@ class ComplexRational:
             raise ValueError(f"{self} has a nonzero imaginary part")
         return self.re
 
-    def lex_key(self) -> tuple[Fraction, Fraction]:
-        """(Re, Im) ordered pair; 'Re >= 0 with Im tie-break' is lex >= (0,0)."""
-        return (self.re, self.im)
-
     def __str__(self) -> str:
         return format_cgauss(self)
 

@@ -11,10 +11,11 @@ over the Dormand-Prince tableau written as fractions (not from the
 package's generated step), the curve check raises primes and then
 substitutes (not the package's derivation along the curve), substitution
 rebuilds each term by rational products and sums (not the package's
-composition over a common denominator), and partial derivatives follow the
-textbook quotient rule (not that derivation).  Random
-parameter vectors come from seeded generators so frozen expectations stay
-stable.
+composition over a common denominator), partial derivatives follow the
+textbook quotient rule (not that derivation), and the p3/p4 parameter
+groups act in Q(i) arithmetic (not on the package's integer coordinates).
+Random parameter vectors come from seeded generators so frozen expectations
+stay stable.
 """
 
 from __future__ import annotations
@@ -24,8 +25,19 @@ import math
 import random
 from fractions import Fraction
 
-from painstrata.exactnum import ComplexRational
-from painstrata.models import SpecialValue
+from painstrata.exactnum import ComplexRational, ConstraintError
+from painstrata.models import (
+    MAX_REDUCTION_STEPS,
+    MAX_WORD_LENGTH,
+    BudgetExceededError,
+    Family,
+    GroupWord,
+    P3Generator,
+    P4Generator,
+    Related,
+    SpecialValue,
+    Unknown,
+)
 from painstrata.ratfunc import DivisionByZeroExpression, Polynomial, RationalFunction, Var
 from painstrata.symbolic import T
 
@@ -649,3 +661,124 @@ def random_ivp_case(rng: random.Random):
     tol = rng.choice((1e-6, 1e-8, 1e-10))
     threshold = rng.choice((1e3, 1e8))
     return tuple(rhs), variables, t0, t0 + window, init, tol, threshold
+
+
+# --------------------------------------------------------------------------
+# The p3/p4 parameter groups on Q(i) values: each generator builds new
+# ComplexRationals, the region walls are read through (Re, Im) pairs of
+# Fractions, and the greedy descent and the breadth-first orbit search are
+# written as they were before the package moved to integer coordinates over
+# a common denominator.
+# --------------------------------------------------------------------------
+
+_THIRD = ComplexRational(Fraction(1, 3))
+_TM_SHIFT = (-_THIRD, -_THIRD, 2 * _THIRD)
+
+
+def fraction_generator(g, v: tuple) -> tuple:
+    """The affine image of v under one generator, in Q(i) arithmetic."""
+    if isinstance(g, P3Generator):
+        v1, v2 = v
+        if g is P3Generator.S1:
+            return (v2, v1)
+        if g is P3Generator.S2:
+            return (-v2, -v1)
+        if g is P3Generator.S3:
+            return (v2 + 1, v1 - 1)
+        return (-v2 + 1, -v1 + 1)
+    if g is P4Generator.S1:
+        return (v[1], v[0], v[2])
+    if g is P4Generator.S2:
+        return (v[2], v[1], v[0])
+    if g is P4Generator.TMINUS:
+        return tuple(c + s for c, s in zip(v, _TM_SHIFT))
+    # s0 is the composite tminus^-1 s1 s2 s1 tminus (rightmost acts first)
+    v1, v2, v3 = v
+    return (v1, v3 + 1, v2 - 1)
+
+
+def fraction_word(word: GroupWord, v: tuple) -> tuple:
+    v = tuple(v)
+    for g in word.generators:
+        v = fraction_generator(g, v)
+    return v
+
+
+_LEX_ZERO = (Fraction(0), Fraction(0))
+_WALL_GENERATOR = (P4Generator.S1, P4Generator.S2, P4Generator.S0)
+
+
+def _lex_key(w: ComplexRational) -> tuple:
+    return (w.re, w.im)
+
+
+def _wall_values(v: tuple) -> tuple:
+    v1, v2, v3 = v
+    return (v2 - v1, v1 - v3, v3 - v2 + 1)
+
+
+def _require_sum_zero(v: tuple):
+    if sum(v, ComplexRational()):
+        raise ConstraintError("parameter vector must lie on the sum-zero plane")
+
+
+def in_region_p4(v: tuple) -> bool:
+    return all(_lex_key(w) >= _LEX_ZERO for w in _wall_values(v))
+
+
+def greedy_reduce_p4(v: tuple, max_steps: int = 200) -> tuple:
+    """Greedy wall-crossing descent: cross the first violated wall, in the
+    order v2-v1, v1-v3, v3-v2+1, until none is."""
+    if not 1 <= max_steps <= MAX_REDUCTION_STEPS:
+        raise ConstraintError(f"max_steps must be between 1 and "
+                              f"{MAX_REDUCTION_STEPS}, got {max_steps}")
+    v = tuple(v)
+    _require_sum_zero(v)
+    word = []
+    current = v
+    for _ in range(max_steps):
+        walls = _wall_values(current)
+        violated = next((i for i, w in enumerate(walls)
+                         if _lex_key(w) < _LEX_ZERO), None)
+        if violated is None:
+            return current, GroupWord(Family.PIV, tuple(word))
+        g = _WALL_GENERATOR[violated]
+        word.append(g)
+        current = fraction_generator(g, current)
+    if in_region_p4(current):
+        return current, GroupWord(Family.PIV, tuple(word))
+    raise BudgetExceededError(GroupWord(Family.PIV, tuple(word)), current)
+
+
+def orbit_bfs(a: tuple, b: tuple, family: Family, max_word_length: int):
+    """Breadth-first search over words, generators in their enum order; the
+    first word found to reach b, or Unknown at the length bound."""
+    if not 0 <= max_word_length <= MAX_WORD_LENGTH:
+        raise ConstraintError(f"the maximum word length must be between 0 and "
+                              f"{MAX_WORD_LENGTH}, got {max_word_length}")
+    a, b = tuple(a), tuple(b)
+    if family is Family.PIV:
+        _require_sum_zero(a)
+        _require_sum_zero(b)
+    gens = (tuple(P3Generator) if family is Family.PIII
+            else (P4Generator.S0, P4Generator.S1, P4Generator.S2))
+    if a == b:
+        return Related(GroupWord(family))
+    frontier = {a: ()}
+    seen = {a}
+    for _ in range(max_word_length):
+        nxt = {}
+        for value, path in frontier.items():
+            for g in gens:
+                image = fraction_generator(g, value)
+                if image in seen:
+                    continue
+                word = path + (g,)
+                if image == b:
+                    return Related(GroupWord(family, word))
+                seen.add(image)
+                nxt[image] = word
+        frontier = nxt
+        if not frontier:
+            break
+    return Unknown(max_word_length)

@@ -20,9 +20,9 @@ from painstrata.exactnum import ComplexRational, format_cgauss, parse_cgauss
 from painstrata.models import (
     Family,
     FamilyInstance,
+    GroupWord,
     apply_word,
     generators_for,
-    apply_generator,
     in_fundamental_region_p4,
     reduce_to_fundamental_region_p4,
     riccati_curve,
@@ -152,7 +152,7 @@ def _word_ball(family, v, length):
         nxt = set()
         for u in frontier:
             for g in gens:
-                w = apply_generator(g, u)
+                w = apply_word(GroupWord(family, (g,)), u)
                 if w not in seen:
                     seen.add(w)
                     nxt.add(w)

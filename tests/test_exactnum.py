@@ -116,10 +116,6 @@ class TestArithmetic:
             CR(Fraction(1), Fraction(1)).as_fraction()
         assert CR(Fraction(5, 2)).as_fraction() == Fraction(5, 2)
 
-    def test_lex_key_order(self):
-        assert CR(Fraction(0), Fraction(-1)).lex_key() < (Fraction(0), Fraction(0))
-        assert CR(Fraction(1), Fraction(-9)).lex_key() > (Fraction(0), Fraction(0))
-
 
 class TestLattice:
     @pytest.mark.parametrize("z,lattice,expected", [

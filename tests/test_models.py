@@ -1,6 +1,8 @@
 """Systems, transformation groups, the fundamental region and orbit search."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,6 @@ from painstrata.models import (
     Related,
     SpecialValue,
     Unknown,
-    apply_generator,
     apply_word,
     imp_slope_rhs,
     in_fundamental_region_p4,
@@ -40,6 +41,12 @@ CR = ComplexRational
 
 def crs(*values) -> tuple:
     return tuple(CR(Fraction(v)) for v in values)
+
+
+def apply_generator(g, v) -> tuple:
+    """One generator, applied as a one-letter word."""
+    family = Family.PIII if isinstance(g, P3Generator) else Family.PIV
+    return apply_word(GroupWord(family, (g,)), v)
 
 
 class TestFamilyInstance:
@@ -348,6 +355,13 @@ class TestFundamentalRegion:
                 reduce_to_fundamental_region_p4(far, MAX_REDUCTION_STEPS)
         assert len(err.value.partial_word) == MAX_REDUCTION_STEPS
 
+    def test_far_descent_is_fast(self, within):
+        far = crs(3000000, -3000000, 0)
+        with within(1):
+            with pytest.raises(BudgetExceededError) as err:
+                reduce_to_fundamental_region_p4(far, MAX_REDUCTION_STEPS)
+        assert len(err.value.partial_word) == MAX_REDUCTION_STEPS
+
 
 class TestOrbitSearch:
     def test_witness(self):
@@ -385,6 +399,175 @@ class TestOrbitSearch:
         out = orbit_search(v, target, Family.PIV, 2)
         assert isinstance(out, Related)
         assert apply_word(out.word, v) == target
+
+    def test_unrelated_p3_search_is_fast(self, within):
+        # a generic p3 point has a trivial stabiliser, so the search holds
+        # about 2n^2 values at word length n; b is over a's denominators, but
+        # its v1 - v2 has no imaginary part, so no image of a reaches it
+        a = (CR(Fraction(1, 3), Fraction(1, 5)), CR(Fraction(2, 7)))
+        b = crs(Fraction(2, 3), Fraction(1, 7))
+        with within(1):
+            out = orbit_search(a, b, Family.PIII, MAX_WORD_LENGTH)
+        assert out == Unknown(MAX_WORD_LENGTH)
+
+    def test_target_off_the_orbit_lattice(self, within):
+        # the images of a keep a's denominators, so a target over a
+        # denominator a lacks is unknown at once, without a search over
+        # integers the size of both endpoints' common denominator
+        d1, d2 = big_denominators(random.Random(7))
+        a = (CR(Fraction(1, d1), Fraction(1, d1 + 2)), CR(Fraction(2, d1)))
+        b = (CR(Fraction(1, d2)), CR(Fraction(1, d1), Fraction(-1, d1 + 2)))
+        with within(1):
+            out = orbit_search(a, b, Family.PIII, MAX_WORD_LENGTH)
+        assert out == Unknown(MAX_WORD_LENGTH)
+        assert oracles.orbit_bfs(a, b, Family.PIII, 4) == Unknown(4)
+
+    def test_unrelated_p4_search_is_fast(self, within):
+        # the pair of test_word_length_bound, and a target over the source's
+        # denominators whose 2/3 is no coordinate of it modulo 1, so the
+        # search runs to the bound
+        a = crs(Fraction(1, 3), Fraction(1, 7), Fraction(-10, 21))
+        for b in (crs(Fraction(2, 5), Fraction(3, 11), Fraction(-37, 55)),
+                  crs(Fraction(2, 3), Fraction(-1, 7), Fraction(-11, 21))):
+            with within(1):
+                out = orbit_search(a, b, Family.PIV, MAX_WORD_LENGTH)
+            assert out == Unknown(MAX_WORD_LENGTH)
+
+
+def big_denominators(rng: random.Random) -> tuple[int, int]:
+    """Two coprime denominators of 20 to 40 digits."""
+    while True:
+        d1, d2 = (rng.randint(10 ** 19, 10 ** rng.randint(20, 40) - 1)
+                  for _ in range(2))
+        if math.gcd(d1, d2) == 1:
+            return d1, d2
+
+
+def group_coord(rng: random.Random, den: int = 0, scale: int = 1) -> CR:
+    """A Q(i) value with an imaginary part half the time: a small fraction,
+    or parts over den with numerators up to scale * den (1 * den for Im)."""
+    def part(bound):
+        if den:
+            return Fraction(rng.randint(-bound * den, bound * den), den)
+        return Fraction(rng.randint(-4 * bound, 4 * bound), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+    return CR(part(scale), part(1) if rng.random() < 0.5 else Fraction(0))
+
+
+def p4_vector(rng: random.Random, den: int = 0, scale: int = 1) -> tuple:
+    a, b = group_coord(rng, den, scale), group_coord(rng, den, scale)
+    return (a, b, -(a + b))
+
+
+def p4_tie(rng: random.Random, wall: int) -> tuple:
+    """A sum-zero vector whose given wall has real part zero, so that its
+    imaginary part decides the wall (v2-v1, v1-v3 or v3-v2+1)."""
+    r = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5)))
+    re = {0: (r, r, -2 * r), 1: (r, -2 * r, r), 2: (1 - 2 * r, r, r - 1)}[wall]
+    im1, im2 = (Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(2))
+    return tuple(CR(x, y) for x, y in zip(re, (im1, im2, -im1 - im2)))
+
+
+def random_word(rng: random.Random, family: Family, gens, n: int) -> GroupWord:
+    return GroupWord(family, tuple(rng.choice(gens) for _ in range(n)))
+
+
+class TestFractionOracle:
+    """The integer-coordinate group actions against the Q(i) arithmetic they
+    replaced (`oracles.greedy_reduce_p4`, `oracles.orbit_bfs`,
+    `oracles.fraction_word`), on seeded cases: the same outputs and words,
+    the same verdicts, and the same budget errors."""
+
+    @staticmethod
+    def outcome(function, *args):
+        try:
+            return function(*args)
+        except BudgetExceededError as err:
+            return ("budget", str(err), err.partial_word, err.value)
+
+    def reduce_cases(self, rng):
+        far = crs(3000000, -3000000, 0)
+        yield "budget-10000", far, MAX_REDUCTION_STEPS
+        for _ in range(1000):
+            draw = rng.random()
+            if draw < 0.45:
+                wall = rng.randrange(3)
+                kind, v = f"tie-{wall}", p4_tie(rng, wall)
+            elif draw < 0.6:
+                kind, v = "region", oracles.greedy_reduce_p4(p4_vector(rng), 10_000)[0]
+            elif draw < 0.8:
+                d1, d2 = big_denominators(rng)
+                kind, v = "big", (group_coord(rng, d1, 20), group_coord(rng, d2, 20))
+                v = (*v, -(v[0] + v[1]))
+            else:
+                kind, v = "far", p4_vector(rng, scale=rng.choice((10, 40)))
+            yield kind, v, rng.choice((1, 200, MAX_REDUCTION_STEPS))
+
+    def orbit_cases(self, rng):
+        p4_gens = (P4Generator.S0, P4Generator.S1, P4Generator.S2)
+        for _ in range(1000):
+            family = rng.choice((Family.PIII, Family.PIV))
+            big = rng.random() < 0.3
+            d1, d2 = big_denominators(rng) if big else (0, 0)
+            if family is Family.PIII:
+                a = (group_coord(rng, d1), group_coord(rng, d1))
+                gens = tuple(P3Generator)
+            else:
+                a = p4_vector(rng, d1)
+                gens = p4_gens
+            if rng.random() < 0.5:
+                b = oracles.fraction_word(random_word(rng, family, gens,
+                                                      rng.randint(0, 5)), a)
+                kind = "related"
+            elif family is Family.PIII:
+                b, kind = (group_coord(rng, d2), group_coord(rng, d2)), "unrelated"
+            else:
+                b, kind = p4_vector(rng, d2), "unrelated"
+            n = rng.choice((0, 1, 2, 3, 4, 5, 6))
+            yield f"{kind}-{family.value}-{'big' if big else 'small'}-{n == 0}", a, b, family, n
+
+    def test_reduce_agrees(self):
+        rng = random.Random(19)
+        kinds = Counter()
+        for kind, v, steps in self.reduce_cases(rng):
+            got = self.outcome(reduce_to_fundamental_region_p4, v, steps)
+            assert got == self.outcome(oracles.greedy_reduce_p4, v, steps), (v, steps)
+            assert in_fundamental_region_p4(v) is oracles.in_region_p4(v)
+            if kind == "region":
+                assert got == (v, GroupWord(Family.PIV))
+            kinds[kind] += 1
+            kinds[f"steps-{steps}-{got[0] == 'budget'}"] += 1
+        assert {"tie-0", "tie-1", "tie-2", "region", "big", "far",
+                "steps-1-True", "steps-200-True", "steps-10000-True",
+                "steps-200-False", "steps-10000-False"} <= kinds.keys(), kinds
+
+    def test_orbit_agrees(self):
+        rng = random.Random(23)
+        kinds = Counter()
+        for kind, a, b, family, n in self.orbit_cases(rng):
+            got = orbit_search(a, b, family, n)
+            assert got == oracles.orbit_bfs(a, b, family, n), (a, b, n)
+            kinds[kind] += 1
+            kinds[type(got).__name__] += 1
+        # every kind of pair, on p3 and p4, with small and big denominators,
+        # searched to length 0 and beyond, and both verdicts
+        assert len(kinds) == 2 * 2 * 2 * 2 + 2 and kinds["Related"] > 300, kinds
+
+    def test_words_agree(self):
+        # words over all four p4 generators, tminus (a shift by thirds)
+        # included, and the round trip s0 tminus = tminus s1 s2 s1
+        rng = random.Random(29)
+        all_gens = tuple(P4Generator)
+        for _ in range(300):
+            v = p4_vector(rng, big_denominators(rng)[0] if rng.random() < 0.3 else 0)
+            word = random_word(rng, Family.PIV, all_gens, rng.randint(1, 8))
+            assert apply_word(word, v) == oracles.fraction_word(word, v)
+            p3 = (group_coord(rng), group_coord(rng))
+            word = random_word(rng, Family.PIII, tuple(P3Generator), rng.randint(1, 8))
+            assert apply_word(word, p3) == oracles.fraction_word(word, p3)
+            left = GroupWord(Family.PIV, (P4Generator.S0, P4Generator.TMINUS))
+            right = GroupWord(Family.PIV, (P4Generator.TMINUS, P4Generator.S1,
+                                           P4Generator.S2, P4Generator.S1))
+            assert apply_word(left, v) == apply_word(right, v)
 
 
 class TestTextEquivalence:

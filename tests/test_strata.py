@@ -13,8 +13,9 @@ from painstrata.models import (
     ConstraintError,
     Family,
     FamilyInstance,
+    GroupWord,
     SpecialValue,
-    apply_generator,
+    apply_word,
     generators_for,
 )
 from painstrata.strata import (
@@ -201,7 +202,7 @@ class TestInvariance:
             nxt = set()
             for u in frontier:
                 for g in gens:
-                    w = apply_generator(g, u)
+                    w = apply_word(GroupWord(family, (g,)), u)
                     if w not in seen:
                         seen.add(w)
                         nxt.add(w)
