@@ -9,6 +9,7 @@ classification path.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,25 +23,44 @@ class ConstraintError(ValueError):
     """Input that parses but violates a constraint (dimension, plane, domain)."""
 
 
-@dataclass(frozen=True)
-class ComplexRational:
-    """An element of Q(i), stored as a pair of reduced fractions.
+_new, _set = object.__new__, object.__setattr__   # how a frozen dataclass sets fields
 
-    Both parts are ``Fraction``s on construction: the wire parser and every
-    operator build them so, and int operands are promoted by ``_coerce``.
-    ``Fraction`` keeps each in lowest terms with positive denominator, so
-    equality and hashing are exact and canonical.
+
+@dataclass(frozen=True, slots=True, init=False)
+class ComplexRational:
+    """An element of Q(i): real part rn/rd and imaginary part jn/jd, each in
+    lowest terms with a positive denominator, so equality and hashing are
+    exact and canonical.
+
+    The constructor takes the parts as ``int``s or ``Fraction``s, which are
+    already in that form; ``re`` and ``im`` read them back as ``Fraction``s.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    rn: int
+    rd: int
+    jn: int
+    jd: int
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        _set(self, "rn", re.numerator)
+        _set(self, "rd", re.denominator)
+        _set(self, "jn", im.numerator)
+        _set(self, "jd", im.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.rn, self.rd)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.jn, self.jd)
 
     @staticmethod
     def _coerce(value) -> "ComplexRational":
         if isinstance(value, ComplexRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return ComplexRational(Fraction(value))
+            return ComplexRational(value)
         return NotImplemented
 
     def __add__(self, other):
@@ -96,20 +116,31 @@ class ComplexRational:
         return other / self
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.rn or self.jn)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.jn
 
     def as_fraction(self) -> Fraction:
         """The real value, for contexts that require im = 0."""
-        if self.im != 0:
+        if self.jn:
             raise ValueError(f"{self} has a nonzero imaginary part")
         return self.re
 
     def __str__(self) -> str:
         return format_cgauss(self)
+
+
+def gaussian(rn: int, rd: int, jn: int, jd: int) -> ComplexRational:
+    """The value rn/rd + (jn/jd)i for rd, jd > 0, each part reduced with one gcd."""
+    g, h = math.gcd(rn, rd), math.gcd(jn, jd)
+    z = _new(ComplexRational)
+    _set(z, "rn", rn // g)
+    _set(z, "rd", rd // g)
+    _set(z, "jn", jn // h)
+    _set(z, "jd", jd // h)
+    return z
 
 
 class Lattice(enum.Enum):
@@ -122,17 +153,18 @@ class Lattice(enum.Enum):
 
 def lattice_member(z: ComplexRational, lattice: Lattice) -> bool:
     """True iff im(z) = 0 and re(z) lies in the given lattice or coset."""
-    return z.im == 0 and rational_member(z.re, lattice)
+    return not z.jn and rational_member(z.rn, z.rd, lattice)
 
 
-def rational_member(r: Fraction, lattice: Lattice) -> bool:
-    """True iff the rational r lies in the given lattice or coset."""
+def rational_member(s: int, d: int, lattice: Lattice) -> bool:
+    """True iff s/d, for d > 0 and in any terms, lies in the given lattice or
+    coset; each is a divisibility test."""
     if lattice is Lattice.INTEGERS:
-        return r.denominator == 1
+        return s % d == 0
     if lattice is Lattice.TWO_INTEGERS:
-        return r.denominator == 1 and r.numerator % 2 == 0
+        return s % (2 * d) == 0
     if lattice is Lattice.HALF_PLUS_INTEGERS:
-        return r.denominator == 2
+        return 2 * s % d == 0 and s % d != 0
     raise TypeError(f"unknown lattice {lattice!r}")
 
 
@@ -152,13 +184,15 @@ def _parse_int(digits: str) -> int:
             f"integer of {len(digits)} digits is too long to parse") from None
 
 
-def _parse_rational(token: str) -> Fraction:
+def _parse_rational(token: str) -> tuple[int, int]:
+    """The token as a numerator and a positive denominator, in any terms."""
     if "/" in token:
         num, den = token.split("/", 1)
-        if _parse_int(den) == 0:
+        d = _parse_int(den)
+        if d == 0:
             raise ParameterParseError(f"zero denominator in {token!r}")
-        return Fraction(_parse_int(num), _parse_int(den))
-    return Fraction(_parse_int(token))
+        return _parse_int(num), d
+    return _parse_int(token), 1
 
 
 def parse_cgauss(text: str) -> ComplexRational:
@@ -168,24 +202,26 @@ def parse_cgauss(text: str) -> ComplexRational:
         raise ParameterParseError("empty parameter string")
     m = _IMAG.match(token)
     if m:
-        return ComplexRational(Fraction(0), _parse_rational(m.group("im")))
+        return gaussian(0, 1, *_parse_rational(m.group("im")))
     m = _FULL.match(token)
     if m is None:
         raise ParameterParseError(f"malformed parameter {token!r}")
-    re_part = _parse_rational(m.group("re"))
+    rn, rd = _parse_rational(m.group("re"))
     if m.group("im") is None:
-        return ComplexRational(re_part)
-    im_part = _parse_rational(m.group("im"))
-    if m.group("sign") == "-":
-        im_part = -im_part
-    return ComplexRational(re_part, im_part)
+        return gaussian(rn, rd, 0, 1)
+    jn, jd = _parse_rational(m.group("im"))
+    return gaussian(rn, rd, -jn if m.group("sign") == "-" else jn, jd)
+
+
+def _ratio(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_cgauss(z: ComplexRational) -> str:
     """Canonical printer; ``parse_cgauss(format_cgauss(z)) == z`` always."""
-    if z.im == 0:
-        return str(z.re)
-    if z.re == 0:
-        return f"{z.im}i"
-    sign = "+" if z.im > 0 else "-"
-    return f"{z.re}{sign}{abs(z.im)}i"
+    if not z.jn:
+        return _ratio(z.rn, z.rd)
+    if not z.rn:
+        return f"{_ratio(z.jn, z.jd)}i"
+    sign = "+" if z.jn > 0 else "-"
+    return f"{_ratio(z.rn, z.rd)}{sign}{_ratio(abs(z.jn), z.jd)}i"

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .exactnum import ComplexRational, ConstraintError, ParameterParseError, parse_cgauss
+from .exactnum import (ComplexRational, ConstraintError, ParameterParseError, gaussian,
+                       parse_cgauss)
 from .ratfunc import RationalFunction, Var
 from .symbolic import T, rf
 
@@ -50,12 +51,12 @@ class SpecialValue(enum.Enum):
 Coord = Union[ComplexRational, SpecialValue]
 
 
+_TAGS = {tag.value: tag for tag in SpecialValue}
+
+
 def parse_coord(token: str) -> Coord:
     token = token.strip().lower()
-    for tag in SpecialValue:
-        if token == tag.value:
-            return tag
-    return parse_cgauss(token)
+    return _TAGS[token] if token in _TAGS else parse_cgauss(token)
 
 
 def coord_to_str(c: Coord) -> str:
@@ -77,12 +78,14 @@ class FamilyInstance:
                 f"got {len(self.params)}")
         if (self.family in (Family.PIV, Family.PV)
                 and not any(isinstance(p, SpecialValue) for p in self.params)):
-            re = sum(p.re for p in self.params)
-            im = sum(p.im for p in self.params)
+            dr = math.lcm(*(p.rd for p in self.params))
+            di = math.lcm(*(p.jd for p in self.params))
+            re = sum(p.rn * (dr // p.rd) for p in self.params)
+            im = sum(p.jn * (di // p.jd) for p in self.params)
             if re or im:
                 raise ConstraintError(
                     f"{self.family.value} parameters must sum to zero exactly "
-                    f"(got {ComplexRational(re, im)})")
+                    f"(got {gaussian(re, dr, im, di)})")
         if self.family is Family.XC:
             c = self.params[0]
             if isinstance(c, ComplexRational) and not c.is_real:
@@ -146,32 +149,31 @@ class GroupWord:
 
 def _integer_coords(family: Family, *vectors: Sequence[ComplexRational],
                     base: int = 1, plane: bool = False) -> tuple:
-    """A common denominator d > 0 of the vectors, a multiple of ``base``, and
-    each vector as the pairs (Re c*d, Im c*d) of its coordinates c: tuple
-    order on pairs is the (Re, Im) lexicographic order of the values, and
-    "+1" is "+d" on the real part.  With ``plane``, each must sum to zero."""
+    """Common denominators dr (a multiple of ``base``) of the real parts and di
+    of the imaginary parts, and each vector as the pairs (Re c*dr, Im c*di):
+    tuple order on pairs is the (Re, Im) lexicographic order of the values,
+    and "+1" is "+dr" on the real part.  With ``plane``, each must sum to zero."""
     for v in vectors:
         if len(v) != PARAM_COUNT[family]:
             raise ConstraintError(f"{family.value} parameter vector has "
                                   f"{PARAM_COUNT[family]} coordinates, got {len(v)}")
         if any(isinstance(c, SpecialValue) for c in v):
             raise ConstraintError("transformations require concrete Q(i) values")
-    d = math.lcm(base, *(part.denominator for v in vectors
-                         for c in v for part in (c.re, c.im)))
-    ws = tuple(tuple((c.re.numerator * (d // c.re.denominator),
-                      c.im.numerator * (d // c.im.denominator)) for c in v)
+    dr = math.lcm(base, *(c.rd for v in vectors for c in v))
+    di = math.lcm(*(c.jd for v in vectors for c in v))
+    ws = tuple(tuple((c.rn * (dr // c.rd), c.jn * (di // c.jd)) for c in v)
                for v in vectors)
     if plane and any(any(map(sum, zip(*w))) for w in ws):
         raise ConstraintError("parameter vector must lie on the sum-zero plane")
-    return (d, *ws)
+    return (dr, di, *ws)
 
 
-def _values(w: tuple, d: int) -> tuple:
-    return tuple(ComplexRational(Fraction(a, d), Fraction(b, d)) for a, b in w)
+def _values(w: tuple, dr: int, di: int) -> tuple:
+    return tuple(gaussian(a, dr, b, di) for a, b in w)
 
 
 def _act(g: Generator, w: tuple, d: int) -> tuple:
-    """One generator on integer coordinates over d (3 | d for tminus)."""
+    """One generator on integer coordinates, real parts over d (3 | d for tminus)."""
     if isinstance(g, P3Generator):
         (a1, b1), (a2, b2) = w
         if g is P3Generator.S1:
@@ -196,10 +198,10 @@ def _act(g: Generator, w: tuple, d: int) -> tuple:
 def apply_word(word: GroupWord, v: Sequence[ComplexRational]) -> tuple:
     """The exact affine image of a parameter vector under a word."""
     base = 3 if P4Generator.TMINUS in word.generators else 1
-    d, w = _integer_coords(word.family, v, base=base)
+    dr, di, w = _integer_coords(word.family, v, base=base)
     for g in word.generators:
-        w = _act(g, w, d)
-    return _values(w, d)
+        w = _act(g, w, dr)
+    return _values(w, dr, di)
 
 
 def generators_for(family: Family) -> tuple[Generator, ...]:
@@ -241,8 +243,8 @@ def _violated_wall(w: tuple, d: int) -> Generator | None:
 def in_fundamental_region_p4(v: Sequence[ComplexRational]) -> bool:
     """The three region conditions, each read as (Re, Im) >= (0, 0) in
     lexicographic order, applied to v2-v1, v1-v3 and v3-v2+1."""
-    d, w = _integer_coords(Family.PIV, v, plane=True)
-    return _violated_wall(w, d) is None
+    dr, _, w = _integer_coords(Family.PIV, v, plane=True)
+    return _violated_wall(w, dr) is None
 
 
 MAX_REDUCTION_STEPS = 10_000   # the partial word is held and printed in full
@@ -257,14 +259,14 @@ def reduce_to_fundamental_region_p4(v: Sequence[ComplexRational],
     if not 1 <= max_steps <= MAX_REDUCTION_STEPS:
         raise ConstraintError(f"max_steps must be between 1 and "
                               f"{MAX_REDUCTION_STEPS}, got {max_steps}")
-    d, w = _integer_coords(Family.PIV, v, plane=True)
+    dr, di, w = _integer_coords(Family.PIV, v, plane=True)
     word: list[Generator] = []
-    while (g := _violated_wall(w, d)) is not None:
+    while (g := _violated_wall(w, dr)) is not None:
         if len(word) == max_steps:
-            raise BudgetExceededError(GroupWord(Family.PIV, tuple(word)), _values(w, d))
+            raise BudgetExceededError(GroupWord(Family.PIV, tuple(word)), _values(w, dr, di))
         word.append(g)
-        w = _act(g, w, d)
-    return _values(w, d), GroupWord(Family.PIV, tuple(word))
+        w = _act(g, w, dr)
+    return _values(w, dr, di), GroupWord(Family.PIV, tuple(word))
 
 
 # --------------------------------------------------------------------------
@@ -291,13 +293,14 @@ def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
     if not 0 <= max_word_length <= MAX_WORD_LENGTH:
         raise ConstraintError(f"the maximum word length must be between 0 and "
                               f"{MAX_WORD_LENGTH}, got {max_word_length}")
-    d, a, b = _integer_coords(family, a, b, plane=family is Family.PIV)
+    dr, di, a, b = _integer_coords(family, a, b, plane=family is Family.PIV)
     gens = generators_for(family)
     if a == b:
         return Related(GroupWord(family))
-    # every image of a keeps a's denominators, so its parts are multiples of
-    # d / lcm(a's denominators), the gcd below; b's are not when it exceeds 1
-    if math.gcd(d, *(x for pair in a for x in pair)) > 1:
+    # every image of a keeps a's denominators, so its real parts are
+    # multiples of dr / lcm(a's real denominators), the first gcd below, and
+    # likewise its imaginary parts; b's are not when either exceeds 1
+    if math.gcd(dr, *(x for x, _ in a)) > 1 or math.gcd(di, *(y for _, y in a)) > 1:
         return Unknown(max_word_length)
     frontier = {a: ()}
     seen = {a}
@@ -305,7 +308,7 @@ def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
         nxt: dict[tuple, tuple] = {}
         for value, path in frontier.items():
             for g in gens:
-                image = _act(g, value, d)
+                image = _act(g, value, dr)
                 if image in seen:
                     continue
                 word = path + (g,)

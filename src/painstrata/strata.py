@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import ComplexRational, Lattice, lattice_member, rational_member
@@ -80,16 +79,20 @@ _SM_NOTE = "strongly minimal"
 def _member(lattice: Lattice, a: Coord, sign: int = 0, b: Coord | None = None) -> bool:
     """``a + sign*b`` (``a`` alone when sign is 0) lies in the lattice.
 
-    Read off the parts, so no value is built: the imaginary parts must
-    cancel, then the real part is tested.  A tagged operand is in no lattice.
+    Read off the integer parts, so no value is built: the imaginary parts
+    must cancel, then the real part's numerator over the product of the
+    denominators (over the one denominator when they agree) is tested.  A
+    tagged operand is in no lattice.
     """
     if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
         return False
     if not sign:
         return lattice_member(a, lattice)
-    if sign < 0:
-        return a.im == b.im and rational_member(a.re - b.re, lattice)
-    return a.im == -b.im and rational_member(a.re + b.re, lattice)
+    if a.jn != -sign * b.jn or a.jd != b.jd:
+        return False
+    if a.rd == b.rd:
+        return rational_member(a.rn + sign * b.rn, a.rd, lattice)
+    return rational_member(a.rn * b.rd + sign * b.rn * a.rd, a.rd * b.rd, lattice)
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +302,7 @@ class XcReport:
         }
 
 
-_MINUS_ONE = ComplexRational(Fraction(-1))
+_MINUS_ONE = ComplexRational(-1)
 
 
 def classify_xc(c: Coord) -> XcReport:

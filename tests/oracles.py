@@ -12,8 +12,10 @@ package's generated step), the curve check raises primes and then
 substitutes (not the package's derivation along the curve), substitution
 rebuilds each term by rational products and sums (not the package's
 composition over a common denominator), partial derivatives follow the
-textbook quotient rule (not that derivation), and the p3/p4 parameter
-groups act in Q(i) arithmetic (not on the package's integer coordinates).
+textbook quotient rule (not that derivation), the p3/p4 parameter
+groups act in Q(i) arithmetic (not on the package's integer coordinates),
+and the wire parser, the printer and the lattice tests work on ``Fraction``
+parts (not on the package's reduced integer parts).
 Random parameter vectors come from seeded generators so frozen expectations
 stay stable.
 """
@@ -23,9 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
-from painstrata.exactnum import ComplexRational, ConstraintError
+from painstrata.exactnum import ComplexRational, ConstraintError, Lattice, ParameterParseError
 from painstrata.models import (
     MAX_REDUCTION_STEPS,
     MAX_WORD_LENGTH,
@@ -782,3 +785,90 @@ def orbit_bfs(a: tuple, b: tuple, family: Family, max_word_length: int):
         if not frontier:
             break
     return Unknown(max_word_length)
+
+
+# --------------------------------------------------------------------------
+# The wire layer on Fraction parts: the parser, the printer, the lattice test
+# of a sum or difference, and the p4/p5 sum-zero check, as they were written
+# before the package stored each part as reduced integers.
+# --------------------------------------------------------------------------
+
+_RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_FULL = re.compile(rf"^(?P<re>{_RAT})(?:(?P<sign>[+-])(?P<im>[0-9]+(?:/[0-9]+)?)i)?$")
+_IMAG = re.compile(rf"^(?P<im>{_RAT})i$")
+
+
+def _fraction_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParameterParseError(
+            f"integer of {len(digits)} digits is too long to parse") from None
+
+
+def _fraction_rational(token: str) -> Fraction:
+    if "/" in token:
+        num, den = token.split("/", 1)
+        if _fraction_int(den) == 0:
+            raise ParameterParseError(f"zero denominator in {token!r}")
+        return Fraction(_fraction_int(num), _fraction_int(den))
+    return Fraction(_fraction_int(token))
+
+
+def fraction_parse(text: str) -> tuple[Fraction, Fraction]:
+    """The (Re, Im) parts of a wire token, or its ParameterParseError."""
+    token = text.strip()
+    if not token:
+        raise ParameterParseError("empty parameter string")
+    m = _IMAG.match(token)
+    if m:
+        return Fraction(0), _fraction_rational(m.group("im"))
+    m = _FULL.match(token)
+    if m is None:
+        raise ParameterParseError(f"malformed parameter {token!r}")
+    re_part = _fraction_rational(m.group("re"))
+    if m.group("im") is None:
+        return re_part, Fraction(0)
+    im_part = _fraction_rational(m.group("im"))
+    return re_part, -im_part if m.group("sign") == "-" else im_part
+
+
+def fraction_format(re_part: Fraction, im_part: Fraction) -> str:
+    if im_part == 0:
+        return str(re_part)
+    if re_part == 0:
+        return f"{im_part}i"
+    sign = "+" if im_part > 0 else "-"
+    return f"{re_part}{sign}{abs(im_part)}i"
+
+
+def _fraction_in(r: Fraction, lattice: Lattice) -> bool:
+    if lattice is Lattice.INTEGERS:
+        return r.denominator == 1
+    if lattice is Lattice.TWO_INTEGERS:
+        return r.denominator == 1 and r.numerator % 2 == 0
+    return r.denominator == 2
+
+
+def fraction_member(lattice: Lattice, a, sign: int = 0, b=None) -> bool:
+    """``a + sign*b`` (``a`` alone when sign is 0) lies in the lattice, read
+    off the ``Fraction`` parts; a tagged operand is in no lattice."""
+    if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
+        return False
+    if not sign:
+        return a.im == 0 and _fraction_in(a.re, lattice)
+    if sign < 0:
+        return a.im == b.im and _fraction_in(a.re - b.re, lattice)
+    return a.im == -b.im and _fraction_in(a.re + b.re, lattice)
+
+
+def fraction_sum_zero_error(family: Family, params) -> str | None:
+    """The message of the p4/p5 sum-zero check, or None when it passes."""
+    if any(isinstance(p, SpecialValue) for p in params):
+        return None
+    re_part = sum(p.re for p in params)
+    im_part = sum(p.im for p in params)
+    if re_part or im_part:
+        return (f"{family.value} parameters must sum to zero exactly "
+                f"(got {fraction_format(re_part, im_part)})")
+    return None

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import fractions
 import io
 import json
 import os
@@ -161,6 +162,21 @@ class TestSweep:
         assert code == EXIT_OK
         assert [d.get("error", {}).get("line") for d in docs] == [1, None]
         assert docs[1]["stratum"] == "generic"
+
+    def test_builds_no_fraction(self, capsys, tmp_path):
+        # tokens are parsed, tested and printed as integer parts, errors and
+        # the sum-zero message included
+        batch = tmp_path / "batch.txt"
+        batch.write_text("p6 1/2,1/3,5/6,7\np6 1+2i,3-2i,-2/4i,generic\n"
+                         "p5 1/3,1/5,2/15,-2/3\np4 1/2,1/3,1/7\np3 1/2,3/2i\n"
+                         "p2 -7/2\nxc -1\nxc 3/4\nxc nonrational\np6 1/0,1,1,1\n")
+        with mock.patch.object(fractions.Fraction, "__new__",
+                               wraps=fractions.Fraction.__new__) as new:
+            code, docs = run(capsys, ["sweep", "--in", str(batch)])
+        assert code == EXIT_OK and len(docs) == 10
+        assert docs[3]["error"]["message"] == \
+            "p4 parameters must sum to zero exactly (got 41/42)"
+        assert new.call_count == 0
 
     # ``within`` holds no state between examples
     @settings(suppress_health_check=[HealthCheck.too_slow,

@@ -1,5 +1,8 @@
 """Exact Q(i) arithmetic, the wire grammar and the lattice predicates."""
 
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,8 @@ from painstrata.exactnum import (
     lattice_member,
     parse_cgauss,
 )
+
+import oracles
 
 CR = ComplexRational
 
@@ -140,3 +145,97 @@ class TestLattice:
     def test_half_coset_identity(self, z):
         assert lattice_member(z, Lattice.HALF_PLUS_INTEGERS) == \
             lattice_member(2 * z - 1, Lattice.TWO_INTEGERS)
+
+
+def digits(rng: random.Random, n: int) -> str:
+    return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(n - 1))
+
+
+def rational_text(rng: random.Random, signed: bool = True) -> tuple[str, str]:
+    """A spelling of a rational and its kind: leading zeros, explicit signs,
+    unreduced fractions, zero and zero denominators, 20-40-digit parts, and
+    parts at the 4,300-digit limit and just past it."""
+    draw = rng.random()
+    if draw < 0.5:
+        kind, num, den = "small", str(rng.randint(0, 60)), str(rng.randint(1, 24))
+    elif draw < 0.8:
+        kind, num, den = "long", digits(rng, rng.randint(20, 40)), digits(rng, rng.randint(20, 40))
+    elif draw < 0.85:
+        kind = "limit"
+        num, den = digits(rng, rng.randint(4290, 4310)), digits(rng, rng.randint(1, 4310))
+    elif draw < 0.95:
+        kind, num, den = "zeros", "0" * rng.randint(1, 3) + str(rng.randint(0, 99)), \
+            "0" * rng.randint(0, 3) + str(rng.randint(1, 99))
+    else:
+        kind, num, den = "zero-den", str(rng.randint(0, 9)), "0" * rng.randint(1, 3)
+    text = num if rng.random() < 0.3 and kind != "zero-den" else f"{num}/{den}"
+    if signed:
+        text = rng.choice(("", "", "+", "-")) + text
+    return kind, text
+
+
+def wire_token(rng: random.Random) -> tuple[str, str]:
+    """A seeded wire token and its kind: real, imaginary, both parts, or
+    malformed, with surrounding blanks now and then."""
+    form = rng.random()
+    kind, text = rational_text(rng)
+    if form < 0.3:
+        token = text
+    elif form < 0.5:
+        token, kind = f"{text}i", f"imag-{kind}"
+    elif form < 0.9:
+        im_kind, im = rational_text(rng, signed=False)
+        token, kind = f"{text}{rng.choice('+-')}{im}i", f"full-{kind}-{im_kind}"
+    else:
+        token = rng.choice(("", " ", "i", "2-i", "1..5", "1 + 2i", "2+", "1/2/3",
+                            "\u0661", "1/-2", "--1", "1e3", "0x10", "1_0"))
+        token, kind = token + rng.choice(("", text, "i")), "malformed"
+    return kind, rng.choice(("", " ", "\t")) + token + rng.choice(("", " "))
+
+
+class TestFractionOracle:
+    """The parser and the printer on reduced integer parts against the
+    ``Fraction`` parser and printer they replaced (``oracles.fraction_parse``
+    and ``oracles.fraction_format``): the same value, the same canonical text
+    and the same error, message included."""
+
+    CASES = ("4/6", "-0", "+3", "007/014", "-0i", "1-0i", "-2/4i", "0/5", "+0/7i",
+             "1/0", "0/0", "2+3/0i", "-5/00i", "1/2i", "2/4i", "3/6+9/12i",
+             "-12/8-0/3i", "1" * 4300, "1" * 4301, "2/" + "3" * 4300, "2/" + "3" * 4301)
+
+    @staticmethod
+    def outcome(function, token):
+        try:
+            return function(token)
+        except ParameterParseError as err:
+            return ("error", str(err))
+
+    def test_tokens_agree(self):
+        rng = random.Random(20)
+        tokens = [(text, "case") for text in self.CASES]
+        tokens += [(token, kind) for kind, token in (wire_token(rng) for _ in range(2400))]
+        kinds = Counter()
+        for token, kind in tokens:
+            got = self.outcome(parse_cgauss, token)
+            expected = self.outcome(oracles.fraction_parse, token)
+            if isinstance(expected, tuple) and expected[0] == "error":
+                assert got == expected, token
+                kinds["error"] += 1
+            else:
+                re_part, im_part = expected
+                assert (got.rn, got.rd, got.jn, got.jd) == (
+                    re_part.numerator, re_part.denominator,
+                    im_part.numerator, im_part.denominator), token
+                assert got == CR(re_part, im_part) and (got.re, got.im) == expected
+                assert format_cgauss(got) == oracles.fraction_format(*expected), token
+                kinds["value"] += 1
+            kinds[kind.split("-")[0]] += 1
+            kinds[kind] += 1
+        assert kinds["error"] > 300 and kinds["value"] > 1500, kinds
+        assert {"imag", "full", "malformed", "zeros", "long", "limit", "zero-den",
+                "full-long-long", "imag-limit"} <= kinds.keys(), kinds
+
+    @given(cgauss)
+    def test_printer_agrees(self, z):
+        assert format_cgauss(z) == oracles.fraction_format(z.re, z.im)
+        assert math.gcd(z.rn, z.rd) == 1 == math.gcd(z.jn, z.jd)

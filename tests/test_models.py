@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -432,6 +433,42 @@ class TestOrbitSearch:
             with within(1):
                 out = orbit_search(a, b, Family.PIV, MAX_WORD_LENGTH)
             assert out == Unknown(MAX_WORD_LENGTH)
+
+    @staticmethod
+    def search_peak(a, b) -> int:
+        tracemalloc.start()
+        try:
+            assert orbit_search(a, b, Family.PIII, MAX_WORD_LENGTH) == Unknown(MAX_WORD_LENGTH)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_parts_scaled_apart(self):
+        # real parts are scaled by the lcm of the real denominators and
+        # imaginary parts by the lcm of theirs, so a generic p3 pair over four
+        # coprime 300-digit denominators (two real, two imaginary, shared by
+        # both endpoints) is searched on 600-digit ints; a pair with all four
+        # parts over their 1,200-digit product, as one denominator for both
+        # parts would scale the first, holds twice the digits
+        rng = random.Random(20)
+        dens = []
+        while len(dens) < 4:
+            d = rng.randrange(10 ** 299, 10 ** 300)
+            if all(math.gcd(d, e) == 1 for e in dens):
+                dens.append(d)
+
+        def part(d):
+            while math.gcd(n := rng.randrange(1, d), d) != 1:
+                pass
+            return Fraction(n, d)
+
+        def pair(d1, d2, d3, d4):
+            return (CR(part(d1), part(d3)), CR(part(d2), part(d4)))
+
+        product = math.prod(dens)
+        apart = self.search_peak(pair(*dens), pair(*dens))
+        shared = self.search_peak(pair(*[product] * 4), pair(*[product] * 4))
+        assert apart <= 0.6 * shared, (apart, shared)
 
 
 def big_denominators(rng: random.Random) -> tuple[int, int]:

@@ -3,13 +3,15 @@
 import importlib.resources
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from painstrata.exactnum import ComplexRational, Lattice, lattice_member
+from painstrata.exactnum import ComplexRational, Lattice, lattice_member, parse_cgauss
 from painstrata.models import (
+    PARAM_COUNT,
     ConstraintError,
     Family,
     FamilyInstance,
@@ -22,6 +24,7 @@ from painstrata.strata import (
     CITATIONS,
     Classification,
     OUT_OF_SCOPE,
+    _member,
     classify,
     classify_xc,
     integral_roots,
@@ -303,6 +306,102 @@ class TestCosetOracle:
             assert (report.c_kind, rank) == want, c
         assert seen == {"constraint", ("rational", 2), ("rational", None),
                         ("non_rational_constant", 1)}
+
+
+def oracle_part(rng: random.Random) -> Fraction:
+    den = rng.choice((1, 1, 2, 3, 4, 6, 12, 10 ** 30 + 57))
+    return Fraction(rng.randint(-3 * den, 3 * den), den)
+
+
+def spelled(re_part: Fraction, im_part: Fraction, rng: random.Random) -> CR:
+    """The value parsed from a spelling whose imaginary part is unreduced,
+    as in ``2/4i`` for ``1/2i``."""
+    k = rng.randint(1, 5)
+    im = f"{abs(im_part.numerator) * k}/{im_part.denominator * k}i"
+    return parse_cgauss(f"{re_part}{'-' if im_part < 0 else '+'}{im}")
+
+
+def member_pair(rng: random.Random) -> tuple:
+    """a and b such that a + s*b is often on or near a lattice for s = +-1:
+    b's real part is s*(t - Re a) for t in Z, 2Z, 1/2 + Z or 1/3 + Z, and
+    its imaginary part cancels a's (spelled unreduced now and then), or
+    else b is drawn on its own; a tag stands in for either now and then."""
+    a = CR(oracle_part(rng), oracle_part(rng) if rng.random() < 0.4 else Fraction(0))
+    if rng.random() < 0.7:
+        s = rng.choice((1, -1))
+        t = Fraction(rng.randint(-4, 4), 1) + rng.choice((0, 0, Fraction(1, 2), Fraction(1, 3)))
+        im = -s * a.im if rng.random() < 0.8 else oracle_part(rng)
+        b = spelled(s * (t - a.re), im, rng) if im and rng.random() < 0.5 \
+            else CR(s * (t - a.re), im)
+    else:
+        b = CR(oracle_part(rng), oracle_part(rng) if rng.random() < 0.4 else Fraction(0))
+    if rng.random() < 0.05:
+        a, b = rng.choice(((SpecialValue.GENERIC, b), (a, SpecialValue.NON_RATIONAL)))
+    return a, b
+
+
+class TestFractionOracle:
+    """The lattice test on integer parts and the p4/p5 sum-zero check against
+    the ``Fraction`` arithmetic they replaced (``oracles.fraction_member``,
+    ``oracles.fraction_sum_zero_error``)."""
+
+    def test_member_examples(self):
+        half = Lattice.HALF_PLUS_INTEGERS
+        assert _member(half, CR(Fraction(1, 3)), 1, CR(Fraction(1, 6)))
+        assert not _member(half, CR(Fraction(1, 3)), -1, CR(Fraction(1, 6)))
+        assert _member(Lattice.INTEGERS, parse_cgauss("1+1/2i"), -1, parse_cgauss("3+2/4i"))
+        assert _member(Lattice.TWO_INTEGERS, parse_cgauss("1+1/2i"), 1, parse_cgauss("3-2/4i"))
+        assert not _member(Lattice.INTEGERS, parse_cgauss("1+1/2i"), 1, parse_cgauss("3+2/4i"))
+
+    def test_member_agrees(self):
+        rng = random.Random(20)
+        kinds = Counter()
+        for _ in range(3000):
+            a, b = member_pair(rng)
+            for lattice in Lattice:
+                got = _member(lattice, a)
+                assert got == oracles.fraction_member(lattice, a), (a, lattice)
+                for sign in (-1, 1):
+                    got = _member(lattice, a, sign, b)
+                    assert got == oracles.fraction_member(lattice, a, sign, b), \
+                        (a, sign, b, lattice)
+                    if isinstance(a, CR) and isinstance(b, CR):
+                        kinds[(lattice, sign, a.rd == b.rd, a.jn != 0, got)] += 1
+        # every lattice and sign, with equal and with different real
+        # denominators, and both verdicts; two reduced fractions over
+        # different denominators never sum to an integer, but may sum to a
+        # half-integer (1/3 + 1/6)
+        assert {(lattice, sign, same, got) for lattice, sign, same, _, got in kinds} == {
+            (lattice, sign, same, got) for lattice in Lattice for sign in (-1, 1)
+            for same in (True, False) for got in (True, False)
+            if same or not got or lattice is Lattice.HALF_PLUS_INTEGERS}, kinds
+        # nonzero imaginary parts that cancel, for every lattice and sign
+        assert all(kinds[(lattice, sign, True, True, True)]
+                   for lattice in Lattice for sign in (-1, 1)), kinds
+        assert all(kinds[(Lattice.HALF_PLUS_INTEGERS, sign, False, True, True)]
+                   for sign in (-1, 1)), kinds
+
+    @pytest.mark.parametrize("family", [Family.PIV, Family.PV], ids=lambda f: f.value)
+    def test_sum_zero_agrees(self, family):
+        rng = random.Random(f"sum-zero:{family.value}")
+        outcomes = Counter()
+        for _ in range(1000):
+            v = [CR(oracle_part(rng), oracle_part(rng) if rng.random() < 0.4 else Fraction(0))
+                 for _ in range(PARAM_COUNT[family] - 1)]
+            last = -sum(v, CR())
+            if rng.random() < 0.5:
+                last = last + rng.choice((CR(Fraction(1, 10 ** 30 + 57)), CR(1),
+                                          CR(0, Fraction(1, 3)), CR(Fraction(-1, 2), 2)))
+            v.append(SpecialValue.GENERIC if rng.random() < 0.05 else last)
+            expected = oracles.fraction_sum_zero_error(family, v)
+            try:
+                FamilyInstance(family, tuple(v))
+                got = None
+            except ConstraintError as err:
+                got = str(err)
+            assert got == expected, v
+            outcomes[expected is None] += 1
+        assert outcomes[True] > 300 and outcomes[False] > 300, outcomes
 
 
 class TestXcReport:
