@@ -61,6 +61,7 @@ STANDARD_WINDOW = (0.0, 0.3)
 STANDARD_START = (1.0, 0.5)
 DEFAULT_DRIFT_BOUND = 1e-6
 DEFAULT_MAX_STEPS = 200
+MAX_COUPLING_DIGITS = 1000   # as many as a coefficient of a parsed expression
 
 # The errors a user's input can cause: (classes, document kind, exit code).
 # Any other exception is a bug and propagates.
@@ -188,12 +189,20 @@ def cmd_verify_riccati(args) -> int:
     return EXIT_OK if all_contained else EXIT_NEGATIVE
 
 
+def _check_coupling(c: int) -> None:
+    """The exact checks print c + 1 and its products with the candidate's
+    coefficients; a bound on c keeps each printable."""
+    if abs(c) >= 10 ** MAX_COUPLING_DIGITS:
+        raise ConstraintError(f"--c must have at most {MAX_COUPLING_DIGITS} digits")
+
+
 def cmd_verify_integral(args) -> int:
     convention = "one_minus_y" if args.convention == "1-y" else "y_minus_one"
     if args.expr is not None:
         candidate = rf(args.expr, variables=("x", "y"))
     else:
         candidate = xc_first_integral(args.c, convention)
+    _check_coupling(args.c)
     system = system_rhs(FamilyInstance(Family.XC, (ComplexRational(Fraction(args.c)),)))
     residual = verify_first_integral(candidate, system.as_map())
     conserved = residual.is_zero()
@@ -212,6 +221,7 @@ def cmd_verify_qop(args) -> int:
         candidate = rf(args.expr, variables=("x", "y"))
     else:
         candidate = xc_first_integral(args.c)
+    _check_coupling(args.c)
     slope = quotient_of_partials(candidate)
     expected = imp_slope_rhs(args.c)
     residual = slope - expected

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,9 +24,6 @@ class ConstraintError(ValueError):
     """Input that parses but violates a constraint (dimension, plane, domain)."""
 
 
-_new, _set = object.__new__, object.__setattr__   # how a frozen dataclass sets fields
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class ComplexRational:
     """An element of Q(i): real part rn/rd and imaginary part jn/jd, each in
@@ -33,7 +31,7 @@ class ComplexRational:
     exact and canonical.
 
     The constructor takes the parts as ``int``s or ``Fraction``s, which are
-    already in that form; ``re`` and ``im`` read them back as ``Fraction``s.
+    already in that form.
     """
 
     rn: int
@@ -42,78 +40,10 @@ class ComplexRational:
     jd: int
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        _set(self, "rn", re.numerator)
-        _set(self, "rd", re.denominator)
-        _set(self, "jn", im.numerator)
-        _set(self, "jd", im.denominator)
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.rn, self.rd)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.jn, self.jd)
-
-    @staticmethod
-    def _coerce(value) -> "ComplexRational":
-        if isinstance(value, ComplexRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return ComplexRational(value)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        _set_rn(self, re.numerator)
+        _set_rd(self, re.denominator)
+        _set_jn(self, im.numerator)
+        _set_jd(self, im.denominator)
 
     def __bool__(self):
         return bool(self.rn or self.jn)
@@ -122,24 +52,24 @@ class ComplexRational:
     def is_real(self) -> bool:
         return not self.jn
 
-    def as_fraction(self) -> Fraction:
-        """The real value, for contexts that require im = 0."""
-        if self.jn:
-            raise ValueError(f"{self} has a nonzero imaginary part")
-        return self.re
-
     def __str__(self) -> str:
         return format_cgauss(self)
+
+
+# the slots' own setters, which a frozen dataclass leaves usable
+_set_rn, _set_rd, _set_jn, _set_jd = (ComplexRational.__dict__[f].__set__
+                                      for f in ("rn", "rd", "jn", "jd"))
+_new = object.__new__
 
 
 def gaussian(rn: int, rd: int, jn: int, jd: int) -> ComplexRational:
     """The value rn/rd + (jn/jd)i for rd, jd > 0, each part reduced with one gcd."""
     g, h = math.gcd(rn, rd), math.gcd(jn, jd)
     z = _new(ComplexRational)
-    _set(z, "rn", rn // g)
-    _set(z, "rd", rd // g)
-    _set(z, "jn", jn // h)
-    _set(z, "jd", jd // h)
+    _set_rn(z, rn // g)
+    _set_rd(z, rd // g)
+    _set_jn(z, jn // h)
+    _set_jd(z, jd // h)
     return z
 
 
@@ -170,10 +100,10 @@ def rational_member(s: int, d: int, lattice: Lattice) -> bool:
 
 # Wire grammar: rational ('+'|'-') rational 'i' | rational 'i' | rational,
 # with rational = optional sign, integer, optional '/' positive-integer, and
-# integers spelled in ASCII digits.
-_RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
-_FULL = re.compile(rf"^(?P<re>{_RAT})(?:(?P<sign>[+-])(?P<im>[0-9]+(?:/[0-9]+)?)i)?$")
-_IMAG = re.compile(rf"^(?P<im>{_RAT})i$")
+# integers spelled in ASCII digits.  One match reads every form: the first
+# rational (with its sign), then either the sign and the unsigned rational of
+# an imaginary part or a bare 'i' making the first rational imaginary.
+_WIRE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?:([+-])([0-9]+)(?:/([0-9]+))?i|(i))?")
 
 
 def _parse_int(digits: str) -> int:
@@ -184,33 +114,30 @@ def _parse_int(digits: str) -> int:
             f"integer of {len(digits)} digits is too long to parse") from None
 
 
-def _parse_rational(token: str) -> tuple[int, int]:
-    """The token as a numerator and a positive denominator, in any terms."""
-    if "/" in token:
-        num, den = token.split("/", 1)
-        d = _parse_int(den)
-        if d == 0:
-            raise ParameterParseError(f"zero denominator in {token!r}")
-        return _parse_int(num), d
-    return _parse_int(token), 1
+def _parse_rational(num: str, den: str | None) -> tuple[int, int]:
+    """A numerator and a positive denominator, in any terms; the denominator
+    is read, and refused when zero, before the numerator."""
+    if den is None:
+        return _parse_int(num), 1
+    d = _parse_int(den)
+    if not d:
+        raise ParameterParseError(f"zero denominator in {num + '/' + den!r}")
+    return _parse_int(num), d
 
 
 def parse_cgauss(text: str) -> ComplexRational:
     """Parse an exact Q(i) value such as ``1/2``, ``-2i`` or ``3/2+1/3i``."""
     token = text.strip()
-    if not token:
-        raise ParameterParseError("empty parameter string")
-    m = _IMAG.match(token)
-    if m:
-        return gaussian(0, 1, *_parse_rational(m.group("im")))
-    m = _FULL.match(token)
+    m = _WIRE.fullmatch(token)
     if m is None:
-        raise ParameterParseError(f"malformed parameter {token!r}")
-    rn, rd = _parse_rational(m.group("re"))
-    if m.group("im") is None:
-        return gaussian(rn, rd, 0, 1)
-    jn, jd = _parse_rational(m.group("im"))
-    return gaussian(rn, rd, -jn if m.group("sign") == "-" else jn, jd)
+        raise ParameterParseError(f"malformed parameter {token!r}" if token
+                                  else "empty parameter string")
+    num, den, sign, jnum, jden, imag = m.groups()
+    rn, rd = _parse_rational(num, den)
+    if jnum is None:
+        return gaussian(0, 1, rn, rd) if imag else gaussian(rn, rd, 0, 1)
+    jn, jd = _parse_rational(jnum, jden)
+    return gaussian(rn, rd, -jn if sign == "-" else jn, jd)
 
 
 def _ratio(n: int, d: int) -> str:
@@ -225,3 +152,13 @@ def format_cgauss(z: ComplexRational) -> str:
         return f"{_ratio(z.jn, z.jd)}i"
     sign = "+" if z.jn > 0 else "-"
     return f"{_ratio(z.rn, z.rd)}{sign}{_ratio(abs(z.jn), z.jd)}i"
+
+
+def printable(value) -> str:
+    """``str(value)`` for an error message; a value holding an integer past
+    the interpreter's int-to-str digit limit reads as a fixed placeholder
+    that names the limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<a number of more than {sys.get_int_max_str_digits()} digits>"

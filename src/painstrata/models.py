@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .exactnum import (ComplexRational, ConstraintError, ParameterParseError, gaussian,
-                       parse_cgauss)
+                       parse_cgauss, printable)
 from .ratfunc import RationalFunction, Var
 from .symbolic import T, rf
 
@@ -52,6 +52,7 @@ Coord = Union[ComplexRational, SpecialValue]
 
 
 _TAGS = {tag.value: tag for tag in SpecialValue}
+_FAMILIES = {family.value: family for family in Family}
 
 
 def parse_coord(token: str) -> Coord:
@@ -85,7 +86,7 @@ class FamilyInstance:
             if re or im:
                 raise ConstraintError(
                     f"{self.family.value} parameters must sum to zero exactly "
-                    f"(got {gaussian(re, dr, im, di)})")
+                    f"(got {printable(gaussian(re, dr, im, di))})")
         if self.family is Family.XC:
             c = self.params[0]
             if isinstance(c, ComplexRational) and not c.is_real:
@@ -95,10 +96,9 @@ class FamilyInstance:
     @classmethod
     def from_strings(cls, family: Family | str, tokens: Iterable[str]) -> "FamilyInstance":
         if isinstance(family, str):
-            try:
-                family = Family(family)
-            except ValueError:
-                raise ParameterParseError(f"unknown family {family!r}") from None
+            tag, family = family, _FAMILIES.get(family)
+            if family is None:
+                raise ParameterParseError(f"unknown family {tag!r}")
         return cls(family, tuple(parse_coord(tok) for tok in tokens))
 
 
@@ -402,7 +402,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
             raise ConstraintError(
                 "system right-hand sides are built over the rationals; "
                 f"coordinate {name}={value} has a nonzero imaginary part")
-        env[Var(False, name)] = value.as_fraction()
+        env[Var(False, name)] = Fraction(value.rn, value.rd)
     rhs = tuple(_parsed(text, params=param_names, variables=variables)
                 .substitute(env) for text in texts)
     return SystemRHS(inst.family, variables, rhs, sing)

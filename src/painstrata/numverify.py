@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .exactnum import ConstraintError
+from .exactnum import ConstraintError, printable
 from .models import SystemRHS
 from .ratfunc import RationalFunction, Var
 from .symbolic import T
@@ -153,7 +153,8 @@ def _support(poly, coeffs: list) -> tuple:
         try:
             c = float(coeff)
         except OverflowError:
-            raise ConstraintError(f"the coefficient {coeff} does not fit a float") from None
+            raise ConstraintError(
+                f"the coefficient {printable(coeff)} does not fit a float") from None
         scaled = not (c == 1.0 and mono)
         if scaled:
             coeffs.append(c)

@@ -104,19 +104,40 @@ Root4 = tuple[int, int, int, int]
 _P6_STRATUM_BY_RANK = ("generic", "M", "P", "L", "D")
 
 
-def integral_roots(v: Sequence[Coord]) -> list[Root4]:
-    """Roots +-e_i +- e_j whose inner product with v is a (real) integer.
+def _root(i: int, j: int, a: int, b: int) -> Root4:
+    """a*e_i + b*e_j."""
+    return tuple(a * (k == i) + b * (k == j) for k in range(4))
 
-    Twelve pair tests, v_i - v_j in Z and v_i + v_j in Z for i < j; each
-    test that passes contributes a root and its negative.
+
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+# per pair i < j: i, j, then e_i - e_j and e_i + e_j, each with its negative
+_PAIR_ROOTS = tuple((i, j, (_root(i, j, 1, -1), _root(i, j, -1, 1)),
+                     (_root(i, j, 1, 1), _root(i, j, -1, -1))) for i, j in _PAIRS)
+# the ends of e_i -+ e_j, and whether it is e_i + e_j (an odd edge)
+_ENDS = {_root(i, j, 1, b): (i, j, b > 0) for i, j in _PAIRS for b in (-1, 1)}
+
+
+def integral_roots(v: Sequence[Coord]) -> list[Root4]:
+    """Roots +-e_i +- e_j whose inner product with v is a (real) integer:
+    pair by pair for i < j, e_i - e_j before e_i + e_j, each root followed
+    by its negative.
+
+    v_i - v_j lies in Z iff v_i and v_j agree mod Z, and v_i + v_j does iff
+    v_i and -v_j agree.  So each concrete coordinate gets one class key,
+    (Re mod 1, its denominator, Im), and its negative one, and the roots are
+    read off equal keys.  A tagged coordinate's keys, its index and -1 minus
+    it, equal no other key.
     """
+    keys = [(i, -1 - i) if isinstance(c, SpecialValue) else
+            ((c.rn % c.rd, c.rd, c.jn, c.jd), (-c.rn % c.rd, c.rd, -c.jn, c.jd))
+            for i, c in enumerate(v)]
     roots = []
-    for i, j in itertools.combinations(range(4), 2):
-        for sign in (-1, 1):
-            if _member(Lattice.INTEGERS, v[i], sign, v[j]):
-                root = [0, 0, 0, 0]
-                root[i], root[j] = 1, sign
-                roots += (tuple(root), tuple(-x for x in root))
+    for i, j, minus, plus in _PAIR_ROOTS:
+        key, (same, negated) = keys[i][0], keys[j]
+        if key == same:
+            roots += minus
+        if key == negated:
+            roots += plus
     return roots
 
 
@@ -140,7 +161,8 @@ def p6_stratum(v: Sequence[Coord]) -> P6Stratum:
     the number of balanced components (Zaslavsky, *Signed graphs*, Discrete
     Appl. Math. 4, 1982).  One union-find pass with sign parities finds a
     spanning forest and, per unbalanced component, one edge closing a
-    negative cycle; together they are the independent witnesses.
+    negative cycle; together they are the independent witnesses.  A root's
+    negative is the same edge, so the pass reads every other root.
     """
     if len(v) != 4:
         raise ConstraintError("expected four coordinates")
@@ -154,9 +176,8 @@ def p6_stratum(v: Sequence[Coord]) -> P6Stratum:
             x = parent[x]
         return x, odd
 
-    for root in integral_roots(v):
-        i, j = (k for k, c in enumerate(root) if c)
-        odd = root[i] == root[j]   # e_i + e_j: the ends take opposite signs
+    for root in integral_roots(v)[::2]:
+        i, j, odd = _ENDS[root]   # e_i + e_j: the ends take opposite signs
         (ri, pi), (rj, pj) = find(i), find(j)
         if ri != rj:
             parent[ri], parity[ri] = rj, pi ^ pj ^ odd

@@ -14,8 +14,9 @@ rebuilds each term by rational products and sums (not the package's
 composition over a common denominator), partial derivatives follow the
 textbook quotient rule (not that derivation), the p3/p4 parameter
 groups act in Q(i) arithmetic (not on the package's integer coordinates),
-and the wire parser, the printer and the lattice tests work on ``Fraction``
-parts (not on the package's reduced integer parts).
+the wire parser, the printer and the lattice tests work on ``Fraction``
+parts (not on the package's reduced integer parts), and Q(i) arithmetic is
+the ``QI`` type here (the package's ``ComplexRational`` has none).
 Random parameter vectors come from seeded generators so frozen expectations
 stay stable.
 """
@@ -26,6 +27,7 @@ import itertools
 import math
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from painstrata.exactnum import ComplexRational, ConstraintError, Lattice, ParameterParseError
@@ -44,6 +46,76 @@ from painstrata.models import (
 from painstrata.ratfunc import DivisionByZeroExpression, Polynomial, RationalFunction, Var
 from painstrata.symbolic import T
 
+
+@dataclass(frozen=True, eq=False)
+class QI:
+    """A Q(i) value on ``Fraction`` parts with the field operations, for
+    building expected values.  ``qi`` reads a package value (or an int or a
+    ``Fraction``) into one, ``exact`` gives the package's value back, and a
+    QI equals a ``ComplexRational`` of the same value."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+
+    def exact(self) -> ComplexRational:
+        return ComplexRational(self.re, self.im)
+
+    def __eq__(self, other):
+        if not isinstance(other, (QI, ComplexRational, int, Fraction)):
+            return NotImplemented
+        other = qi(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __neg__(self):
+        return QI(-self.re, -self.im)
+
+    def __add__(self, other):
+        other = qi(other)
+        return QI(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -qi(other)
+
+    def __rsub__(self, other):
+        return qi(other) - self
+
+    def __mul__(self, other):
+        other = qi(other)
+        return QI(self.re * other.re - self.im * other.im,
+                  self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = qi(other)
+        norm = other.re * other.re + other.im * other.im
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return self * QI(other.re / norm, -other.im / norm)
+
+    def __rtruediv__(self, other):
+        return qi(other) / self
+
+
+def qi(z) -> QI:
+    """A ``ComplexRational``, ``int``, ``Fraction`` or ``QI`` as a QI."""
+    if isinstance(z, QI):
+        return z
+    if isinstance(z, ComplexRational):
+        return QI(Fraction(z.rn, z.rd), Fraction(z.jn, z.jd))
+    if isinstance(z, (int, Fraction)):
+        return QI(Fraction(z))
+    raise TypeError(f"not a Q(i) value: {z!r}")
+
+
 # the vectors with exactly two nonzero entries, each +-1
 ROOTS = tuple(r for r in itertools.product((-1, 0, 1), repeat=4)
               if sum(map(abs, r)) == 2)
@@ -53,9 +125,7 @@ def root_inner(v, root):
     """Exact inner product; None when a tagged coordinate meets the root."""
     if any(r and isinstance(c, SpecialValue) for c, r in zip(v, root)):
         return None
-    re = sum(r * c.re for c, r in zip(v, root) if r)
-    im = sum(r * c.im for c, r in zip(v, root) if r)
-    return ComplexRational(re, im)
+    return sum((r * qi(c) for c, r in zip(v, root) if r), QI())
 
 
 def integral(z) -> bool:
@@ -95,6 +165,22 @@ def independent(vectors) -> bool:
     return False
 
 
+def span_rank(vectors) -> int:
+    """Dimension of the span of integer 4-vectors, by Gaussian elimination
+    over the rationals."""
+    rows = [list(map(Fraction, v)) for v in vectors]
+    rank = 0
+    for col in range(4):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
+        rows.insert(rank, pivot)
+        rank += 1
+    return rank
+
+
 def brute_force_levels(v) -> dict[str, bool]:
     """Literal unions-of-intersections membership for each stratum letter.
 
@@ -131,10 +217,17 @@ def p6_sample(rng: random.Random) -> tuple[ComplexRational, ...]:
     return tuple(rational_coord(rng) for _ in range(4))
 
 
-def p6_tangled_sample(rng: random.Random) -> tuple:
+def large_part(rng: random.Random) -> Fraction:
+    """A real part over a large denominator, one of three pairwise coprime
+    ones, with a numerator of either sign."""
+    return Fraction(rng.randint(-10**40, 10**40), rng.choice((10**30 + 57, 2**61 - 1, 3**41)))
+
+
+def p6_tangled_sample(rng: random.Random, real_part=None) -> tuple:
     """Coordinates that land on many root hyperplanes at once: non-real
     Gaussian rationals, ``generic`` tags, and copies, negations and integer
-    shifts of earlier coordinates."""
+    shifts of earlier coordinates.  A fresh coordinate's real part comes from
+    ``real_part(rng)``, by default a ``rational_coord``."""
     out = []
     for _ in range(4):
         draw = rng.random()
@@ -143,12 +236,12 @@ def p6_tangled_sample(rng: random.Random) -> tuple:
         elif out and draw < 0.6:
             c = rng.choice(out)
             if not isinstance(c, SpecialValue):
-                c = rng.choice((1, -1)) * c + rng.randint(-2, 2)
+                c = (rng.choice((1, -1)) * qi(c) + rng.randint(-2, 2)).exact()
             out.append(c)
         else:
             im = Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
-            out.append(ComplexRational(rational_coord(rng).re,
-                                       im if rng.random() < 0.4 else Fraction(0)))
+            re_part = qi(rational_coord(rng)).re if real_part is None else real_part(rng)
+            out.append(ComplexRational(re_part, im if rng.random() < 0.4 else Fraction(0)))
     return tuple(out)
 
 
@@ -159,7 +252,7 @@ def p3_sample(rng: random.Random) -> tuple[ComplexRational, ...]:
 def p4_sum_zero_sample(rng: random.Random) -> tuple[ComplexRational, ...]:
     a = rational_coord(rng)
     b = rational_coord(rng)
-    return (a, b, -(a + b))
+    return (a, b, (-(qi(a) + b)).exact())
 
 
 # --------------------------------------------------------------------------
@@ -175,9 +268,8 @@ def combo_in(v, weights, offset, step) -> bool:
     an integer; a tagged coordinate with nonzero weight never lies in it."""
     if any(w and isinstance(c, SpecialValue) for c, w in zip(v, weights)):
         return False
-    im = sum(w * c.im for c, w in zip(v, weights) if w)
-    re = sum(w * c.re for c, w in zip(v, weights) if w)
-    return im == 0 and Fraction(re - offset, step).denominator == 1
+    total = sum((w * qi(c) for c, w in zip(v, weights) if w), QI())
+    return total.im == 0 and Fraction(total.re - offset, step).denominator == 1
 
 
 def coset_stratum(family: str, v) -> str:
@@ -205,6 +297,7 @@ def xc_report(c):
     "constraint"."""
     if isinstance(c, SpecialValue):
         return ("non_rational_constant", 1)
+    c = qi(c)
     if c.im != 0:
         return "constraint"
     return ("rational", None if c.re == -1 else 2)
@@ -220,12 +313,12 @@ def coset_coord(rng: random.Random, earlier):
     concrete = [c for c in earlier if not isinstance(c, SpecialValue)]
     if concrete and draw < 0.5:
         shift = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2)))
-        return rng.choice((1, -1)) * rng.choice(concrete) + shift
+        return (rng.choice((1, -1)) * qi(rng.choice(concrete)) + shift).exact()
     if draw < 0.65:
         den = rng.choice((2, 10**6 + 3, 2**31 - 1, 10**12))
         return ComplexRational(Fraction(rng.randint(-10**15, 10**15), den))
     im = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) if rng.random() < 0.3 else Fraction(0)
-    return ComplexRational(rational_coord(rng).re, im)
+    return ComplexRational(qi(rational_coord(rng)).re, im)
 
 
 def coset_sample(rng: random.Random, n: int, sum_zero: bool = False) -> tuple:
@@ -233,7 +326,7 @@ def coset_sample(rng: random.Random, n: int, sum_zero: bool = False) -> tuple:
     for _ in range(n):
         out.append(coset_coord(rng, out))
     if sum_zero and not any(isinstance(c, SpecialValue) for c in out):
-        out[-1] = -sum(out[:-1], ComplexRational())
+        out[-1] = (-sum(out[:-1], QI())).exact()
     return tuple(out)
 
 
@@ -674,12 +767,13 @@ def random_ivp_case(rng: random.Random):
 # a common denominator.
 # --------------------------------------------------------------------------
 
-_THIRD = ComplexRational(Fraction(1, 3))
+_THIRD = QI(Fraction(1, 3))
 _TM_SHIFT = (-_THIRD, -_THIRD, 2 * _THIRD)
 
 
 def fraction_generator(g, v: tuple) -> tuple:
-    """The affine image of v under one generator, in Q(i) arithmetic."""
+    """The affine image of v under one generator, in ``QI`` arithmetic."""
+    v = tuple(map(qi, v))
     if isinstance(g, P3Generator):
         v1, v2 = v
         if g is P3Generator.S1:
@@ -700,28 +794,33 @@ def fraction_generator(g, v: tuple) -> tuple:
     return (v1, v3 + 1, v2 - 1)
 
 
+def exact(v: tuple) -> tuple:
+    """A vector of Q(i) values as the package's values."""
+    return tuple(qi(c).exact() for c in v)
+
+
 def fraction_word(word: GroupWord, v: tuple) -> tuple:
     v = tuple(v)
     for g in word.generators:
         v = fraction_generator(g, v)
-    return v
+    return exact(v)
 
 
 _LEX_ZERO = (Fraction(0), Fraction(0))
 _WALL_GENERATOR = (P4Generator.S1, P4Generator.S2, P4Generator.S0)
 
 
-def _lex_key(w: ComplexRational) -> tuple:
+def _lex_key(w: QI) -> tuple:
     return (w.re, w.im)
 
 
 def _wall_values(v: tuple) -> tuple:
-    v1, v2, v3 = v
+    v1, v2, v3 = map(qi, v)
     return (v2 - v1, v1 - v3, v3 - v2 + 1)
 
 
 def _require_sum_zero(v: tuple):
-    if sum(v, ComplexRational()):
+    if sum(v, QI()):
         raise ConstraintError("parameter vector must lie on the sum-zero plane")
 
 
@@ -744,13 +843,13 @@ def greedy_reduce_p4(v: tuple, max_steps: int = 200) -> tuple:
         violated = next((i for i, w in enumerate(walls)
                          if _lex_key(w) < _LEX_ZERO), None)
         if violated is None:
-            return current, GroupWord(Family.PIV, tuple(word))
+            return exact(current), GroupWord(Family.PIV, tuple(word))
         g = _WALL_GENERATOR[violated]
         word.append(g)
         current = fraction_generator(g, current)
     if in_region_p4(current):
-        return current, GroupWord(Family.PIV, tuple(word))
-    raise BudgetExceededError(GroupWord(Family.PIV, tuple(word)), current)
+        return exact(current), GroupWord(Family.PIV, tuple(word))
+    raise BudgetExceededError(GroupWord(Family.PIV, tuple(word)), exact(current))
 
 
 def orbit_bfs(a: tuple, b: tuple, family: Family, max_word_length: int):
@@ -759,7 +858,7 @@ def orbit_bfs(a: tuple, b: tuple, family: Family, max_word_length: int):
     if not 0 <= max_word_length <= MAX_WORD_LENGTH:
         raise ConstraintError(f"the maximum word length must be between 0 and "
                               f"{MAX_WORD_LENGTH}, got {max_word_length}")
-    a, b = tuple(a), tuple(b)
+    a, b = tuple(map(qi, a)), tuple(map(qi, b))
     if family is Family.PIV:
         _require_sum_zero(a)
         _require_sum_zero(b)
@@ -856,7 +955,9 @@ def fraction_member(lattice: Lattice, a, sign: int = 0, b=None) -> bool:
     if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
         return False
     if not sign:
+        a = qi(a)
         return a.im == 0 and _fraction_in(a.re, lattice)
+    a, b = qi(a), qi(b)
     if sign < 0:
         return a.im == b.im and _fraction_in(a.re - b.re, lattice)
     return a.im == -b.im and _fraction_in(a.re + b.re, lattice)
@@ -866,8 +967,8 @@ def fraction_sum_zero_error(family: Family, params) -> str | None:
     """The message of the p4/p5 sum-zero check, or None when it passes."""
     if any(isinstance(p, SpecialValue) for p in params):
         return None
-    re_part = sum(p.re for p in params)
-    im_part = sum(p.im for p in params)
+    total = sum(params, QI())
+    re_part, im_part = total.re, total.im
     if re_part or im_part:
         return (f"{family.value} parameters must sum to zero exactly "
                 f"(got {fraction_format(re_part, im_part)})")

@@ -6,6 +6,7 @@ import fractions
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from unittest import mock
@@ -635,6 +636,42 @@ class TestInputValidation:
         assert doc["error"]["kind"] == "constraint"
         assert doc["error"]["message"].startswith("the coefficient ")
         assert doc["error"]["message"].endswith(" does not fit a float")
+
+    @pytest.mark.parametrize("family,params", [
+        ("p4", f"{'9' * 4300},-{'9' * 4300},0"),
+        ("p5", f"{'9' * 4300},{'9' * 4300},-{'9' * 4300},-{'9' * 4300}"),
+    ], ids=["p4", "p5"])
+    def test_simulate_coefficient_past_print_limit(self, capsys, family, params):
+        # the coefficient 2*(v1 - v2) has more digits than str() converts
+        code, (doc,) = run(capsys, ["simulate", "--family", family, f"--params={params}",
+                                    "--init=1,1", "--t0=1", "--t1=2"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"]["message"] == (
+            f"the coefficient <a number of more than {sys.get_int_max_str_digits()} "
+            f"digits> does not fit a float")
+
+    @staticmethod
+    def unit_fractions(seed: int, n: int) -> str:
+        """n unit fractions over random 4,290-digit denominators: each parses,
+        and their sum's denominator is far past the 4,300-digit limit."""
+        rng = random.Random(seed)
+        return ",".join(f"1/{rng.randint(10 ** 4289, 10 ** 4290 - 1)}" for _ in range(n))
+
+    @pytest.mark.parametrize("family,n", [("p4", 3), ("p5", 4)])
+    def test_sum_zero_message_past_print_limit(self, capsys, tmp_path, family, n):
+        params = self.unit_fractions(n, n)
+        message = (f"{family} parameters must sum to zero exactly (got <a number "
+                   f"of more than {sys.get_int_max_str_digits()} digits>)")
+        code, (doc,) = run(capsys, ["classify", "--family", family, f"--params={params}"])
+        assert code == EXIT_CONSTRAINT
+        assert doc["error"] == {"kind": "constraint", "message": message}
+        # in a batch the line fails alone, and the next one is classified
+        batch = tmp_path / "batch.txt"
+        batch.write_text(f"{family} {params}\np3 1,1\n")
+        code, docs = run(capsys, ["sweep", "--in", str(batch)])
+        assert code == EXIT_OK
+        assert docs[0]["error"] == {"kind": "constraint", "message": message, "line": 1}
+        assert docs[1]["stratum"] == "D1"
 
     @pytest.mark.parametrize("extra", [
         ["--init", "nan,0.5"],

@@ -1,4 +1,5 @@
-"""Exact Q(i) arithmetic, the wire grammar and the lattice predicates."""
+"""Exact Q(i) values, the wire grammar and the lattice predicates; the Q(i)
+arithmetic that builds expected values is the ``oracles.QI`` type."""
 
 import math
 import random
@@ -19,6 +20,7 @@ from painstrata.exactnum import (
 )
 
 import oracles
+from oracles import QI, qi
 
 CR = ComplexRational
 
@@ -74,8 +76,12 @@ class TestParse:
 
     @pytest.mark.parametrize("text", ["3", "-2i", "3/2+1/3i", "0", "+4", "2-1i"])
     def test_parts_are_fractions(self, text):
+        # each part is an int numerator over a positive int denominator, in
+        # the lowest terms a Fraction of it has
         z = parse_cgauss(text)
-        assert type(z.re) is Fraction and type(z.im) is Fraction
+        for n, d in ((z.rn, z.rd), (z.jn, z.jd)):
+            assert type(n) is int and type(d) is int and d > 0
+            assert (Fraction(n, d).numerator, Fraction(n, d).denominator) == (n, d)
 
     @given(cgauss)
     def test_round_trip(self, z):
@@ -89,8 +95,12 @@ class TestParse:
 
 
 class TestArithmetic:
+    """The oracle's Q(i) arithmetic, which the tests build expected values in,
+    on package values: each result equals the package value of the same
+    number, and reads back into it exactly."""
+
     def test_field_ops(self):
-        a = CR(Fraction(1), Fraction(2))
+        a = qi(CR(Fraction(1), Fraction(2)))
         b = CR(Fraction(3), Fraction(-1))
         assert a * b == CR(Fraction(5), Fraction(5))
         assert a + b == CR(Fraction(4), Fraction(1))
@@ -98,28 +108,24 @@ class TestArithmetic:
         assert -a + a == CR()
 
     def test_int_coercion(self):
-        a = CR(Fraction(1, 3))
+        a = qi(CR(Fraction(1, 3)))
         assert a + 1 == CR(Fraction(4, 3))
         assert 2 * a == CR(Fraction(2, 3))
         assert 1 - a == CR(Fraction(2, 3))
 
     @given(cgauss, cgauss)
     def test_results_have_fraction_parts(self, a, b):
-        # coordinates are canonical when built: nothing re-wraps them later
+        a = qi(a)
         results = [a + b, a - b, a * b, -a, a + 1, 1 - a, 2 * a, a / 3, 3 - a]
         if b:
-            results += [a / b, 1 / b]
+            results += [a / b, 1 / qi(b)]
         for z in results:
             assert type(z.re) is Fraction and type(z.im) is Fraction
+            assert qi(z.exact()) == z == z.exact()
 
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
-            CR(Fraction(1)) / CR()
-
-    def test_as_fraction_requires_real(self):
-        with pytest.raises(ValueError):
-            CR(Fraction(1), Fraction(1)).as_fraction()
-        assert CR(Fraction(5, 2)).as_fraction() == Fraction(5, 2)
+            QI(Fraction(1)) / CR()
 
 
 class TestLattice:
@@ -144,7 +150,7 @@ class TestLattice:
     @given(cgauss)
     def test_half_coset_identity(self, z):
         assert lattice_member(z, Lattice.HALF_PLUS_INTEGERS) == \
-            lattice_member(2 * z - 1, Lattice.TWO_INTEGERS)
+            lattice_member((2 * qi(z) - 1).exact(), Lattice.TWO_INTEGERS)
 
 
 def digits(rng: random.Random, n: int) -> str:
@@ -201,7 +207,12 @@ class TestFractionOracle:
 
     CASES = ("4/6", "-0", "+3", "007/014", "-0i", "1-0i", "-2/4i", "0/5", "+0/7i",
              "1/0", "0/0", "2+3/0i", "-5/00i", "1/2i", "2/4i", "3/6+9/12i",
-             "-12/8-0/3i", "1" * 4300, "1" * 4301, "2/" + "3" * 4300, "2/" + "3" * 4301)
+             "-12/8-0/3i", "1" * 4300, "1" * 4301, "2/" + "3" * 4300, "2/" + "3" * 4301,
+             # malformed: one grammar match must refuse each of these
+             "i", "+i", "1i2", "1+2", "1+2i3", "1/2/3", "1//2", "+-1", "1+-2i", "2i+1",
+             # a zero denominator is refused before the numerator is read, and
+             # the real part before the imaginary part
+             "9" * 4301 + "/0", "1/0+" + "9" * 4301 + "i", "-" + "9" * 4301 + "/0i")
 
     @staticmethod
     def outcome(function, token):
@@ -226,7 +237,7 @@ class TestFractionOracle:
                 assert (got.rn, got.rd, got.jn, got.jd) == (
                     re_part.numerator, re_part.denominator,
                     im_part.numerator, im_part.denominator), token
-                assert got == CR(re_part, im_part) and (got.re, got.im) == expected
+                assert got == CR(re_part, im_part) and qi(got) == QI(*expected)
                 assert format_cgauss(got) == oracles.fraction_format(*expected), token
                 kinds["value"] += 1
             kinds[kind.split("-")[0]] += 1
@@ -237,5 +248,5 @@ class TestFractionOracle:
 
     @given(cgauss)
     def test_printer_agrees(self, z):
-        assert format_cgauss(z) == oracles.fraction_format(z.re, z.im)
+        assert format_cgauss(z) == oracles.fraction_format(qi(z).re, qi(z).im)
         assert math.gcd(z.rn, z.rd) == 1 == math.gcd(z.jn, z.jd)

@@ -1,5 +1,6 @@
-"""No unused exports: each public top-level name of the package is used by
-the package itself, a script or the benchmark, not only by the tests."""
+"""No unused exports: each public top-level name of the package, and each
+public method and property of its classes, is used by the package itself, a
+script or the benchmark, not only by the tests."""
 
 import ast
 import collections
@@ -9,13 +10,15 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "painstrata"
 USERS = ("src", "scripts", "perfbench")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def public_bindings(path: pathlib.Path) -> collections.Counter:
-    """The module's public top-level names, each with its number of bindings."""
+    """The module's public top-level names and the public methods and
+    properties of its top-level classes, each with its number of bindings."""
     counts = collections.Counter()
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, ast.Assign):
             targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -23,6 +26,8 @@ def public_bindings(path: pathlib.Path) -> collections.Counter:
             targets = [node.target.id]
         else:
             continue
+        if isinstance(node, ast.ClassDef):
+            targets += [item.name for item in node.body if isinstance(item, FUNCTIONS)]
         counts.update(name for name in targets if not name.startswith("_"))
     return counts
 
@@ -33,14 +38,17 @@ def texts(*trees: str) -> list[str]:
 
 
 def test_no_public_name_is_used_only_by_tests():
-    # a mention outside its binding counts as a use, strings included: the
-    # CLI looks its handlers up by name and the benchmark patches by name
+    # a mention outside the package's bindings of the name counts as a use,
+    # strings included: the CLI looks its handlers up by name and the
+    # benchmark patches by name
+    bindings = {module.name: public_bindings(module) for module in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum(bindings.values(), collections.Counter())
     users, tests = texts(*USERS), "\n".join(texts("tests"))
     only_tested = []
-    for module in sorted(PACKAGE.glob("*.py")):
-        for name, bindings in public_bindings(module).items():
+    for module, names in bindings.items():
+        for name in names:
             word = re.compile(rf"\b{re.escape(name)}\b")
-            uses = sum(len(word.findall(text)) for text in users) - bindings
+            uses = sum(len(word.findall(text)) for text in users) - everywhere[name]
             if uses <= 0 and word.search(tests):
-                only_tested.append(f"{module.name}: {name}")
+                only_tested.append(f"{module}: {name}")
     assert not only_tested, only_tested

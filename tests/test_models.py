@@ -36,6 +36,7 @@ from painstrata.models import (
 from painstrata.symbolic import derive, rf, verify_subvariety
 
 import oracles
+from oracles import QI, qi
 
 CR = ComplexRational
 
@@ -242,7 +243,7 @@ class TestGenerators:
         rng = random.Random(5)
         for _ in range(50):
             v = oracles.p4_sum_zero_sample(rng)
-            assert apply_generator(P4Generator.S0, v) == (v[0], v[2] + 1, v[1] - 1)
+            assert apply_generator(P4Generator.S0, v) == (v[0], qi(v[2]) + 1, qi(v[1]) - 1)
 
     def test_s0_is_the_conjugated_composite(self):
         # s0 = tminus^-1 s1 s2 s1 tminus, built from the other generators
@@ -251,16 +252,16 @@ class TestGenerators:
         shift = apply_generator(P4Generator.TMINUS, crs(0, 0, 0))
         rng = random.Random(17)
         for _ in range(200):
-            v = tuple(CR(oracles.rational_coord(rng).re,
+            v = tuple(CR(qi(oracles.rational_coord(rng)).re,
                          Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
                       for _ in range(3))
-            composite = tuple(c - s for c, s in zip(apply_word(word, v), shift))
+            composite = tuple(qi(c) - s for c, s in zip(apply_word(word, v), shift))
             assert apply_generator(P4Generator.S0, v) == composite
 
     def test_s0_fixes_its_wall(self):
         v = crs(Fraction(1, 5), Fraction(-3, 5), Fraction(-3, 5) - 1 + 1)
         # v3 - v2 + 1 = 0 on this wall
-        v = (v[0], v[1], v[1] - 1)
+        v = (v[0], v[1], (qi(v[1]) - 1).exact())
         assert apply_generator(P4Generator.S0, v) == v
 
     def test_p4_permutation_maps(self):
@@ -285,7 +286,7 @@ class TestGenerators:
             v = oracles.p4_sum_zero_sample(rng)
             for g in P4Generator:
                 image = apply_generator(g, v)
-                assert sum(image, CR()) == zero
+                assert sum(image, QI()) == zero
 
     def test_word_application_order(self):
         word = GroupWord(Family.PIII, (P3Generator.S3, P3Generator.S2))
@@ -315,10 +316,10 @@ class TestFundamentalRegion:
 
     def test_imaginary_tie_break(self):
         # v2 - v1 = i fails only through the imaginary tie-break
-        i = CR(Fraction(0), Fraction(1))
-        v = (i, 2 * i, -3 * i)
+        i, two_i, minus_three_i = (CR(0, Fraction(k)) for k in (1, 2, -3))
+        v = (i, two_i, minus_three_i)
         assert in_fundamental_region_p4(v) is True
-        w = (2 * i, i, -3 * i)
+        w = (two_i, i, minus_three_i)
         assert in_fundamental_region_p4(w) is False
 
     def test_reduce_identity(self):
@@ -380,7 +381,7 @@ class TestOrbitSearch:
         # unreachable; the search must answer unknown, never "not related"
         for g in P3Generator:
             image = apply_generator(g, crs(0, 0))
-            assert all(c.re.denominator == 1 and c.im == 0 for c in image)
+            assert all(c.rd == 1 and c.jn == 0 for c in image)
         out = orbit_search(crs(0, 0), crs(Fraction(1, 2), Fraction(1, 2)),
                            Family.PIII, 3)
         assert isinstance(out, Unknown)
@@ -492,7 +493,7 @@ def group_coord(rng: random.Random, den: int = 0, scale: int = 1) -> CR:
 
 def p4_vector(rng: random.Random, den: int = 0, scale: int = 1) -> tuple:
     a, b = group_coord(rng, den, scale), group_coord(rng, den, scale)
-    return (a, b, -(a + b))
+    return (a, b, (-(qi(a) + b)).exact())
 
 
 def p4_tie(rng: random.Random, wall: int) -> tuple:
@@ -534,7 +535,7 @@ class TestFractionOracle:
             elif draw < 0.8:
                 d1, d2 = big_denominators(rng)
                 kind, v = "big", (group_coord(rng, d1, 20), group_coord(rng, d2, 20))
-                v = (*v, -(v[0] + v[1]))
+                v = (*v, (-(qi(v[0]) + v[1])).exact())
             else:
                 kind, v = "far", p4_vector(rng, scale=rng.choice((10, 40)))
             yield kind, v, rng.choice((1, 200, MAX_REDUCTION_STEPS))
@@ -620,13 +621,13 @@ class TestTextEquivalence:
         v = [rng.choice(tuple(SpecialValue)) if rng.random() < 0.25
              else CR(Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(n)]
         if family in (Family.PIV, Family.PV) and all(isinstance(c, CR) for c in v):
-            v[-1] = -sum(v[:-1], CR())
+            v[-1] = (-sum(v[:-1], QI())).exact()
         return FamilyInstance(family, tuple(v))
 
     @staticmethod
     def fresh(inst):
         variables, names, texts, _ = models._SYSTEM_TEMPLATES[inst.family]
-        env = {Var(False, name): c.as_fraction() for name, c in zip(names, inst.params)
+        env = {Var(False, name): qi(c).re for name, c in zip(names, inst.params)
                if isinstance(c, CR)}
         return tuple(rf(text, params=names, variables=variables).substitute(env)
                      for text in texts)

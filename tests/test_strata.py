@@ -32,6 +32,7 @@ from painstrata.strata import (
 )
 
 import oracles
+from oracles import QI, qi
 
 CR = ComplexRational
 
@@ -79,6 +80,34 @@ class TestRoots:
             expected = [r for r in oracles.ROOTS
                         if oracles.integral(oracles.root_inner(v, r))]
             assert sorted(integral_roots(v)) == sorted(expected), v
+
+    def test_class_keys_match_enumeration(self):
+        # the class keys (Re mod 1, its denominator, Im) against the 24
+        # enumerated inner products, in the documented order (each root then
+        # its negative), on small and on large coprime denominators
+        rng = random.Random(104)
+        kinds = Counter()
+        for n in range(6000):
+            v = oracles.p6_tangled_sample(rng, oracles.large_part if n % 2 else None)
+            expected = {r for r in oracles.ROOTS if oracles.integral(oracles.root_inner(v, r))}
+            roots = integral_roots(v)
+            assert len(roots) == len(expected) and set(roots) == expected, v
+            assert all(r == tuple(-x for x in s) for r, s in zip(roots[::2], roots[1::2])), v
+            info = p6_stratum(v)
+            assert len(info.witnesses) == info.rank, v
+            assert set(info.witnesses) <= expected, v
+            assert oracles.independent(list(info.witnesses)), v
+            assert info.rank == oracles.span_rank(expected), v
+            concrete = [qi(c) for c in v if isinstance(c, CR)]
+            kinds["tag"] += len(concrete) < 4 and bool(roots)
+            kinds["non-real"] += any(c.im for c in concrete) and bool(roots)
+            kinds["half"] += any(c.re.denominator == 2 for c in concrete) and bool(roots)
+            kinds["negative"] += any(c.re.numerator < 0 for c in concrete) and bool(roots)
+            kinds["large"] += any(c.re.denominator > 10**12 for c in concrete) and bool(roots)
+            kinds[f"rank-{info.rank}-{'large' if n % 2 else 'small'}"] += 1
+        # every rank on small denominators; ranks 0-3 on large ones, whose
+        # classes never hold their own negative and so close no negative cycle
+        assert min(kinds.values()) >= 50 and len(kinds) == 5 + 5 + 4, kinds
 
 
 class TestP6Stratum:
@@ -237,7 +266,7 @@ class TestInvariance:
             c = classify(FamilyInstance(Family.PIII, v))
             assert c.stratum == "D1"
             # the defining sum condition is also the first W1 disjunct
-            assert lattice_member(v[0] + v[1], Lattice.TWO_INTEGERS)
+            assert lattice_member((qi(v[0]) + v[1]).exact(), Lattice.TWO_INTEGERS)
 
     def test_all_in_scope_ranks_are_one(self):
         rng = random.Random(58)
@@ -283,7 +312,7 @@ class TestCosetOracle:
             ).stratum
             assert stratum == oracles.coset_stratum(family, v), v
             assert classify(FamilyInstance(Family(family), v)).stratum == stratum
-            nonreal = any(isinstance(c, CR) and c.im for c in v)
+            nonreal = any(isinstance(c, CR) and c.jn for c in v)
             seen.add((stratum, nonreal))
         strata = {s for s, _ in seen}
         assert len(strata) == {"p2": 2, "p3": 3, "p4": 3, "p5": 2}[family], seen
@@ -330,9 +359,9 @@ def member_pair(rng: random.Random) -> tuple:
     if rng.random() < 0.7:
         s = rng.choice((1, -1))
         t = Fraction(rng.randint(-4, 4), 1) + rng.choice((0, 0, Fraction(1, 2), Fraction(1, 3)))
-        im = -s * a.im if rng.random() < 0.8 else oracle_part(rng)
-        b = spelled(s * (t - a.re), im, rng) if im and rng.random() < 0.5 \
-            else CR(s * (t - a.re), im)
+        im = -s * qi(a).im if rng.random() < 0.8 else oracle_part(rng)
+        b = spelled(s * (t - qi(a).re), im, rng) if im and rng.random() < 0.5 \
+            else CR(s * (t - qi(a).re), im)
     else:
         b = CR(oracle_part(rng), oracle_part(rng) if rng.random() < 0.4 else Fraction(0))
     if rng.random() < 0.05:
@@ -388,11 +417,11 @@ class TestFractionOracle:
         for _ in range(1000):
             v = [CR(oracle_part(rng), oracle_part(rng) if rng.random() < 0.4 else Fraction(0))
                  for _ in range(PARAM_COUNT[family] - 1)]
-            last = -sum(v, CR())
+            last = -sum(v, QI())
             if rng.random() < 0.5:
                 last = last + rng.choice((CR(Fraction(1, 10 ** 30 + 57)), CR(1),
                                           CR(0, Fraction(1, 3)), CR(Fraction(-1, 2), 2)))
-            v.append(SpecialValue.GENERIC if rng.random() < 0.05 else last)
+            v.append(SpecialValue.GENERIC if rng.random() < 0.05 else last.exact())
             expected = oracles.fraction_sum_zero_error(family, v)
             try:
                 FamilyInstance(family, tuple(v))
