@@ -219,12 +219,11 @@ def generators_for(family: Family) -> tuple[Generator, ...]:
 class BudgetExceededError(RuntimeError):
     """Reduction step budget ran out; carries the partial word for debugging."""
 
-    def __init__(self, partial_word: GroupWord, value: tuple):
+    def __init__(self, partial_word: GroupWord):
         super().__init__(f"reduction did not reach the fundamental region "
                          f"within {len(partial_word)} steps; partial word "
                          f"{partial_word.names()}")
         self.partial_word = partial_word
-        self.value = value
 
 
 def _violated_wall(w: tuple, d: int) -> Generator | None:
@@ -263,7 +262,7 @@ def reduce_to_fundamental_region_p4(v: Sequence[ComplexRational],
     word: list[Generator] = []
     while (g := _violated_wall(w, dr)) is not None:
         if len(word) == max_steps:
-            raise BudgetExceededError(GroupWord(Family.PIV, tuple(word)), _values(w, dr, di))
+            raise BudgetExceededError(GroupWord(Family.PIV, tuple(word)))
         word.append(g)
         w = _act(g, w, dr)
     return _values(w, dr, di), GroupWord(Family.PIV, tuple(word))
@@ -285,7 +284,7 @@ class Related:
 
 @dataclass(frozen=True)
 class Unknown:
-    searched_length: int
+    """No word up to the searched length reaches the target."""
 
 
 def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
@@ -301,7 +300,7 @@ def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
     # multiples of dr / lcm(a's real denominators), the first gcd below, and
     # likewise its imaginary parts; b's are not when either exceeds 1
     if math.gcd(dr, *(x for x, _ in a)) > 1 or math.gcd(di, *(y for _, y in a)) > 1:
-        return Unknown(max_word_length)
+        return Unknown()
     frontier = {a: ()}
     seen = {a}
     for _ in range(max_word_length):
@@ -319,7 +318,7 @@ def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
         frontier = nxt
         if not frontier:
             break
-    return Unknown(max_word_length)
+    return Unknown()
 
 
 # --------------------------------------------------------------------------

@@ -101,8 +101,6 @@ def _member(lattice: Lattice, a: Coord, sign: int = 0, b: Coord | None = None) -
 
 Root4 = tuple[int, int, int, int]
 
-_P6_STRATUM_BY_RANK = ("generic", "M", "P", "L", "D")
-
 
 def _root(i: int, j: int, a: int, b: int) -> Root4:
     """a*e_i + b*e_j."""
@@ -113,8 +111,8 @@ _PAIRS = tuple(itertools.combinations(range(4), 2))
 # per pair i < j: i, j, then e_i - e_j and e_i + e_j, each with its negative
 _PAIR_ROOTS = tuple((i, j, (_root(i, j, 1, -1), _root(i, j, -1, 1)),
                      (_root(i, j, 1, 1), _root(i, j, -1, -1))) for i, j in _PAIRS)
-# the ends of e_i -+ e_j, and whether it is e_i + e_j (an odd edge)
-_ENDS = {_root(i, j, 1, b): (i, j, b > 0) for i, j in _PAIRS for b in (-1, 1)}
+# the ends i < j of e_i -+ e_j
+_ENDS = {_root(i, j, 1, b): (i, j) for i, j in _PAIRS for b in (-1, 1)}
 
 
 def integral_roots(v: Sequence[Coord]) -> list[Root4]:
@@ -141,53 +139,36 @@ def integral_roots(v: Sequence[Coord]) -> list[Root4]:
     return roots
 
 
-@dataclass(frozen=True)
-class P6Stratum:
-    stratum: str
-    witnesses: tuple[Root4, ...]
-    rank: int
+def p6_stratum(v: Sequence[Coord]) -> tuple[Root4, ...]:
+    """Independent integral roots spanning all of them: their number is the
+    rank, 1 through 4 for the strata M/P/L/D (the hyperplane offsets range
+    over all integers, so this matches the unions-of-intersections picture
+    with 2, 3 or 4 independent hyperplanes).
 
-
-def p6_stratum(v: Sequence[Coord]) -> P6Stratum:
-    """Stratum of the root-hyperplane arrangement, by span dimension.
-
-    The stratum letters M/P/L/D correspond to span dimensions 1 through 4 of
-    the set of roots with integer inner product; since the hyperplane offsets
-    range over all integers, this matches the unions-of-intersections picture
-    with 2, 3 or 4 independent hyperplanes.
-
-    The roots are the edges of a signed graph on the four coordinates (e_i -
-    e_j positive, e_i + e_j negative), and the rank of their span is 4 minus
-    the number of balanced components (Zaslavsky, *Signed graphs*, Discrete
-    Appl. Math. 4, 1982).  One union-find pass with sign parities finds a
-    spanning forest and, per unbalanced component, one edge closing a
-    negative cycle; together they are the independent witnesses.  A root's
-    negative is the same edge, so the pass reads every other root.
+    An integral root joins two coordinates of one class {c, -c} mod Z, so
+    the rank is a sum over classes (Zaslavsky, *Signed graphs*, Discrete
+    Appl. Math. 4, 1982, with e_i - e_j a positive edge and e_i + e_j a
+    negative one).  A class of n concrete coordinates spans n - 1
+    dimensions, and one more when c = -c mod Z: then both roots of each of
+    its pairs are integral and close a negative cycle.  The roots come pair
+    by pair for i < j, so the first to reach j comes from the least member
+    of j's class, its leader, and is j's witness; a later root of a pair
+    from the leader is that pair's e_i + e_j, and the leader's first such
+    root is the class's negative-cycle witness.  A root's negative is the
+    same edge, so every other root is read.
     """
     if len(v) != 4:
         raise ConstraintError("expected four coordinates")
-    parent, parity = [0, 1, 2, 3], [0, 0, 0, 0]   # parity: sign relative to parent
-    forest, unbalancing = [], {}                  # unbalancing: component -> edge
-
-    def find(x):
-        odd = 0
-        while parent[x] != x:
-            odd ^= parity[x]
-            x = parent[x]
-        return x, odd
-
+    leader, closed, witnesses = {}, set(), []
     for root in integral_roots(v)[::2]:
-        i, j, odd = _ENDS[root]   # e_i + e_j: the ends take opposite signs
-        (ri, pi), (rj, pj) = find(i), find(j)
-        if ri != rj:
-            parent[ri], parity[ri] = rj, pi ^ pj ^ odd
-            forest.append(root)
-            if ri in unbalancing:
-                unbalancing.setdefault(rj, unbalancing.pop(ri))
-        elif pi ^ pj != odd:
-            unbalancing.setdefault(ri, root)
-    witnesses = tuple(forest) + tuple(unbalancing.values())
-    return P6Stratum(_P6_STRATUM_BY_RANK[len(witnesses)], witnesses, len(witnesses))
+        i, j = _ENDS[root]
+        if j not in leader:
+            leader[j] = i
+            witnesses.append(root)
+        elif leader[j] == i and i not in closed:
+            closed.add(i)
+            witnesses.append(root)
+    return tuple(witnesses)
 
 
 # --------------------------------------------------------------------------
@@ -251,10 +232,10 @@ def _classify_p5(inst: FamilyInstance) -> Classification:
 
 
 def _classify_p6(inst: FamilyInstance) -> Classification:
-    info = p6_stratum(inst.params)
-    if info.rank == 0:
+    rank = len(p6_stratum(inst.params))
+    if rank == 0:
         return _in_scope(inst, "generic", {"exact": 1}, CITATIONS["p6_generic"])
-    if info.rank == 1:
+    if rank == 1:
         v1, v2, v3, v4 = inst.params
         if (_member(Lattice.HALF_PLUS_INTEGERS, v1, -1, v2)
                 and _member(Lattice.INTEGERS, v3, -1, v4)):
@@ -262,9 +243,9 @@ def _classify_p6(inst: FamilyInstance) -> Classification:
                 inst, "M_minus_P", {"exact": 4}, CITATIONS["p6_M"],
                 ("degree-four subcase: v1 - v2 in 1/2 + Z and v3 - v4 in Z",))
         return _in_scope(inst, "M_minus_P", {"exact": 2}, CITATIONS["p6_M"])
-    if info.rank == 2:
+    if rank == 2:
         return _in_scope(inst, "P_minus_L", {"exact": 3}, CITATIONS["p6_P"])
-    if info.rank == 3:
+    if rank == 3:
         citation = f"{CITATIONS['p6_L_three']}; {CITATIONS['p6_L_four']}"
         return _in_scope(
             inst, "L_minus_D", {"conflict": [3, 4]}, citation,

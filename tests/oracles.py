@@ -181,18 +181,27 @@ def span_rank(vectors) -> int:
     return rank
 
 
+def integral_hits(v) -> list:
+    """The roots, in ``ROOTS`` order, with integer inner product."""
+    return [r for r in ROOTS if integral(root_inner(v, r))]
+
+
 def brute_force_levels(v) -> dict[str, bool]:
     """Literal unions-of-intersections membership for each stratum letter.
 
     Enumerates all pairs/triples/quadruples of roots with integer inner
     product and asks for an independent combination of each size.
     """
-    hits = [r for r in ROOTS if integral(root_inner(v, r))]
+    hits = integral_hits(v)
     levels = {"M": bool(hits), "P": False, "L": False, "D": False}
     for size, key in ((2, "P"), (3, "L"), (4, "D")):
         levels[key] = any(independent(list(combo))
                           for combo in itertools.combinations(hits, size))
     return levels
+
+
+# the stratum letter of each rank of the integral root span
+STRATUM_BY_RANK = ("generic", "M", "P", "L", "D")
 
 
 def brute_force_stratum(v) -> str:
@@ -849,7 +858,7 @@ def greedy_reduce_p4(v: tuple, max_steps: int = 200) -> tuple:
         current = fraction_generator(g, current)
     if in_region_p4(current):
         return exact(current), GroupWord(Family.PIV, tuple(word))
-    raise BudgetExceededError(GroupWord(Family.PIV, tuple(word)), exact(current))
+    raise BudgetExceededError(GroupWord(Family.PIV, tuple(word)))
 
 
 def orbit_bfs(a: tuple, b: tuple, family: Family, max_word_length: int):
@@ -883,7 +892,7 @@ def orbit_bfs(a: tuple, b: tuple, family: Family, max_word_length: int):
         frontier = nxt
         if not frontier:
             break
-    return Unknown(max_word_length)
+    return Unknown()
 
 
 # --------------------------------------------------------------------------

@@ -187,9 +187,9 @@ def test_criterion_5_p6_stratification(capsys):
     rng = random.Random(60)
     for _ in range(200):
         v = oracles.p6_sample(rng)
-        info = p6_stratum(v)
         levels = oracles.brute_force_levels(v)
-        assert info.stratum == oracles.brute_force_stratum(v), v
+        rank = len(p6_stratum(v))
+        assert oracles.STRATUM_BY_RANK[rank] == oracles.brute_force_stratum(v), v
         # nesting D <= L <= P <= M never violated
         assert not (levels["D"] and not levels["L"]), v
         assert not (levels["L"] and not levels["P"]), v

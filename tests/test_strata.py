@@ -77,9 +77,7 @@ class TestRoots:
         rng = random.Random(102)
         for _ in range(300):
             v = oracles.p6_tangled_sample(rng)
-            expected = [r for r in oracles.ROOTS
-                        if oracles.integral(oracles.root_inner(v, r))]
-            assert sorted(integral_roots(v)) == sorted(expected), v
+            assert sorted(integral_roots(v)) == sorted(oracles.integral_hits(v)), v
 
     def test_class_keys_match_enumeration(self):
         # the class keys (Re mod 1, its denominator, Im) against the 24
@@ -89,56 +87,68 @@ class TestRoots:
         kinds = Counter()
         for n in range(6000):
             v = oracles.p6_tangled_sample(rng, oracles.large_part if n % 2 else None)
-            expected = {r for r in oracles.ROOTS if oracles.integral(oracles.root_inner(v, r))}
+            expected = set(oracles.integral_hits(v))
             roots = integral_roots(v)
             assert len(roots) == len(expected) and set(roots) == expected, v
             assert all(r == tuple(-x for x in s) for r, s in zip(roots[::2], roots[1::2])), v
-            info = p6_stratum(v)
-            assert len(info.witnesses) == info.rank, v
-            assert set(info.witnesses) <= expected, v
-            assert oracles.independent(list(info.witnesses)), v
-            assert info.rank == oracles.span_rank(expected), v
+            witnesses = p6_stratum(v)
+            assert set(witnesses) <= expected, v
+            assert oracles.independent(list(witnesses)), v
+            assert len(witnesses) == oracles.span_rank(expected), v
             concrete = [qi(c) for c in v if isinstance(c, CR)]
             kinds["tag"] += len(concrete) < 4 and bool(roots)
             kinds["non-real"] += any(c.im for c in concrete) and bool(roots)
             kinds["half"] += any(c.re.denominator == 2 for c in concrete) and bool(roots)
             kinds["negative"] += any(c.re.numerator < 0 for c in concrete) and bool(roots)
             kinds["large"] += any(c.re.denominator > 10**12 for c in concrete) and bool(roots)
-            kinds[f"rank-{info.rank}-{'large' if n % 2 else 'small'}"] += 1
+            kinds[f"rank-{len(witnesses)}-{'large' if n % 2 else 'small'}"] += 1
         # every rank on small denominators; ranks 0-3 on large ones, whose
         # classes never hold their own negative and so close no negative cycle
         assert min(kinds.values()) >= 50 and len(kinds) == 5 + 5 + 4, kinds
 
 
+def p6_letter(witnesses) -> str:
+    return oracles.STRATUM_BY_RANK[len(witnesses)]
+
+
 class TestP6Stratum:
     def test_origin(self):
-        info = p6_stratum(crs(0, 0, 0, 0))
-        assert info.stratum == "D" and info.rank == 4
-        assert len(info.witnesses) == 4
-        assert oracles.independent(list(info.witnesses))
+        witnesses = p6_stratum(crs(0, 0, 0, 0))
+        assert p6_letter(witnesses) == "D" and len(witnesses) == 4
+        assert oracles.independent(list(witnesses))
 
     def test_generic_fractions(self):
-        info = p6_stratum(crs(Fraction(1, 5), Fraction(1, 7),
-                              Fraction(1, 11), Fraction(1, 13)))
-        assert info.stratum == "generic" and info.rank == 0
+        witnesses = p6_stratum(crs(Fraction(1, 5), Fraction(1, 7),
+                                   Fraction(1, 11), Fraction(1, 13)))
+        assert p6_letter(witnesses) == "generic" and witnesses == ()
 
     def test_rank_two_sample(self):
-        info = p6_stratum(crs(Fraction(1, 2), Fraction(-1, 2),
-                              Fraction(1, 7), Fraction(1, 11)))
-        assert info.stratum == "P" and info.rank == 2
+        # a class {c, -c} mod Z of n coordinates spans n - 1 dimensions, and
+        # n when c = -c mod Z (the negative cycle of e_i - e_j and e_i + e_j)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        for v, rank, letter in (
+            (crs(half, -half, Fraction(1, 7), Fraction(1, 11)), 2, "P"),
+            (crs(half, half, half, half), 4, "D"),
+            (crs(half, -half, third, third), 3, "L"),
+            ((*crs(third, -third, third), SpecialValue.GENERIC), 2, "P"),
+        ):
+            witnesses = p6_stratum(v)
+            assert p6_letter(witnesses) == letter and len(witnesses) == rank, v
+            assert set(witnesses) <= set(oracles.integral_hits(v)), v
+            assert oracles.independent(list(witnesses)), v
+            assert oracles.brute_force_stratum(v) == letter, v
 
     def test_generic_tags_partial(self):
         v = (SpecialValue.GENERIC, CR(), CR(), CR())
-        info = p6_stratum(v)
+        witnesses = p6_stratum(v)
         # roots supported away from the tagged coordinate still count
-        assert info.rank == 3 and info.stratum == "L"
+        assert len(witnesses) == 3 and p6_letter(witnesses) == "L"
 
     def test_oracle_equivalence(self):
         rng = random.Random(101)
         for _ in range(60):
             v = oracles.p6_sample(rng)
-            info = p6_stratum(v)
-            assert info.stratum == oracles.brute_force_stratum(v)
+            assert p6_letter(p6_stratum(v)) == oracles.brute_force_stratum(v)
 
     def test_oracle_equivalence_tangled(self):
         # non-real and generic coordinates, and coordinates tied to earlier
@@ -147,11 +157,12 @@ class TestP6Stratum:
         ranks = set()
         for _ in range(2000):
             v = oracles.p6_tangled_sample(rng)
-            info = p6_stratum(v)
-            assert info.stratum == oracles.brute_force_stratum(v), v
-            assert len(info.witnesses) == info.rank, v
-            assert oracles.independent(list(info.witnesses)), v
-            ranks.add(info.rank)
+            witnesses, hits = p6_stratum(v), oracles.integral_hits(v)
+            assert p6_letter(witnesses) == oracles.brute_force_stratum(v), v
+            assert set(witnesses) <= set(hits), v
+            assert oracles.independent(list(witnesses)), v
+            assert len(witnesses) == oracles.span_rank(hits), v
+            ranks.add(len(witnesses))
         assert ranks == {0, 1, 2, 3, 4}
 
     def test_nesting_by_levels(self):
@@ -256,6 +267,15 @@ class TestInvariance:
             sig = signature(classify(FamilyInstance(Family.PIV, v)))
             for u in self.ball(Family.PIV, v, 4):
                 assert signature(classify(FamilyInstance(Family.PIV, u))) == sig
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the M_minus_P degree-four test reads v1 - v2 and v3 - v4 at fixed "
+        "positions, so swapping v2 and v3 moves the degree from 4 to 2 "
+        "(ROADMAP item 14)"))
+    def test_p6_degree_invariant_under_swap(self):
+        a = classify_strings("p6", ["1/2", "0", "1/3", "1/3"])
+        b = classify_strings("p6", ["1/2", "1/3", "0", "1/3"])
+        assert signature(a) == signature(b), (a.morley_degree, b.morley_degree)
 
     def test_d1_contained_in_w1(self):
         rng = random.Random(57)
