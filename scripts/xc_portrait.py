@@ -25,6 +25,9 @@ def main(argv=None) -> int:
     parser.add_argument("--t1", type=float, default=0.3)
     parser.add_argument("--outdir", default="xc_trajectories")
     args = parser.parse_args(argv)
+    if any(c < 0 for c in args.c):
+        parser.error("--c takes couplings c >= 0, the range with an exact "
+                     "first integral")
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

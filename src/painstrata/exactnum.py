@@ -1,14 +1,13 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
 Every parameter that enters a classification decision is a
-:class:`ComplexRational`; all lattice/coset membership tests reduce to exact
-predicates on these values, so there is no floating tolerance anywhere in the
+:class:`ComplexRational` of four ints, read and printed without building a
+``Fraction``, so there is no floating tolerance anywhere in the
 classification path.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 import sys
@@ -71,31 +70,6 @@ def gaussian(rn: int, rd: int, jn: int, jd: int) -> ComplexRational:
     _set_jn(z, jn // h)
     _set_jd(z, jd // h)
     return z
-
-
-class Lattice(enum.Enum):
-    """The three coset/lattice conditions used by the classifiers."""
-
-    INTEGERS = "Z"
-    TWO_INTEGERS = "2Z"
-    HALF_PLUS_INTEGERS = "1/2+Z"
-
-
-def lattice_member(z: ComplexRational, lattice: Lattice) -> bool:
-    """True iff im(z) = 0 and re(z) lies in the given lattice or coset."""
-    return not z.jn and rational_member(z.rn, z.rd, lattice)
-
-
-def rational_member(s: int, d: int, lattice: Lattice) -> bool:
-    """True iff s/d, for d > 0 and in any terms, lies in the given lattice or
-    coset; each is a divisibility test."""
-    if lattice is Lattice.INTEGERS:
-        return s % d == 0
-    if lattice is Lattice.TWO_INTEGERS:
-        return s % (2 * d) == 0
-    if lattice is Lattice.HALF_PLUS_INTEGERS:
-        return 2 * s % d == 0 and s % d != 0
-    raise TypeError(f"unknown lattice {lattice!r}")
 
 
 # Wire grammar: rational ('+'|'-') rational 'i' | rational 'i' | rational,

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactnum import ComplexRational, Lattice, lattice_member, rational_member
+from .exactnum import ComplexRational
 from .models import (
     ConstraintError,
     Coord,
@@ -76,25 +76,6 @@ CITATIONS = {
 _SM_NOTE = "strongly minimal"
 
 
-def _member(lattice: Lattice, a: Coord, sign: int = 0, b: Coord | None = None) -> bool:
-    """``a + sign*b`` (``a`` alone when sign is 0) lies in the lattice.
-
-    Read off the integer parts, so no value is built: the imaginary parts
-    must cancel, then the real part's numerator over the product of the
-    denominators (over the one denominator when they agree) is tested.  A
-    tagged operand is in no lattice.
-    """
-    if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
-        return False
-    if not sign:
-        return lattice_member(a, lattice)
-    if a.jn != -sign * b.jn or a.jd != b.jd:
-        return False
-    if a.rd == b.rd:
-        return rational_member(a.rn + sign * b.rn, a.rd, lattice)
-    return rational_member(a.rn * b.rd + sign * b.rn * a.rd, a.rd * b.rd, lattice)
-
-
 # --------------------------------------------------------------------------
 # The sixth family: roots +-e_i +- e_j, integer-offset hyperplanes, rank strata.
 # --------------------------------------------------------------------------
@@ -115,20 +96,26 @@ _PAIR_ROOTS = tuple((i, j, (_root(i, j, 1, -1), _root(i, j, -1, 1)),
 _ENDS = {_root(i, j, 1, b): (i, j) for i, j in _PAIRS for b in (-1, 1)}
 
 
+def _keys(v: Sequence[Coord], m: int = 1) -> list[tuple]:
+    """Per coordinate, its class key mod mZ and the class key of its negative.
+
+    v_i - v_j lies in mZ iff v_i and v_j have one key, and v_i + v_j does
+    iff v_i's key is -v_j's (reduced parts that differ by an integer share
+    their denominators).  A concrete coordinate's key is (Re mod m, its
+    denominator, Im), as the ints (rn mod m*rd, rd, jn, jd); a tagged
+    coordinate's keys, its index and -1 minus it, equal no other key.
+    """
+    return [(i, -1 - i) if isinstance(c, SpecialValue) else
+            ((c.rn % (m * c.rd), c.rd, c.jn, c.jd), (-c.rn % (m * c.rd), c.rd, -c.jn, c.jd))
+            for i, c in enumerate(v)]
+
+
 def integral_roots(v: Sequence[Coord]) -> list[Root4]:
     """Roots +-e_i +- e_j whose inner product with v is a (real) integer:
     pair by pair for i < j, e_i - e_j before e_i + e_j, each root followed
-    by its negative.
-
-    v_i - v_j lies in Z iff v_i and v_j agree mod Z, and v_i + v_j does iff
-    v_i and -v_j agree.  So each concrete coordinate gets one class key,
-    (Re mod 1, its denominator, Im), and its negative one, and the roots are
-    read off equal keys.  A tagged coordinate's keys, its index and -1 minus
-    it, equal no other key.
+    by its negative, read off the class keys mod Z.
     """
-    keys = [(i, -1 - i) if isinstance(c, SpecialValue) else
-            ((c.rn % c.rd, c.rd, c.jn, c.jd), (-c.rn % c.rd, c.rd, -c.jn, c.jd))
-            for i, c in enumerate(v)]
+    keys = _keys(v)
     roots = []
     for i, j, minus, plus in _PAIR_ROOTS:
         key, (same, negated) = keys[i][0], keys[j]
@@ -190,7 +177,7 @@ def _in_scope(inst: FamilyInstance, stratum: str, degree: dict,
 
 def _classify_p2(inst: FamilyInstance) -> Classification:
     alpha = inst.params[0]
-    if _member(Lattice.HALF_PLUS_INTEGERS, alpha):
+    if isinstance(alpha, ComplexRational) and alpha.rd == 2 and not alpha.jn:
         return _in_scope(
             inst, "half_plus_integer", {"exact": 2}, CITATIONS["p2_half"],
             ("the fiber splits as an order-one curve plus its strongly "
@@ -200,30 +187,27 @@ def _classify_p2(inst: FamilyInstance) -> Classification:
 
 
 def _classify_p3(inst: FamilyInstance) -> Classification:
-    v1, v2 = inst.params
-    even_sum = _member(Lattice.TWO_INTEGERS, v1, 1, v2)
-    integers = _member(Lattice.INTEGERS, v1) and _member(Lattice.INTEGERS, v2)
-    if integers and even_sum:
+    # classes mod 2Z: v1 + v2 in 2Z iff v1's key is -v2's, v1 - v2 iff equal
+    (k1, _), (k2, negated2) = _keys(inst.params, 2)
+    if k1 == negated2 and k1[1:3] == (1, 0):   # (rd, jn): v1, so v2, in Z
         return _in_scope(inst, "D1", {"exact": 3}, CITATIONS["p3_D1"])
-    if even_sum or _member(Lattice.TWO_INTEGERS, v1, -1, v2):
+    if k1 in (k2, negated2):
         return _in_scope(inst, "W1_minus_D1", {"exact": 2}, CITATIONS["p3_W1"])
     return _in_scope(inst, "generic", {"exact": 1}, CITATIONS["p3_generic"])
 
 
 def _classify_p4(inst: FamilyInstance) -> Classification:
-    v1, v2, v3 = inst.params
-    integral = [_member(Lattice.INTEGERS, a, -1, b)
-                for a, b in ((v1, v2), (v3, v2), (v1, v3))]
-    if all(integral):
+    # v_i - v_j in Z iff v_i and v_j share a class mod Z
+    classes = len({key for key, _ in _keys(inst.params)})
+    if classes == 1:
         return _in_scope(inst, "D", {"exact": 3}, CITATIONS["p4_D"])
-    if any(integral):
+    if classes == 2:
         return _in_scope(inst, "W_minus_D", {"exact": 2}, CITATIONS["p4_W"])
     return _in_scope(inst, "generic", {"exact": 1}, CITATIONS["p4_generic"])
 
 
 def _classify_p5(inst: FamilyInstance) -> Classification:
-    pairs = itertools.combinations(inst.params, 2)
-    if any(_member(Lattice.INTEGERS, a, -1, b) for a, b in pairs):
+    if len({key for key, _ in _keys(inst.params)}) < 4:
         return _in_scope(
             inst, "W", {"range": [2, 4]}, CITATIONS["p5_W"],
             ("the cited lemmas bound the degree without spelling out the "
@@ -231,14 +215,21 @@ def _classify_p5(inst: FamilyInstance) -> Classification:
     return _in_scope(inst, "generic", {"exact": 1}, CITATIONS["p5_generic"])
 
 
+_E3_MINUS_E4 = _root(2, 3, 1, -1)
+
+
 def _classify_p6(inst: FamilyInstance) -> Classification:
-    rank = len(p6_stratum(inst.params))
+    witnesses = p6_stratum(inst.params)
+    rank = len(witnesses)
     if rank == 0:
         return _in_scope(inst, "generic", {"exact": 1}, CITATIONS["p6_generic"])
     if rank == 1:
-        v1, v2, v3, v4 = inst.params
-        if (_member(Lattice.HALF_PLUS_INTEGERS, v1, -1, v2)
-                and _member(Lattice.INTEGERS, v3, -1, v4)):
+        # at rank one, v3 - v4 lies in Z iff e3 - e4 is the one integral root
+        v1, v2, _, _ = inst.params
+        if (witnesses == (_E3_MINUS_E4,) and not isinstance(v1, SpecialValue)
+                and not isinstance(v2, SpecialValue) and (v1.jn, v1.jd) == (v2.jn, v2.jd)
+                # and v1 - v2 = s/d lies in 1/2 + Z iff s mod d is d/2
+                and 2 * ((v1.rn * v2.rd - v2.rn * v1.rd) % (d := v1.rd * v2.rd)) == d):
             return _in_scope(
                 inst, "M_minus_P", {"exact": 4}, CITATIONS["p6_M"],
                 ("degree-four subcase: v1 - v2 in 1/2 + Z and v3 - v4 in Z",))

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from painstrata.exactnum import ComplexRational, ConstraintError, Lattice, ParameterParseError
+from painstrata.exactnum import ComplexRational, ConstraintError, ParameterParseError
 from painstrata.models import (
     MAX_REDUCTION_STEPS,
     MAX_WORD_LENGTH,
@@ -896,9 +896,9 @@ def orbit_bfs(a: tuple, b: tuple, family: Family, max_word_length: int):
 
 
 # --------------------------------------------------------------------------
-# The wire layer on Fraction parts: the parser, the printer, the lattice test
-# of a sum or difference, and the p4/p5 sum-zero check, as they were written
-# before the package stored each part as reduced integers.
+# The wire layer on Fraction parts: the parser, the printer and the p4/p5
+# sum-zero check, as they were written before the package stored each part
+# as reduced integers.
 # --------------------------------------------------------------------------
 
 _RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
@@ -948,28 +948,6 @@ def fraction_format(re_part: Fraction, im_part: Fraction) -> str:
         return f"{im_part}i"
     sign = "+" if im_part > 0 else "-"
     return f"{re_part}{sign}{abs(im_part)}i"
-
-
-def _fraction_in(r: Fraction, lattice: Lattice) -> bool:
-    if lattice is Lattice.INTEGERS:
-        return r.denominator == 1
-    if lattice is Lattice.TWO_INTEGERS:
-        return r.denominator == 1 and r.numerator % 2 == 0
-    return r.denominator == 2
-
-
-def fraction_member(lattice: Lattice, a, sign: int = 0, b=None) -> bool:
-    """``a + sign*b`` (``a`` alone when sign is 0) lies in the lattice, read
-    off the ``Fraction`` parts; a tagged operand is in no lattice."""
-    if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
-        return False
-    if not sign:
-        a = qi(a)
-        return a.im == 0 and _fraction_in(a.re, lattice)
-    a, b = qi(a), qi(b)
-    if sign < 0:
-        return a.im == b.im and _fraction_in(a.re - b.re, lattice)
-    return a.im == -b.im and _fraction_in(a.re + b.re, lattice)
 
 
 def fraction_sum_zero_error(family: Family, params) -> str | None:

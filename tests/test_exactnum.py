@@ -1,5 +1,5 @@
-"""Exact Q(i) values, the wire grammar and the lattice predicates; the Q(i)
-arithmetic that builds expected values is the ``oracles.QI`` type."""
+"""Exact Q(i) values and the wire grammar; the Q(i) arithmetic that builds
+expected values is the ``oracles.QI`` type."""
 
 import math
 import random
@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from painstrata.exactnum import (
     ComplexRational,
-    Lattice,
     ParameterParseError,
     format_cgauss,
-    lattice_member,
     parse_cgauss,
 )
 
@@ -126,31 +124,6 @@ class TestArithmetic:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             QI(Fraction(1)) / CR()
-
-
-class TestLattice:
-    @pytest.mark.parametrize("z,lattice,expected", [
-        (CR(Fraction(3)), Lattice.INTEGERS, True),
-        (CR(Fraction(1, 2)), Lattice.HALF_PLUS_INTEGERS, True),
-        (CR(Fraction(2), Fraction(1)), Lattice.TWO_INTEGERS, False),
-        (CR(Fraction(4)), Lattice.TWO_INTEGERS, True),
-        (CR(Fraction(3)), Lattice.TWO_INTEGERS, False),
-        (CR(Fraction(-5, 2)), Lattice.HALF_PLUS_INTEGERS, True),
-        (CR(Fraction(1, 3)), Lattice.HALF_PLUS_INTEGERS, False),
-        (CR(Fraction(0), Fraction(1, 2)), Lattice.HALF_PLUS_INTEGERS, False),
-    ])
-    def test_membership(self, z, lattice, expected):
-        assert lattice_member(z, lattice) is expected
-
-    @given(cgauss)
-    def test_two_integers_implies_integers(self, z):
-        if lattice_member(z, Lattice.TWO_INTEGERS):
-            assert lattice_member(z, Lattice.INTEGERS)
-
-    @given(cgauss)
-    def test_half_coset_identity(self, z):
-        assert lattice_member(z, Lattice.HALF_PLUS_INTEGERS) == \
-            lattice_member((2 * qi(z) - 1).exact(), Lattice.TWO_INTEGERS)
 
 
 def digits(rng: random.Random, n: int) -> str:

@@ -7,6 +7,7 @@ import json
 import pathlib
 
 import jsonschema
+import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 SCHEMA = json.loads(
@@ -41,6 +42,15 @@ def test_xc_portrait(tmp_path, capsys):
         assert lines[0] == "t,x,y,residual,drift"
         assert len(lines) > 1
     assert "worst conservation drift" in capsys.readouterr().out
+
+
+def test_xc_portrait_refuses_negative_c(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        load("xc_portrait").main(["--c", "2", "-1", "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert "c >= 0" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_pool_digest_repeats(capsys):

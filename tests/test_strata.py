@@ -9,7 +9,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from painstrata.exactnum import ComplexRational, Lattice, lattice_member, parse_cgauss
+from painstrata.exactnum import ComplexRational, parse_cgauss
 from painstrata.models import (
     PARAM_COUNT,
     ConstraintError,
@@ -24,7 +24,6 @@ from painstrata.strata import (
     CITATIONS,
     Classification,
     OUT_OF_SCOPE,
-    _member,
     classify,
     classify_xc,
     integral_roots,
@@ -176,6 +175,58 @@ class TestP6Stratum:
             assert not (levels["P"] and not levels["M"])
 
 
+def rank_one_p6(rng: random.Random) -> tuple:
+    """A p6 vector that is often of rank one: v1 - v2 on or near 1/2 + Z,
+    over equal or different real denominators (1/3 - 1/2 = -1/6), with
+    imaginary parts that cancel in v1 - v2 or now and then do not, and
+    v3 - v4 or v3 + v4 in Z; now and then a tag on v1 or v2, or the
+    coordinates shuffled so that another root is the integral one."""
+    im = Fraction(rng.randint(-2, 2), rng.choice((1, 3))) if rng.random() < 0.4 else Fraction(0)
+    re1 = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+    shift = rng.randint(-3, 3) + rng.choice((Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)))
+    im2 = im if rng.random() < 0.8 else im + Fraction(1, 2)
+    v3 = CR(Fraction(rng.randint(-20, 20), rng.choice((5, 7, 11))),
+            Fraction(rng.randint(-2, 2), 5) if rng.random() < 0.3 else Fraction(0))
+    v4 = (rng.choice((1, 1, -1)) * qi(v3) + rng.randint(-3, 3)).exact()
+    v = [CR(re1, im), CR(re1 - shift, im2), v3, v4]
+    if rng.random() < 0.1:
+        v[rng.randrange(2)] = rng.choice(tuple(SpecialValue))
+    if rng.random() < 0.1:
+        rng.shuffle(v)
+    return tuple(v)
+
+
+class TestP6DegreeFour:
+    def test_degree_matches_oracle(self):
+        """The M_minus_P degree against the fixed-position reading: 4 iff
+        v1 - v2 lies in 1/2 + Z and v3 - v4 in Z."""
+        rng = random.Random(104)
+        kinds, seen = Counter(), 0
+        while seen < 2000:
+            v = rank_one_p6(rng)
+            if oracles.span_rank(oracles.integral_hits(v)) != 1:
+                continue
+            seen += 1
+            c = classify(FamilyInstance(Family.PVI, v))
+            half = oracles.combo_in(v, (1, -1, 0, 0), *oracles.HALF_Z)
+            four = half and oracles.combo_in(v, (0, 0, 1, -1), *oracles.Z)
+            assert c.stratum == "M_minus_P", v
+            assert c.morley_degree == {"exact": 4 if four else 2}, v
+            v1, v2 = v[:2]
+            if isinstance(v1, SpecialValue) or isinstance(v2, SpecialValue):
+                kinds["tag on v1 or v2"] += 1
+                continue
+            if four:
+                kinds["4, real denominators differ"] += v1.rd != v2.rd
+                kinds["4, imaginary parts cancel"] += v1.jn != 0
+            elif half:
+                kinds["2, v3 + v4 in Z"] += oracles.combo_in(v, (0, 0, 1, 1), *oracles.Z)
+            elif ((qi(v1) - v2).re - Fraction(1, 2)).denominator == 1:
+                kinds["2, imaginary parts differ"] += oracles.combo_in(
+                    v, (0, 0, 1, -1), *oracles.Z)
+        assert len(kinds) == 5 and all(kinds.values()), kinds
+
+
 class TestGoldenTable:
     @pytest.mark.parametrize("family,tokens,stratum,degree", [
         ("p2", ["-1/2"], "half_plus_integer", {"exact": 2}),
@@ -286,7 +337,7 @@ class TestInvariance:
             c = classify(FamilyInstance(Family.PIII, v))
             assert c.stratum == "D1"
             # the defining sum condition is also the first W1 disjunct
-            assert lattice_member((qi(v[0]) + v[1]).exact(), Lattice.TWO_INTEGERS)
+            assert oracles.combo_in(v, (1, 1), *oracles.TWO_Z)
 
     def test_all_in_scope_ranks_are_one(self):
         rng = random.Random(58)
@@ -389,46 +440,60 @@ def member_pair(rng: random.Random) -> tuple:
     return a, b
 
 
-class TestFractionOracle:
-    """The lattice test on integer parts and the p4/p5 sum-zero check against
-    the ``Fraction`` arithmetic they replaced (``oracles.fraction_member``,
-    ``oracles.fraction_sum_zero_error``)."""
+class TestMemberPairs:
+    """Pairs on or near a lattice through the p3 and p4 tables, against the
+    part-wise coset oracle."""
 
-    def test_member_examples(self):
-        half = Lattice.HALF_PLUS_INTEGERS
-        assert _member(half, CR(Fraction(1, 3)), 1, CR(Fraction(1, 6)))
-        assert not _member(half, CR(Fraction(1, 3)), -1, CR(Fraction(1, 6)))
-        assert _member(Lattice.INTEGERS, parse_cgauss("1+1/2i"), -1, parse_cgauss("3+2/4i"))
-        assert _member(Lattice.TWO_INTEGERS, parse_cgauss("1+1/2i"), 1, parse_cgauss("3-2/4i"))
-        assert not _member(Lattice.INTEGERS, parse_cgauss("1+1/2i"), 1, parse_cgauss("3+2/4i"))
+    def test_examples(self):
+        for family, tokens, stratum, degree in (
+            # v1 - v2 = 1/2 over different real denominators, v3 - v4 in Z
+            ("p6", ["1/3", "-1/6", "1/5", "1/5"], "M_minus_P", {"exact": 4}),
+            ("p6", ["1/3", "1/6", "1/5", "1/5"], "M_minus_P", {"exact": 2}),
+            # imaginary parts spelled unreduced that cancel in v1 + v2 or v1 - v2
+            ("p3", ["1+1/2i", "3-2/4i"], "W1_minus_D1", {"exact": 2}),
+            ("p3", ["1+1/2i", "-5+2/4i"], "W1_minus_D1", {"exact": 2}),
+            ("p3", ["1+1/2i", "4+2/4i"], "generic", {"exact": 1}),
+            ("p4", ["1+1/2i", "3+2/4i", "-4-1i"], "W_minus_D", {"exact": 2}),
+        ):
+            c = classify_strings(family, tokens)
+            assert (c.stratum, c.morley_degree) == (stratum, degree), tokens
+            if family != "p6":
+                v = FamilyInstance.from_strings(family, tokens).params
+                assert oracles.coset_stratum(family, v) == stratum, tokens
 
-    def test_member_agrees(self):
+    def test_classify_matches_oracle(self):
         rng = random.Random(20)
-        kinds = Counter()
+        kinds, tagged = Counter(), 0
         for _ in range(3000):
             a, b = member_pair(rng)
-            for lattice in Lattice:
-                got = _member(lattice, a)
-                assert got == oracles.fraction_member(lattice, a), (a, lattice)
-                for sign in (-1, 1):
-                    got = _member(lattice, a, sign, b)
-                    assert got == oracles.fraction_member(lattice, a, sign, b), \
-                        (a, sign, b, lattice)
-                    if isinstance(a, CR) and isinstance(b, CR):
-                        kinds[(lattice, sign, a.rd == b.rd, a.jn != 0, got)] += 1
-        # every lattice and sign, with equal and with different real
-        # denominators, and both verdicts; two reduced fractions over
-        # different denominators never sum to an integer, but may sum to a
-        # half-integer (1/3 + 1/6)
-        assert {(lattice, sign, same, got) for lattice, sign, same, _, got in kinds} == {
-            (lattice, sign, same, got) for lattice in Lattice for sign in (-1, 1)
-            for same in (True, False) for got in (True, False)
-            if same or not got or lattice is Lattice.HALF_PLUS_INTEGERS}, kinds
-        # nonzero imaginary parts that cancel, for every lattice and sign
-        assert all(kinds[(lattice, sign, True, True, True)]
-                   for lattice in Lattice for sign in (-1, 1)), kinds
-        assert all(kinds[(Lattice.HALF_PLUS_INTEGERS, sign, False, True, True)]
-                   for sign in (-1, 1)), kinds
+            if isinstance(a, SpecialValue) or isinstance(b, SpecialValue):
+                tagged += 1
+                c = SpecialValue.GENERIC
+            else:
+                c = (-(qi(a) + b)).exact()
+            for family, v in ((Family.PIII, (a, b)), (Family.PIV, (a, b, c))):
+                stratum = classify(FamilyInstance(family, v)).stratum
+                assert stratum == oracles.coset_stratum(family.value, v), (family, v)
+                if isinstance(c, CR):
+                    cancels = a.jn != 0 and abs(a.jn) == abs(b.jn) and a.jd == b.jd
+                    kinds[(family, a.rd == b.rd, cancels, stratum != "generic")] += 1
+        assert tagged, "no tagged pair"
+        # both verdicts, with equal and with different real denominators;
+        # two reduced fractions over different denominators never sum or
+        # differ to an integer, but for p4 the third coordinate -a-b gives
+        # 2a + b and a + 2b as well
+        assert {(family, same, on) for family, same, _, on in kinds} == {
+            (family, same, on) for family in (Family.PIII, Family.PIV)
+            for same in (True, False) for on in (True, False)
+            if same or not on or family is Family.PIV}, kinds
+        # nonzero imaginary parts that cancel, on a locus of each table
+        assert all(kinds[(family, True, True, True)]
+                   for family in (Family.PIII, Family.PIV)), kinds
+
+
+class TestFractionOracle:
+    """The p4/p5 sum-zero check against the ``Fraction`` arithmetic it
+    replaced (``oracles.fraction_sum_zero_error``)."""
 
     @pytest.mark.parametrize("family", [Family.PIV, Family.PV], ids=lambda f: f.value)
     def test_sum_zero_agrees(self, family):
