@@ -94,7 +94,11 @@ def _split_params(text: str) -> list:
 
 
 def _split_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(","))
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite floats, got {text!r}") from None
 
 
 def _params_json(params) -> list[str]:

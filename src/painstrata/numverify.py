@@ -88,9 +88,9 @@ class IntegrationSpec:
         if not _finite((self.t0, self.t1, *self.initial_state)):
             raise ConstraintError("the window and the initial state must be finite")
         if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConstraintError("tolerances must be positive and finite")
+            raise ConstraintError("the tolerance must be positive and finite")
         if self.tol < _MIN_TOL:
-            raise ConstraintError(f"relative tolerance must be at least {_MIN_TOL!r}")
+            raise ConstraintError(f"the tolerance must be at least {_MIN_TOL!r}")
         if not self.blowup_threshold > 0:
             raise ConstraintError("the blow-up threshold must be positive")
         if math.isinf(self.blowup_threshold):
@@ -135,7 +135,8 @@ def compile_rf(rhs: Sequence[RationalFunction], variables: Sequence[str]) -> Cal
 
     With one right side per variable the field also carries
     ``field.step(t, y, k1, h, tol)``: one Dormand-Prince step
-    with the field inlined at each stage (see ``integrate``).
+    with the field inlined at each stage, whose rows are sums of the same
+    form, ``0.0`` plus their products left to right (see ``integrate``).
     """
     coeffs = []
     shape = [tuple(variables)]
@@ -258,6 +259,12 @@ def _step_lines(parts, variables) -> list[str]:
     ``(y5, k7, err, max|y5 - y4|)``.  It fails only by raising: a stage
     state or y4 that is not finite raises ``OverflowError``, a field output
     that is not finite ``ZeroDivisionError``, as ``n / 0.0`` does.
+
+    Each component of a stage state and of y4 is one expression,
+    ``y + h * (0.0 + w1 * k1 + w2 * k2 ...)``, added left to right, with
+    the row's zero weights left out.  That changes no bit: the sum starts
+    at +0.0, so it is never -0.0; every k is finite, so ``0.0 * k`` is
+    ±0.0; and adding ±0.0 to such a sum leaves it as it was.
     """
     idx = range(len(variables))
     stage = [f"s{i}" for i in idx]
@@ -266,9 +273,8 @@ def _step_lines(parts, variables) -> list[str]:
         return " and ".join(f"isfinite({name})" for name in names)
 
     def combination(i, weights) -> str:
-        # the whole row through the builtin ``sum``, zero weights included
-        products = ", ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1))
-        return f"y{i} + h * sum(({products},))"
+        products = [f"{w!r} * k{j}_{i}" for j, w in enumerate(weights, 1) if w]
+        return f"y{i} + h * ({' + '.join(['0.0', *products])})"
 
     def largest(items) -> str:
         return items[0] if len(items) == 1 else f"max({', '.join(items)})"
@@ -315,10 +321,11 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
     ``compile_rf`` gives the field and its step, bound to this system's
     coefficients; the loop here passes the tolerance to each step, halves
     h when a step raises, accepts or rejects, sets the next step size and
-    records events.  Each stage state is ``y + h * sum(a_s[j] * k_j)`` per
-    component, summed by the builtin ``sum`` over the stage's whole row,
-    zeros included: the builtin is compensated from Python 3.12 on, so a
-    chain of ``+`` would round differently there and move every trajectory.
+    records events.  Each stage state is ``y + h * (0.0 + a_s1 * k_1 + ...)``
+    per component, plain float additions in a fixed order: through Python
+    3.11 the builtin ``sum`` of the row adds exactly so, and from 3.12 on
+    it compensates its rounding, so the step writes the chain out and every
+    trajectory has the same bits on every Python.
     """
     field = compile_rf(spec.system.rhs, spec.system.variables)
     step, tol = field.step, spec.tol
@@ -326,10 +333,13 @@ def integrate(spec: IntegrationSpec) -> Trajectory:
     try:
         k1 = field(y, t)
         if not _finite(k1):
-            raise ZeroDivisionError("right-hand side is not finite")
+            # from a finite state, only an overflow gives inf or nan
+            raise OverflowError
     except ArithmeticError as exc:
+        cause = ("a division by zero" if isinstance(exc, ZeroDivisionError)
+                 else "an overflow")
         raise SingularInitialState(
-            f"cannot evaluate the field at the initial state: {exc}") from exc
+            f"cannot evaluate the field at the initial state: {cause}") from exc
 
     t1, threshold = spec.t1, spec.blowup_threshold
     window = t1 - spec.t0

@@ -623,6 +623,10 @@ def dormand_prince(field, t0, t1, y0, rel_tol, abs_tol, threshold, counts=None):
 
     Every stage is evaluated afresh from the tableau above; the seventh
     stage f(t+h, y5) of an accepted step is reused as the next first stage.
+    Each component of a stage state and of y4 is ``y + h * acc``, where
+    ``acc`` starts at 0.0 and adds every product of the row, zero weights
+    included, left to right: plain IEEE additions in a fixed order, which
+    round the same on every Python.
     A stage state that is not finite, a field that raises or is not finite
     at a stage, and a y4 that is not finite each fail the step, which
     halves h; below ``1e-13 * (t1 - t0)`` that ends the integration with a
@@ -650,6 +654,12 @@ def dormand_prince(field, t0, t1, y0, rel_tol, abs_tol, threshold, counts=None):
     def finite(values):
         return all(math.isfinite(v) for v in values)
 
+    def row(weights, ks, i):
+        acc = 0.0
+        for w, k in zip(weights, ks):
+            acc += w * k[i]
+        return acc
+
     t, y = t0, tuple(y0)
     k1 = list(field(y, t))
     if not finite(k1):
@@ -664,7 +674,7 @@ def dormand_prince(field, t0, t1, y0, rel_tol, abs_tol, threshold, counts=None):
             break
         ks, failure = [k1], None
         for s in range(1, 7):
-            ys = [y[i] + h * sum([a[s][j] * ks[j][i] for j in range(s)]) for i in range(n)]
+            ys = [y[i] + h * row(a[s], ks, i) for i in range(n)]
             if not finite(ys):
                 failure = "stage overflow"
                 break
@@ -682,7 +692,7 @@ def dormand_prince(field, t0, t1, y0, rel_tol, abs_tol, threshold, counts=None):
             ks.append(out)
         else:
             y5 = ys
-            y4 = [y[i] + h * sum([b4[j] * ks[j][i] for j in range(7)]) for i in range(n)]
+            y4 = [y[i] + h * row(b4, ks, i) for i in range(n)]
             if not finite(y4):
                 failure = "y4 not finite"
         if failure is not None:

@@ -685,6 +685,32 @@ class TestInputValidation:
         assert code == EXIT_CONSTRAINT
         assert doc["error"]["kind"] == "constraint"
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--family", "p2", "--params", "0", "--t0", "0", "--t1", "1"],
+        ["verify", "log-relation", "--c", "2"],
+    ], ids=["simulate", "log-relation"])
+    def test_init_not_floats(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--init=0.1,x"])
+        assert exc.value.code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: painstrata ")
+        assert err.endswith("error: argument --init: expected comma-separated finite "
+                            "floats, got '0.1,x'\n")
+
+    @pytest.mark.parametrize("family,params,init,cause", [
+        ("p2", "1/2", "1e308,1e308", "an overflow"),       # y**3 raises
+        ("p2", "1/2", "5.5e102,0", "an overflow"),         # 2 * y**3 is inf
+        ("xc", "2", "0,0.5", "a division by zero"),        # .../x
+    ])
+    def test_simulate_initial_state_cause(self, capsys, family, params, init, cause):
+        code, (doc,) = run(capsys, ["simulate", "--family", family, f"--params={params}",
+                                    f"--init={init}", "--t0=0", "--t1=1"])
+        assert code == EXIT_NUMERIC
+        assert doc["error"] == {"kind": "numeric", "message":
+                                f"cannot evaluate the field at the initial state: {cause}"}
+
     @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
     def test_log_relation_non_finite_coupling(self, capsys, c):
         code, (doc,) = run(capsys, ["verify", "log-relation", f"--c={c}"])

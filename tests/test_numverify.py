@@ -3,6 +3,7 @@ generated field and its template cache, drift checks, events and CSV
 export."""
 
 import collections
+import hashlib
 import io
 import math
 import random
@@ -150,6 +151,50 @@ class TestIntegrator:
         for kind in ("BlowUp", "PoleProximity", "SingularInitialState"):
             assert events[kind] >= 20, (kind, events)
 
+    # (family, params, init, t0, t1, tol): a completing window per family,
+    # a P_II blow-up at the tightest documented tol, and a pole approach
+    # that rejects steps
+    PINNED = [
+        ("p2", ("1/2",), (0.3, -0.2), 0.0, 1.0, 1e-10),
+        ("p3", ("1/3", "-2"), (0.5, 0.1), 1.0, 1.5, 1e-10),
+        ("p4", ("1/2", "-1/3", "-1/6"), (0.2, -0.1), 0.0, 0.5, 1e-10),
+        ("p5", ("1/2", "-1/3", "-1/6", "0"), (0.4, 0.1), 1.0, 1.5, 1e-10),
+        ("xc", ("2",), (1.0, 0.5), 0.0, 0.3, 1e-10),
+        ("p2", ("0",), (2.0, 0.0), 0.0, 2.0, 1e-12),
+        ("xc", ("2",), (0.05, 0.5), 0.0, 2.0, 1e-8),
+    ]
+    # recorded from the step that summed each row with the builtin ``sum``,
+    # under Python 3.11, whose ``sum`` of floats is the same left-to-right
+    # chain from 0.0 that the step now writes out
+    PINNED_SHA256 = "a6964c8d95b41012248843cf12f5d01c0b93a0c155f2c3b5a193e5775b24fd13"
+
+    def test_trajectory_bits_pinned(self, monkeypatch):
+        sources = []
+
+        def recording(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+        numverify._template.cache_clear()
+        monkeypatch.setattr(numverify, "exec", recording, raising=False)
+        outcomes, kinds = [], []
+        for family, params, init, t0, t1, tol in self.PINNED:
+            system = system_rhs(FamilyInstance.from_strings(family, params))
+            traj = integrate(IntegrationSpec(system, t0, t1, init, tol=tol))
+            events = [(e.kind, e.t) for e in traj.events]
+            outcomes.append(repr((traj.samples, events, traj.error_estimate)))
+            kinds.append([kind for kind, _ in events])
+        assert kinds == [[]] * 5 + [[BLOWUP], [POLE_PROXIMITY, BLOWUP]]
+        # the last case rejects steps, as counted on the reference loop
+        counts = {}
+        reference(
+            (system.rhs, system.variables, t0, t1, init, tol, DEFAULT_BLOWUP_THRESHOLD),
+            counts)
+        assert counts["rejected"] > 0
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.PINNED_SHA256
+        # the rounding is the code's own, not the interpreter's ``sum``
+        assert sources and not any("sum(" in source for source in sources)
+
     def test_riccati_window_completes(self):
         traj = integrate(IntegrationSpec(one_dim("-y^2 - t/2"), 0.0, 0.5, (1.0,)))
         assert traj.completed
@@ -217,8 +262,10 @@ class TestIntegrator:
                                   "substitute concrete values before integrating")
 
     def test_tolerance_validation(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match="^the tolerance must be positive and finite$"):
             IntegrationSpec(one_dim("y"), 0.0, 1.0, (1.0,), tol=0.0)
+        with pytest.raises(ConstraintError, match="^the tolerance must be at least "):
+            IntegrationSpec(one_dim("y"), 0.0, 1.0, (1.0,), tol=1e-30)
         with pytest.raises(ConstraintError):
             IntegrationSpec(one_dim("y"), 1.0, 0.0, (1.0,))
 
