@@ -11,19 +11,28 @@ A coefficient is an ``int`` or a ``Fraction``, never a float.  Construction,
 substitution and every division store integral values as ``int``, integers
 stay ``int`` through the ring operations, and every division is exact.
 ``int`` and ``Fraction`` compare, hash and print alike, so the choice shows
-neither in ``==`` nor in the printed form.  The gcd is the primitive PRS
-over Z, run on the arguments with their denominators cleared.
+neither in ``==`` nor in the printed form.
+
+The gcd is Brown's modular algorithm (JACM 18, 1971) on the arguments with
+their denominators, integer contents and monomial contents divided out:
+images mod primes near 2^61 are univariate in the variable of largest
+degree, and stay sparse in it; the other variables are evaluated and
+Newton-interpolated until one more image changes nothing.  Images combine
+by CRT, a candidate that one more prime leaves unchanged, or whose
+coefficients are small, is returned if it divides both arguments exactly
+over Z, and an image of degree 0 proves them coprime.
 
 Rational functions are kept fully reduced, with a monic denominator, so two
 equal rational functions have structurally identical fields and ``==`` is a
-decision procedure for equality in the fraction field.
+decision procedure for equality in the fraction field.  A sum, difference
+or product of two quotients over 1 is over 1, with no gcd.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping, NamedTuple
 
 Monomial = tuple  # sorted tuple of (Var, positive int exponent) pairs
@@ -247,16 +256,6 @@ class Polynomial:
                     break
         return _raw(out)
 
-    def as_univariate(self, var) -> dict[int, "Polynomial"]:
-        """View as a univariate polynomial in ``var`` with Polynomial coefficients."""
-        out: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            e = next((k for v, k in m if v == var), 0)
-            mono = tuple(p for p in m if p[0] != var) if e else m
-            bucket = out.setdefault(e, {})
-            bucket[mono] = bucket.get(mono, 0) + c
-        return {e: _raw(bucket) for e, bucket in out.items() if any(bucket.values())}
-
     def __str__(self) -> str:
         return poly_to_str(self)
 
@@ -280,13 +279,6 @@ def _as_poly(value):
 
 ZERO = Polynomial()
 ONE = Polynomial.constant(1)
-
-
-def _from_univariate(var, coeffs: Mapping[int, Polynomial]) -> Polynomial:
-    """Inverse of :meth:`Polynomial.as_univariate`; the coefficients do not
-    involve ``var``, so no two terms share a monomial."""
-    return _raw({_mono_mul(m, ((var, e),)) if e else m: c
-                 for e, p in coeffs.items() for m, c in p.terms.items()})
 
 
 def _div_const(p: Polynomial, d) -> Polynomial:
@@ -315,85 +307,291 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return _raw(quot)
 
 
-def _prem(u: dict[int, Polynomial], v: dict[int, Polynomial]) -> dict[int, Polynomial]:
-    """Pseudo-remainder of univariate-view polynomials (coefficients may grow)."""
-    dv = max(v)
-    lv = v[dv]
-    r = dict(u)
-    while r and max(r) >= dv:
-        dr = max(r)
-        lr = r[dr]
-        shift = dr - dv
-        new: dict[int, Polynomial] = {}
-        for e, c in r.items():
-            new[e] = c * lv
-        for e, c in v.items():
-            ee = e + shift
-            new[ee] = new.get(ee, ZERO) - lr * c
-        r = {e: c for e, c in new.items() if not c.is_zero()}
-    return r
-
-
-def _primitive(uni: dict[int, Polynomial]) -> tuple[Polynomial, dict[int, Polynomial]]:
-    """Content (over Z, so with the integer gcd) and primitive part of a
-    univariate view with integer coefficients."""
-    cont = reduce(_zgcd, uni.values())
-    if cont.is_one():
-        return cont, uni
-    return cont, {e: exact_div(c, cont) for e, c in uni.items()}
-
-
-def _zgcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """A greatest common divisor in Z[vars] of nonzero f and g with integer
-    coefficients, by the primitive PRS in the shared variable of least
-    combined degree."""
-    common = f.variables() & g.variables()
-    if not common:
-        # a common divisor involves no variable: the integer gcd of all
-        # the coefficients
-        return Polynomial.constant(math.gcd(*f.terms.values(), *g.terms.values()))
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        # a term's divisors are terms: the coefficients' gcd times least powers
-        monos = [dict(m) for m in (*f.terms, *g.terms)]
-        least = ((v, min(m.get(v, 0) for m in monos)) for v in sorted(common))
-        return _raw({tuple((v, e) for v, e in least if e):
-                     math.gcd(*f.terms.values(), *g.terms.values())})
-    var = min(common, key=lambda v: (f.degree_in(v) + g.degree_in(v), v))
-    cont_f, u = _primitive(f.as_univariate(var))
-    cont_g, v = _primitive(g.as_univariate(var))
-    c = _zgcd(cont_f, cont_g)
-    if max(u) < max(v):
-        u, v = v, u
-    while True:
-        r = _prem(u, v)
-        if not r:
-            return c * _from_univariate(var, v)
-        if max(r) == 0:
-            return c
-        u, v = v, _primitive(r)[1]
-
-
-def _clear(p: Polynomial) -> Polynomial:
-    """p times the lcm of its coefficients' denominators, with int
-    coefficients."""
-    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
-    return _raw({m: c.numerator * (lcm // c.denominator) for m, c in p.terms.items()})
-
-
 def _monic(p: Polynomial) -> Polynomial:
     return p if p.is_zero() else _div_const(p, p.leading_coeff())
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor: the primitive PRS over Z on f and g
-    with their denominators cleared."""
+    """Monic greatest common divisor.  With no shared variable it is 1; else
+    each argument, its denominators cleared, loses its integer and monomial
+    content, the least exponents of the two monomial contents are the gcd's
+    monomial part, and :func:`_brown` gives the rest."""
     if f.is_zero():
         return _monic(g)
     if g.is_zero():
         return _monic(f)
-    if f.is_constant() or g.is_constant():
+    fv, gv = f.variables(), g.variables()
+    if not fv & gv:
         return ONE
-    return _monic(_zgcd(_clear(f), _clear(g)))
+    names = sorted(fv | gv)
+    (a, low_a), (b, low_b) = _exponents(f, names), _exponents(g, names)
+    deg_a, deg_b = (list(map(max, zip(*p))) for p in (a, b))
+    core = {(0,) * len(names): 1}
+    if any(map(min, deg_a, deg_b)):
+        # the variable of largest degree first: its images stay sparse
+        order = sorted(range(len(names)), key=lambda i: -max(deg_a[i], deg_b[i]))
+        found = _brown(*({tuple(m[i] for i in order): c for m, c in p.items()} for p in (a, b)))
+        if found:
+            core = {tuple(e for _, e in sorted(zip(order, m))): c for m, c in found.items()}
+    low = list(map(min, low_a, low_b))
+    return _monic(_raw({tuple((v, e + k) for v, e, k in zip(names, m, low) if e + k): c
+                        for m, c in core.items()}))
+
+
+def _exponents(p: Polynomial, names: list) -> tuple[dict, tuple]:
+    """p times the lcm of its denominators, over its integer content and its
+    monomial content, as {exponent tuple over names: int}; and the exponents
+    of that monomial content."""
+    index = {v: i for i, v in enumerate(names)}
+    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    out = {}
+    for m, c in p.terms.items():
+        exps = [0] * len(names)
+        for v, e in m:
+            exps[index[v]] = e
+        out[tuple(exps)] = c.numerator * (lcm // c.denominator)
+    low = tuple(map(min, zip(*out)))
+    content = math.gcd(*out.values())
+    return {tuple(e - k for e, k in zip(m, low)): c // content for m, c in out.items()}, low
+
+
+# Brown's modular gcd (JACM 18, 1971) on {exponent tuple: int}, the first
+# variable the main one.  Each image mod p is computed by evaluating the last
+# variable and interpolating it back (_pgcd), images combine by CRT, and a
+# candidate is accepted only when it divides both arguments over Z.
+
+_PRIMES = [2 ** 61 - 1]
+_UNIT = {0: 1}   # the univariate polynomial 1
+
+
+def _primes():
+    """The primes below 2^61, largest first, each found once."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            _PRIMES.append(next(n for n in range(_PRIMES[-1] - 2, 0, -2) if _is_prime(n)))
+        yield _PRIMES[i]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the first twelve prime bases: exact below 3.3e24."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = odd * 2^s
+    odd = (n - 1) >> s
+    return all(pow(a, odd, n) == 1 or any(pow(a, odd << r, n) == n - 1 for r in range(s))
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
+def _brown(a: dict, b: dict) -> dict | None:
+    """The primitive gcd over Z of a and b, which are primitive and share a
+    variable, or None when they are coprime."""
+    lc_a, lc_b = a[max(a)], b[max(b)]
+    gamma = math.gcd(lc_a, lc_b)   # the gcd's leading coefficient divides it
+    level, modulus, lead, image, candidate = len(max(a)), 1, None, {}, None
+    for p in _primes():
+        if not (lc_a % p and lc_b % p):
+            continue
+        h = _pgcd({m: r for m, c in a.items() if (r := c % p)},
+                  {m: r for m, c in b.items() if (r := c % p)}, p, level)
+        m = max(h)
+        if not any(m):
+            return None   # the image bounds the gcd's degree: 0
+        if lead is None or m < lead:
+            # a lower degree: every earlier prime was unlucky
+            modulus, lead, image, candidate = 1, m, {}, None
+        elif m > lead:
+            continue   # an unlucky prime
+        inv = pow(modulus, -1, p)
+        image = {k: (u := image.get(k, 0)) + modulus * ((h.get(k, 0) * gamma - u) * inv % p)
+                 for k in image.keys() | h.keys()}
+        modulus *= p
+        last, candidate = candidate, {k: v - modulus if 2 * v > modulus else v
+                                      for k, v in image.items() if v}
+        # a wrong candidate has coefficients up to modulus / 2, and dividing by
+        # it can step the main exponent down one at a time: it is tried once
+        # one more prime leaves it unchanged, or when its coefficients are small
+        if candidate != last and 2 * max(map(abs, candidate.values())) ** 2 > modulus:
+            continue
+        content = math.gcd(*candidate.values())
+        found = {k: v // content for k, v in candidate.items()}
+        if _divides(found, a) and _divides(found, b):
+            return found
+
+
+def _divides(g: dict, a: dict) -> bool:
+    """Whether g divides a over Z: division in lex order, stopped at the first
+    monomial or coefficient that does not divide."""
+    lead = max(g)
+    r = dict(a)
+    while r:
+        m = max(r)
+        shift = tuple(x - y for x, y in zip(m, lead))
+        q, rem = divmod(r[m], g[lead])
+        if rem or min(shift) < 0:
+            return False
+        for k, c in g.items():
+            k = tuple(x + y for x, y in zip(shift, k))
+            if v := r.get(k, 0) - q * c:
+                r[k] = v
+            else:
+                del r[k]
+    return True
+
+
+def _pgcd(a: dict, b: dict, p: int, level: int) -> dict:
+    """The monic gcd (lex, first variable first) of nonzero a and b in
+    Z_p[x1..x_level] (Brown's PGCD): the contents in x_level are split off,
+    x_level is set to points where the leading coefficients' gcd s is not
+    zero, and the images, scaled to s there, are Newton-interpolated until
+    one more image leaves the interpolant unchanged, or deg(s) +
+    min(degrees in x_level) + 1 of them agree in degree; when s is not
+    constant, the monic images are interpolated alongside, and used if they
+    stop changing first."""
+    if level == 1:
+        h = _ugcd({m[0]: c for m, c in a.items()}, {m[0]: c for m, c in b.items()}, p)
+        return {(e,): c for e, c in h.items()}
+    a, b = _split(a), _split(b)
+    ca, cb = _content(a, p), _content(b, p)
+    content = _ugcd(ca, cb, p)
+    a, b = _divide(a, ca, p), _divide(b, cb, p)
+    s = _ugcd(a[max(a)], b[max(b)], p)
+    bound = min(max(map(max, a.values())), max(map(max, b.values()))) + max(s)
+    lead = None
+    # a point sequence per level, so that two variables are never set to
+    # the same values, where x + t and x + y would meet
+    step = 1 + 0x9E3779B97F4A7C15 * level % (p - 1)
+    for j in range(1, p):
+        x = j * step % p
+        scale = _ueval(s, x, p)
+        if not scale:
+            continue
+        image = _pgcd(_evaluate(a, x, p), _evaluate(b, x, p), p, level - 1)
+        m = max(image)
+        if not any(m):
+            return {m + (e,): c for e, c in content.items()}
+        if lead is None or m < lead:
+            monic, h, lead, master = {}, {}, m, [1]
+        elif m > lead:
+            continue
+        # the gcd's leading coefficient divides s, so the images scaled to s
+        # lie on a polynomial in x_level; when s is not constant, the monic
+        # images do too if that coefficient is free of x_level, and then on
+        # one of lower degree
+        if max(s) and not _newton(monic, master, image, x, p):
+            h = monic
+            break
+        if not _newton(h, master, {k: v * scale % p for k, v in image.items()}, x, p):
+            break
+        # prod (x_level - x) over the points, lowest degree first
+        master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
+        if len(master) > bound + 1:
+            break
+    h = _divide(h, _content(h, p), p)
+    out = {m + (e,): c for m, u in h.items() for e, c in _umul(u, content, p).items()}
+    inv = pow(out[max(out)], -1, p)
+    return {m: c * inv % p for m, c in out.items()}
+
+
+def _newton(h: dict, master: list, image: dict, x: int, p: int) -> bool:
+    """Newton's step on the split polynomial h, in place: h += (image - h(x))
+    / master(x) * master, where master vanishes at h's points; whether h
+    changed."""
+    powers = [1]   # x^e up to master's degree, which is above h's
+    for _ in master[1:]:
+        powers.append(powers[-1] * x % p)
+    inv = pow(sum(c * w for c, w in zip(master, powers)), -1, p)
+    change = {k: d for k in h.keys() | image.keys() if (d := (image.get(k, 0) - sum(
+        c * powers[e] for e, c in h.get(k, {}).items())) * inv % p)}
+    for k, d in change.items():
+        u = h.pop(k, {})
+        if u := {e: w for e, c in enumerate(master) if (w := (u.get(e, 0) + d * c) % p)}:
+            h[k] = u
+    return bool(change)
+
+
+def _split(a: dict) -> dict:
+    """{(e1..e_k): c} as {(e1..e_{k-1}): {e_k: c}}."""
+    out: dict = {}
+    for m, c in a.items():
+        out.setdefault(m[:-1], {})[m[-1]] = c
+    return out
+
+
+def _divide(a: dict, c: dict, p: int) -> dict:
+    """Each coefficient in x_k of the split polynomial over c, which divides
+    them all."""
+    return a if c == _UNIT else {m: _udivmod(u, c, p)[0] for m, u in a.items()}
+
+
+def _evaluate(a: dict, x: int, p: int) -> dict:
+    return {m: v for m, u in a.items() if (v := _ueval(u, x, p))}
+
+
+def _content(a: dict, p: int) -> dict:
+    """The monic gcd of the split polynomial's coefficients in x_k."""
+    out: dict = {}
+    for u in a.values():
+        out = _ugcd(out, u, p)
+        if out == _UNIT:
+            break
+    return out
+
+
+# Univariate polynomials mod p, as {exponent: coefficient}: sparse, so a
+# huge exponent costs one pow.
+
+def _ueval(u: dict, x: int, p: int) -> int:
+    return sum(c * pow(x, e, p) for e, c in u.items()) % p
+
+
+def _umul(u: dict, v: dict, p: int) -> dict:
+    out: dict = {}
+    for e, c in u.items():
+        for f, d in v.items():
+            out[e + f] = (out.get(e + f, 0) + c * d) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def _udivmod(u: dict, v: dict, p: int) -> tuple[dict, dict]:
+    """Quotient and remainder of u by v != 0."""
+    top = max(v)
+    inv = pow(v[top], -1, p)
+    q, r = {}, dict(u)
+    while r and (e := max(r)) >= top:
+        c = q[e - top] = r.pop(e) * inv % p
+        for f, d in v.items():
+            if f != top:
+                k = e - top + f
+                if w := (r.get(k, 0) - c * d) % p:
+                    r[k] = w
+                else:
+                    del r[k]
+    return q, r
+
+
+def _urem(u: dict, v: dict, p: int) -> dict:
+    """u mod v != 0: by long division, or, when u's degree is far above its
+    count of terms, as the sum of its terms c*x^e mod v, each by repeated
+    squaring, so that x^(10^999) mod v takes some 3,300 squarings."""
+    top = max(v)
+    if not u or max(u) - top <= 64 * len(u) * top:
+        return _udivmod(u, v, p)[1]
+    out: dict = {}
+    for e, c in u.items():
+        r = {0: 1}
+        for bit in bin(e)[2:]:
+            r = _udivmod(_umul(r, r, p), v, p)[1]
+            if bit == "1":
+                r = _udivmod({k + 1: d for k, d in r.items()}, v, p)[1]
+        for k, d in r.items():
+            out[k] = (out.get(k, 0) + c * d) % p
+    return {k: d for k, d in out.items() if d}
+
+
+def _ugcd(u: dict, v: dict, p: int) -> dict:
+    """The monic gcd of u and v, not both zero."""
+    while v:
+        u, v = v, _urem(u, v, p)
+    inv = pow(u[max(u)], -1, p)
+    return {e: c * inv % p for e, c in u.items()}
 
 
 class RationalFunction:
@@ -425,11 +623,11 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, value) -> "RationalFunction":
-        return cls(Polynomial.constant(value))
+        return cls(Polynomial.constant(value), reduced=True)
 
     @classmethod
     def variable(cls, var) -> "RationalFunction":
-        return cls(Polynomial.variable(var))
+        return cls(Polynomial.variable(var), reduced=True)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -450,6 +648,8 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction(self.num + other.num, reduced=True)
         # a/b + c/d = t/(b'*d) for g = gcd(b, d), b' = b/g, t = a*(d/g) + c*b',
         # and gcd(t, b'*d) = gcd(t, g) (Henrici; Knuth, TAOCP 2, 4.5.1)
         g = poly_gcd(self.den, other.den)
@@ -476,6 +676,8 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction(self.num * other.num, reduced=True)
         # cancelled crosswise, a/b * c/d is reduced already
         g, k = poly_gcd(self.num, other.den), poly_gcd(other.num, self.den)
         return RationalFunction(exact_div(self.num, g) * exact_div(other.num, k),

@@ -15,14 +15,16 @@ composition over a common denominator), partial derivatives follow the
 textbook quotient rule (not that derivation), the p3/p4 parameter
 groups act in Q(i) arithmetic (not on the package's integer coordinates),
 the wire parser, the printer and the lattice tests work on ``Fraction``
-parts (not on the package's reduced integer parts), and Q(i) arithmetic is
-the ``QI`` type here (the package's ``ComplexRational`` has none).
+parts (not on the package's reduced integer parts), Q(i) arithmetic is
+the ``QI`` type here (the package's ``ComplexRational`` has none), and the
+gcd is the primitive PRS over Z (not the package's modular gcd).
 Random parameter vectors come from seeded generators so frozen expectations
 stay stable.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -43,7 +45,13 @@ from painstrata.models import (
     SpecialValue,
     Unknown,
 )
-from painstrata.ratfunc import DivisionByZeroExpression, Polynomial, RationalFunction, Var
+from painstrata.ratfunc import (
+    DivisionByZeroExpression,
+    Polynomial,
+    RationalFunction,
+    Var,
+    exact_div,
+)
 from painstrata.symbolic import T
 
 
@@ -370,6 +378,99 @@ def grlex_cmp(a, b) -> int:
 
 
 # --------------------------------------------------------------------------
+# The gcd by the primitive PRS over Z (Knuth, TAOCP 2, 4.6.1).
+# --------------------------------------------------------------------------
+
+def prs_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The monic greatest common divisor of f and g: the primitive PRS over
+    Z on the two with their denominators cleared and their monomial contents
+    divided out, in the shared variable of least combined degree, with the
+    contents taken recursively; times the two monomial contents' gcd.  (With
+    monomials in four variables left in, the content recursion can run for
+    minutes.)"""
+    if f.is_zero() or g.is_zero():
+        h = f + g
+        return h if h.is_zero() else exact_div(h, Polynomial.constant(h.leading_coeff()))
+    if f.is_constant() or g.is_constant():
+        return Polynomial.constant(1)
+    (f, low_f), (g, low_g) = _over_monomial(f), _over_monomial(g)
+    h = _zgcd(_cleared(f), _cleared(g)) * Polynomial(
+        {tuple((v, e) for v in sorted(low_f) if (e := min(low_f[v], low_g.get(v, 0)))): 1})
+    return exact_div(h, Polynomial.constant(h.leading_coeff()))
+
+
+def _over_monomial(p: Polynomial) -> tuple:
+    """p over its monomial content, and that content as {variable: exponent}."""
+    low = {v: min(dict(m).get(v, 0) for m in p.terms) for v in p.variables()}
+    return Polynomial({tuple((v, e - low[v]) for v, e in m if e > low[v]): c
+                       for m, c in p.terms.items()}), low
+
+
+def _cleared(p: Polynomial) -> Polynomial:
+    lcm = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    return Polynomial({m: int(c * lcm) for m, c in p.terms.items()})
+
+
+def _univariate(p: Polynomial, var) -> dict:
+    """p as {exponent of var: coefficient polynomial without var}."""
+    out: dict = {}
+    for m, c in p.terms.items():
+        out.setdefault(dict(m).get(var, 0), {})[tuple(x for x in m if x[0] != var)] = c
+    return {e: Polynomial(terms) for e, terms in out.items()}
+
+
+def _multivariate(var, coeffs: dict) -> Polynomial:
+    return Polynomial({tuple(sorted(m + (((var, e),) if e else ()))): c
+                       for e, p in coeffs.items() for m, c in p.terms.items()})
+
+
+def _prem(u: dict, v: dict) -> dict:
+    """The pseudo-remainder of u by v, both {exponent: coefficient}."""
+    dv = max(v)
+    r = dict(u)
+    while r and max(r) >= dv:
+        dr = max(r)
+        lr = r[dr]
+        new = {e: c * v[dv] for e, c in r.items()}
+        for e, c in v.items():
+            new[e + dr - dv] = new.get(e + dr - dv, Polynomial()) - lr * c
+        r = {e: c for e, c in new.items() if not c.is_zero()}
+    return r
+
+
+def _primitive(uni: dict) -> tuple:
+    """Content over Z (a gcd of the coefficients) and primitive part."""
+    content = functools.reduce(_zgcd, uni.values())
+    return content, {e: exact_div(c, content) for e, c in uni.items()}
+
+
+def _zgcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """A gcd in Z[vars] of nonzero f and g with integer coefficients."""
+    common = f.variables() & g.variables()
+    if not common:
+        return Polynomial.constant(math.gcd(*f.terms.values(), *g.terms.values()))
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # a term's divisors are terms: the coefficients' gcd times least powers
+        monos = [dict(m) for m in (*f.terms, *g.terms)]
+        least = ((v, min(m.get(v, 0) for m in monos)) for v in sorted(common))
+        return Polynomial({tuple((v, e) for v, e in least if e):
+                           math.gcd(*f.terms.values(), *g.terms.values())})
+    var = min(common, key=lambda v: (f.degree_in(v) + g.degree_in(v), v))
+    cont_f, u = _primitive(_univariate(f, var))
+    cont_g, v = _primitive(_univariate(g, var))
+    c = _zgcd(cont_f, cont_g)
+    if max(u) < max(v):
+        u, v = v, u
+    while True:
+        r = _prem(u, v)
+        if not r:
+            return c * _multivariate(var, v)
+        if max(r) == 0:
+            return c
+        u, v = v, _primitive(r)[1]
+
+
+# --------------------------------------------------------------------------
 # Float evaluation of rational functions, term by term.
 # --------------------------------------------------------------------------
 
@@ -576,20 +677,20 @@ def random_curve_case(rng: random.Random):
     parameter a.  The target is P0 + P1*y' + P2*y'^2 for random polynomials
     P_k, the shape of the Painleve targets, with y' in it about half the
     time.  Each is a polynomial or, about a third of the time, one over a
-    single term in y, t and a; a denominator of more terms, y' in one
-    included, can make the gcds of the check take minutes."""
+    polynomial of one to three terms, which for the target may hold y'."""
     pool = [T, Var(False, "a"), Var(True, "y")]
     y1 = RationalFunction.variable(Var(True, "y", 1))
 
-    def over_term(f: RationalFunction) -> RationalFunction:
-        den = random_polynomial(rng, pool, 1) if rng.random() < 0.35 else Polynomial()
+    def over(f: RationalFunction, variables) -> RationalFunction:
+        den = random_polynomial(rng, variables, rng.randint(1, 3)) \
+            if rng.random() < 0.35 else Polynomial()
         return f / RationalFunction(den) if den.terms else f
 
-    rhs = over_term(RationalFunction(random_polynomial(rng, pool, rng.randint(1, 3))))
+    rhs = over(RationalFunction(random_polynomial(rng, pool, rng.randint(1, 3))), pool)
     target = RationalFunction(Polynomial())
     for k in range(rng.randint(1, 2) + 1 if rng.random() < 0.5 else 1):
         target = target + RationalFunction(random_polynomial(rng, pool, rng.randint(1, 2))) * y1 ** k
-    return rhs, over_term(target)
+    return rhs, over(target, pool + [Var(True, "y", 1)])
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import fractions
+import hashlib
 import io
 import json
 import os
@@ -232,6 +233,28 @@ class TestVerify:
         assert code == EXIT_NEGATIVE
         assert doc["verdict"] == "not_conserved"
         assert doc["residual"] != "0"
+
+    # Each document's SHA-256 as the primitive PRS printed it.  Every gcd
+    # under a large --c holds y^c; the dense candidate's took 4.4 s.
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["integral", f"--c={10 ** 999}"], EXIT_OK,
+         "959d7dc8a45a028749d4481c64d3f72c151b80757afaa1f011a4cdff3b92e187"),
+        (["qop", f"--c={10 ** 999}"], EXIT_OK,
+         "45bb4255cafd7e3b763e5c6bca0adf3d1f9593a3f8a6a17111e6f2d6c6a9a8f2"),
+        (["integral", "--c=10000000"], EXIT_OK,
+         "8ba68fb8c9d8538b58ed049803eff94bb442c9294de707ecfb71d86624c544b7"),
+        (["qop", "--c=10000000"], EXIT_OK,
+         "b9532f7438fb6baee34534b7bf1c103854e5b162820c41821a31473cab704bc1"),
+        (["integral", "--c", "2", "--expr", "(x^14+y^14+1)/((x+y+1)^7)"], EXIT_NEGATIVE,
+         "c3b94eb32f47333871ab4d4c9ebaf2dfce294cd53dc7e3e60ab4e2f01ef9d289"),
+    ], ids=["integral-c1000digits", "qop-c1000digits", "integral-c1e7", "qop-c1e7",
+            "integral-dense"])
+    def test_document_bytes_pinned(self, capsys, within, argv, code, digest):
+        with within(2):
+            assert cli.main(["verify", *argv]) == code
+        out = capsys.readouterr().out
+        strict_docs(out)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_integral_symbolic_exponent_redirects(self, capsys):
         code, (doc,) = run(capsys, ["verify", "integral", "--c", "2",

@@ -60,3 +60,15 @@ def test_pool_digest_repeats(capsys):
     assert digest.digest("simulate") == first
     assert digest.main(["simulate"]) == 0
     assert capsys.readouterr().out == f"simulate {first}\n"
+
+
+def test_pool_digests_pinned():
+    # the bytes every benchmark operation prints; a change that moves one
+    # says which operations moved and why, and pins the new digest here
+    digest = load("pool_digest")
+    assert {w: digest.digest(w) for w in ("simulate", "exact_ops", "sweep_p6", "sweep_light")} == {
+        "simulate": "7efebbee0213c9d77cba988d9c8fd2fe4dd39ebe70f55781dd96eb074ecc0bab",
+        "exact_ops": "73297394e32064618f881e58f88dba1ec140853f348eacee5b3f31f206d9a5c9",
+        "sweep_p6": "26d436438d60341b78bbd01935cd8fd89fbccda93c6616341b2ffdf0d1615555",
+        "sweep_light": "cec5c8938aac28530fc4a977ad317b3c8cf3c23bd346bbc039014d1436603a68",
+    }

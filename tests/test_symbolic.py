@@ -1,5 +1,6 @@
 """Parser, the derivation along a field and the verifiers built on it."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -220,16 +221,27 @@ class TestDerivation:
         with pytest.raises(ConstraintError, match="supplied for y'$"):
             derive(rf("y' + x''"), {Var(True, "x", 2): rf("1")})
 
+    def test_curve_check_with_parameter_heavy_target(self, within):
+        # the gcd on the curve ran past 120 s under the primitive PRS
+        rhs = rf("3/11*a^3*t^2*y + 4*t^3 + 6/5*t", params=["a"])
+        target = rf("(-5/18*a^4*t*y^2*y'^4 + 4/9*a^5*t^2*y' + 5/18)/(a^5*y^5*y')",
+                    params=["a"])
+        with within(2):
+            residual = verify_subvariety(second_order_field(target), "y1", rhs)
+        assert residual == oracles.subvariety_residual("y", rhs, target)
+
     def test_curve_check_matches_two_step_oracle(self):
         # raise the primes, then substitute y' -> rhs: the route the
         # derivation along the curve replaces
-        mentions_y1 = 0
+        seen = collections.Counter()
         for seed in range(300):
             rhs, target = oracles.random_curve_case(random.Random(f"curve:{seed}"))
             expected = oracles.subvariety_residual("y", rhs, target)
             assert verify_subvariety(second_order_field(target), "y1", rhs) == expected, seed
-            mentions_y1 += Y1 in target.variables()
-        assert mentions_y1 >= 100
+            seen["y'"] += Y1 in target.variables()
+            seen["y' below"] += Y1 in target.den.variables()
+            seen["terms below"] += max(len(rhs.den.terms), len(target.den.terms)) > 1
+        assert seen["y'"] >= 100 and seen["y' below"] >= 50 and seen["terms below"] >= 50, seen
 
     def test_sympy_field_oracle(self):
         sympy = pytest.importorskip("sympy")
