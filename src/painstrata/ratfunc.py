@@ -11,7 +11,9 @@ A coefficient is an ``int`` or a ``Fraction``, never a float.  Construction,
 substitution and every division store integral values as ``int``, integers
 stay ``int`` through the ring operations, and every division is exact.
 ``int`` and ``Fraction`` compare, hash and print alike, so the choice shows
-neither in ``==`` nor in the printed form.
+neither in ``==`` nor in the printed form.  No coefficient is zero: ``+``,
+``-`` and ``*`` drop a zero as it arises, so the internal constructor
+``_raw`` takes its terms as given.
 
 The gcd is Brown's modular algorithm (JACM 18, 1971) on the arguments with
 their denominators, integer contents and monomial contents divided out:
@@ -20,7 +22,10 @@ degree, and stay sparse in it; the other variables are evaluated and
 Newton-interpolated until one more image changes nothing.  Images combine
 by CRT, a candidate that one more prime leaves unchanged, or whose
 coefficients are small, is returned if it divides both arguments exactly
-over Z, and an image of degree 0 proves them coprime.
+over Z, and an image of degree 0 proves them coprime.  That trial division
+is the one exact division here: :func:`poly_gcd` returns its quotients,
+scaled back, as the cofactors f/h and g/h beside the gcd h, so no caller
+divides again.
 
 Rational functions are kept fully reduced, with a monic denominator, so two
 equal rational functions have structurally identical fields and ``==`` is a
@@ -79,19 +84,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out) + a[i:] + b[j:]
 
 
-def _mono_div(b: Monomial, a: Monomial) -> Monomial | None:
-    """b / a, or None when a does not divide b."""
-    exps = dict(a)
-    out = []
-    for var, e in b:
-        k = e - exps.pop(var, 0)
-        if k < 0:
-            return None
-        if k:
-            out.append((var, k))
-    return None if exps else tuple(out)
-
-
 def _mono_key(m: Monomial) -> tuple:
     """Ascending sort key for the descending graded-lex order: the highest
     term has the smallest key."""
@@ -144,18 +136,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
-
     def is_one(self) -> bool:
         return self.terms == {(): 1}
-
-    def constant_value(self) -> int | Fraction:
-        if not self.terms:
-            return 0
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms[()]
 
     def variables(self) -> set:
         out = set()
@@ -264,8 +246,9 @@ class Polynomial:
 
 
 def _raw(terms: dict) -> Polynomial:
+    """A polynomial on ``terms`` as given: no zero, each a coefficient."""
     p = Polynomial.__new__(Polynomial)
-    object.__setattr__(p, "terms", {m: c for m, c in terms.items() if c})
+    object.__setattr__(p, "terms", terms)
     return p
 
 
@@ -286,62 +269,55 @@ def _div_const(p: Polynomial, d) -> Polynomial:
     return p if d == 1 else _raw({m: _quo(c, d) for m, c in p.terms.items()})
 
 
-def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact polynomial quotient f / g; raises if g does not divide f."""
-    if g.is_zero():
-        raise DivisionByZeroExpression("exact division by zero polynomial")
-    if f.is_zero():
-        return ZERO
-    if g.is_constant():
-        return _div_const(f, g.constant_value())
-    quot: dict = {}
-    rem = f
-    gm, gc = g.leading()
-    while not rem.is_zero():
-        rm, rc = rem.leading()
-        m = _mono_div(rm, gm)
-        if m is None:
-            raise ValueError("exact_div: divisor does not divide dividend")
-        quot[m] = c = _quo(rc, gc)   # leading monomials strictly decrease
-        rem = rem - _raw({m: c}) * g
-    return _raw(quot)
-
-
-def _monic(p: Polynomial) -> Polynomial:
-    return p if p.is_zero() else _div_const(p, p.leading_coeff())
-
-
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor.  With no shared variable it is 1; else
-    each argument, its denominators cleared, loses its integer and monomial
-    content, the least exponents of the two monomial contents are the gcd's
-    monomial part, and :func:`_brown` gives the rest."""
-    if f.is_zero():
-        return _monic(g)
-    if g.is_zero():
-        return _monic(f)
+def poly_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """The monic greatest common divisor h, and the cofactors f/h and g/h
+    with their terms highest first.  gcd(p, 0) is p made monic, and gcd(0,
+    0) is 0 with cofactors 0.  With no shared variable, or coprime
+    arguments, h is 1 and the cofactors are f and g themselves.  Else each
+    argument, its denominators cleared, loses its integer and monomial
+    content, the least exponents of the two monomial contents are h's
+    monomial part, and :func:`_brown` gives the rest and the quotients."""
+    if f.is_zero() or g.is_zero():
+        p = g if f.is_zero() else f
+        if p.is_zero():
+            return ZERO, ZERO, ZERO
+        lc = p.leading_coeff()
+        h, lc = _div_const(p, lc), Polynomial.constant(lc)
+        return (h, ZERO, lc) if p is g else (h, lc, ZERO)
     fv, gv = f.variables(), g.variables()
     if not fv & gv:
-        return ONE
+        return ONE, f, g
     names = sorted(fv | gv)
-    (a, low_a), (b, low_b) = _exponents(f, names), _exponents(g, names)
+    (a, low_a, *scale_a), (b, low_b, *scale_b) = _exponents(f, names), _exponents(g, names)
     deg_a, deg_b = (list(map(max, zip(*p))) for p in (a, b))
-    core = {(0,) * len(names): 1}
+    core = unit = {(0,) * len(names): 1}
     if any(map(min, deg_a, deg_b)):
         # the variable of largest degree first: its images stay sparse
         order = sorted(range(len(names)), key=lambda i: -max(deg_a[i], deg_b[i]))
         found = _brown(*({tuple(m[i] for i in order): c for m, c in p.items()} for p in (a, b)))
         if found:
-            core = {tuple(e for _, e in sorted(zip(order, m))): c for m, c in found.items()}
+            back = sorted(range(len(order)), key=order.__getitem__)
+            core, a, b = ({tuple(m[i] for i in back): c for m, c in p.items()} for p in found)
     low = list(map(min, low_a, low_b))
-    return _monic(_raw({tuple((v, e + k) for v, e, k in zip(names, m, low) if e + k): c
-                        for m, c in core.items()}))
+    if core is unit and not any(low):
+        return ONE, f, g
+    h = _raw({tuple((v, e + k) for v, e, k in zip(names, m, low) if e + k): c
+              for m, c in core.items()})
+    lc = h.leading_coeff()
+
+    def cofactor(q: dict, low_q: tuple, content: int, lcm: int) -> Polynomial:
+        # q * x^(low_q - low) * content * lc / lcm, in graded-lex order
+        shift, k = [x - y for x, y in zip(low_q, low)], content * lc
+        terms = sorted(q.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return _raw({tuple((v, e + s) for v, e, s in zip(names, m, shift) if e + s):
+                     _quo(c * k, lcm) for m, c in terms})
+    return _div_const(h, lc), cofactor(a, low_a, *scale_a), cofactor(b, low_b, *scale_b)
 
 
-def _exponents(p: Polynomial, names: list) -> tuple[dict, tuple]:
+def _exponents(p: Polynomial, names: list) -> tuple[dict, tuple, int, int]:
     """p times the lcm of its denominators, over its integer content and its
-    monomial content, as {exponent tuple over names: int}; and the exponents
-    of that monomial content."""
+    monomial content, as {exponent tuple over names: int}; the exponents of
+    that monomial content, the integer content and the lcm."""
     index = {v: i for i, v in enumerate(names)}
     lcm = math.lcm(*(c.denominator for c in p.terms.values()))
     out = {}
@@ -352,7 +328,8 @@ def _exponents(p: Polynomial, names: list) -> tuple[dict, tuple]:
         out[tuple(exps)] = c.numerator * (lcm // c.denominator)
     low = tuple(map(min, zip(*out)))
     content = math.gcd(*out.values())
-    return {tuple(e - k for e, k in zip(m, low)): c // content for m, c in out.items()}, low
+    return ({tuple(e - k for e, k in zip(m, low)): c // content for m, c in out.items()},
+            low, content, lcm)
 
 
 # Brown's modular gcd (JACM 18, 1971) on {exponent tuple: int}, the first
@@ -380,9 +357,9 @@ def _is_prime(n: int) -> bool:
                for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 
 
-def _brown(a: dict, b: dict) -> dict | None:
+def _brown(a: dict, b: dict) -> tuple[dict, dict, dict] | None:
     """The primitive gcd over Z of a and b, which are primitive and share a
-    variable, or None when they are coprime."""
+    variable, and a and b over it; or None when they are coprime."""
     lc_a, lc_b = a[max(a)], b[max(b)]
     gamma = math.gcd(lc_a, lc_b)   # the gcd's leading coefficient divides it
     level, modulus, lead, image, candidate = len(max(a)), 1, None, {}, None
@@ -412,28 +389,29 @@ def _brown(a: dict, b: dict) -> dict | None:
             continue
         content = math.gcd(*candidate.values())
         found = {k: v // content for k, v in candidate.items()}
-        if _divides(found, a) and _divides(found, b):
-            return found
+        if (qa := _divides(found, a)) and (qb := _divides(found, b)):
+            return found, qa, qb
 
 
-def _divides(g: dict, a: dict) -> bool:
-    """Whether g divides a over Z: division in lex order, stopped at the first
-    monomial or coefficient that does not divide."""
+def _divides(g: dict, a: dict) -> dict | None:
+    """a / g over Z, for a != 0, by division in lex order; or None, from the
+    first monomial or coefficient that does not divide."""
     lead = max(g)
-    r = dict(a)
+    r, out = dict(a), {}
     while r:
         m = max(r)
         shift = tuple(x - y for x, y in zip(m, lead))
         q, rem = divmod(r[m], g[lead])
         if rem or min(shift) < 0:
-            return False
+            return None
+        out[shift] = q
         for k, c in g.items():
             k = tuple(x + y for x, y in zip(shift, k))
             if v := r.get(k, 0) - q * c:
                 r[k] = v
             else:
                 del r[k]
-    return True
+    return out
 
 
 def _pgcd(a: dict, b: dict, p: int, level: int) -> dict:
@@ -608,10 +586,7 @@ class RationalFunction:
         if num.is_zero():
             num, den = ZERO, ONE
         elif not reduced:
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = exact_div(num, g)
-                den = exact_div(den, g)
+            _, num, den = poly_gcd(num, den)
             lc = den.leading_coeff()
             num = _div_const(num, lc)
             den = _div_const(den, lc)
@@ -652,11 +627,12 @@ class RationalFunction:
             return RationalFunction(self.num + other.num, reduced=True)
         # a/b + c/d = t/(b'*d) for g = gcd(b, d), b' = b/g, t = a*(d/g) + c*b',
         # and gcd(t, b'*d) = gcd(t, g) (Henrici; Knuth, TAOCP 2, 4.5.1)
-        g = poly_gcd(self.den, other.den)
-        b = exact_div(self.den, g)
-        t = self.num * exact_div(other.den, g) + other.num * b
-        h = poly_gcd(t, g)
-        return RationalFunction(exact_div(t, h), b * exact_div(other.den, h), reduced=True)
+        g, b1, d1 = poly_gcd(self.den, other.den)
+        h, t, g1 = poly_gcd(self.num * d1 + other.num * b1, g)
+        # d/h = (d/g)*(g/h), sorted as a quotient is: compile_rf sums in term order
+        dh = other.den if h.is_one() else Polynomial(
+            dict(sorted((d1 * g1).terms.items(), key=lambda item: _mono_key(item[0]))))
+        return RationalFunction(t, b1 * dh, reduced=True)
 
     __radd__ = __add__
 
@@ -679,9 +655,9 @@ class RationalFunction:
         if self.den.is_one() and other.den.is_one():
             return RationalFunction(self.num * other.num, reduced=True)
         # cancelled crosswise, a/b * c/d is reduced already
-        g, k = poly_gcd(self.num, other.den), poly_gcd(other.num, self.den)
-        return RationalFunction(exact_div(self.num, g) * exact_div(other.num, k),
-                                exact_div(self.den, k) * exact_div(other.den, g), reduced=True)
+        _, a, d = poly_gcd(self.num, other.den)
+        _, c, b = poly_gcd(other.num, self.den)
+        return RationalFunction(a * c, b * d, reduced=True)
 
     __rmul__ = __mul__
 
@@ -770,7 +746,7 @@ def _compose(p: Polynomial, values: Mapping, quotients: Mapping, tops: Mapping,
         return Polynomial(buckets.get(()))
     out: dict = {}
     for moved, bucket in buckets.items():
-        term, exps = _raw(bucket), dict(moved)
+        term, exps = _raw({m: c for m, c in bucket.items() if c}), dict(moved)
         for var, top in tops.items():
             e = exps.get(var, 0)
             if (var, e) not in powers:

@@ -14,14 +14,8 @@ import string
 from typing import Callable, Mapping, Sequence
 
 from .exactnum import ConstraintError
-from .ratfunc import (
-    ONE,
-    Polynomial,
-    RationalFunction,
-    Var,
-    exact_div,
-    poly_gcd,
-)
+from . import ratfunc
+from .ratfunc import ONE, Polynomial, RationalFunction, Var
 
 T = Var(False, "t")
 
@@ -322,21 +316,21 @@ def derive(f: RationalFunction,
     for v in moving:
         if v not in field:
             raise ConstraintError(f"no field component supplied for {v}")
-    b = math.prod(dict.fromkeys(field[v].den for v in moving), start=ONE)
+    dens = dict.fromkeys(field[v].den for v in moving)
+    b = math.prod(dens, start=ONE)
+    # b / field[v].den, the product of the other denominators
+    rest = {v: math.prod((d for d in dens if d != field[v].den), start=ONE) for v in moving}
 
     def along(p: Polynomial) -> Polynomial:
         out = b * p.partial(T)
         for v in moving:
-            out = out + p.partial(v) * field[v].num * exact_div(b, field[v].den)
+            out = out + p.partial(v) * field[v].num * rest[v]
         return out
 
     n, d = f.num, f.den
-    d_along = along(d)
-    g = poly_gcd(d, d_along)
-    d1 = exact_div(d, g)
-    num = along(n) * d1 - n * exact_div(d_along, g)
-    h = poly_gcd(num, b * g)
-    return RationalFunction(exact_div(num, h), exact_div(b * g, h) * d1 * d1, reduced=True)
+    g, d1, e1 = ratfunc.poly_gcd(d, along(d))
+    _, num, den = ratfunc.poly_gcd(along(n) * d1 - n * e1, b * g)
+    return RationalFunction(num, den * d1 * d1, reduced=True)
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,9 @@ textbook quotient rule (not that derivation), the p3/p4 parameter
 groups act in Q(i) arithmetic (not on the package's integer coordinates),
 the wire parser, the printer and the lattice tests work on ``Fraction``
 parts (not on the package's reduced integer parts), Q(i) arithmetic is
-the ``QI`` type here (the package's ``ComplexRational`` has none), and the
-gcd is the primitive PRS over Z (not the package's modular gcd).
+the ``QI`` type here (the package's ``ComplexRational`` has none), the
+gcd is the primitive PRS over Z (not the package's modular gcd), and exact
+division is long division over Q (not the gcd's trial division over Z).
 Random parameter vectors come from seeded generators so frozen expectations
 stay stable.
 """
@@ -45,13 +46,7 @@ from painstrata.models import (
     SpecialValue,
     Unknown,
 )
-from painstrata.ratfunc import (
-    DivisionByZeroExpression,
-    Polynomial,
-    RationalFunction,
-    Var,
-    exact_div,
-)
+from painstrata.ratfunc import DivisionByZeroExpression, Polynomial, RationalFunction, Var
 from painstrata.symbolic import T
 
 
@@ -378,8 +373,34 @@ def grlex_cmp(a, b) -> int:
 
 
 # --------------------------------------------------------------------------
-# The gcd by the primitive PRS over Z (Knuth, TAOCP 2, 4.6.1).
+# Exact division, and the gcd by the primitive PRS over Z (Knuth, TAOCP 2,
+# 4.6.1).
 # --------------------------------------------------------------------------
+
+def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The exact quotient f / g by long division over Q, its terms highest
+    first; over a constant, f's terms scaled in f's order, and f itself over
+    1.  Raises ValueError when g does not divide f."""
+    if g.is_zero():
+        raise DivisionByZeroExpression("exact division by zero polynomial")
+    if not g.variables():
+        d = g.terms[()]
+        return f if d == 1 else Polynomial({m: Fraction(c) / d for m, c in f.terms.items()})
+    quot: dict = {}
+    rem = f
+    gm, gc = g.leading()
+    while not rem.is_zero():
+        rm, rc = rem.leading()
+        exps = dict(rm)
+        for v, e in gm:
+            exps[v] = exps.get(v, 0) - e
+        if min(exps.values()) < 0:
+            raise ValueError("exact_div: divisor does not divide dividend")
+        m = tuple((v, e) for v, e in sorted(exps.items()) if e)
+        quot[m] = Fraction(rc) / gc
+        rem = rem - Polynomial({m: quot[m]}) * g
+    return Polynomial(quot)
+
 
 def prs_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """The monic greatest common divisor of f and g: the primitive PRS over
@@ -391,7 +412,7 @@ def prs_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         h = f + g
         return h if h.is_zero() else exact_div(h, Polynomial.constant(h.leading_coeff()))
-    if f.is_constant() or g.is_constant():
+    if not (f.variables() and g.variables()):
         return Polynomial.constant(1)
     (f, low_f), (g, low_g) = _over_monomial(f), _over_monomial(g)
     h = _zgcd(_cleared(f), _cleared(g)) * Polynomial(
@@ -614,7 +635,7 @@ def random_substitution_case(rng: random.Random):
         return Polynomial(terms)
 
     def nonconstant(variables) -> Polynomial:
-        while (p := small(variables, rng.randint(1, 2))).is_constant():
+        while not (p := small(variables, rng.randint(1, 2))).variables():
             pass
         return p
 

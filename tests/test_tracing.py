@@ -69,3 +69,29 @@ def test_trace_hooks_record_every_layer(tmp_path, capsys):
     assert len(metrics) == sum(1 for spec in tracing.LAYER_METRICS.values()
                                if spec[3] is not None)
     assert strata.p6_stratum.__module__ == "painstrata.strata"
+
+
+def test_every_modular_gcd_runs_inside_a_gcd_span(monkeypatch, capsys):
+    # derive and the RationalFunction operators reach the modular gcd only
+    # through the traced name, so ratfunc.poly_gcd's span counts every gcd;
+    # the square in the denominator gives derive a gcd past the monomials
+    commands = (
+        (["verify", "integral", "--c", "2", "--expr", "y^2*(y-1)*(x^2+x*y+1)/(x*(x^2+x*y+1))"], 0),
+        (["verify", "integral", "--c", "2", "--expr", "y^2*(y-1)/(x*(x+y+1)^2)"], 1),
+        (["verify", "qop", "--c", "2"], 0),
+        (["verify", "riccati"], 0),
+    )
+    tracer = tracing.Tracer()
+    monkeypatch.setattr(ratfunc, "_brown", tracer.wrap("ratfunc._brown", ratfunc._brown))
+    undo = tracing.install(tracer, cli, models, strata, ratfunc, numverify)
+    try:
+        for argv, code in commands:
+            assert cli.main(argv) == code, argv
+    finally:
+        tracing.uninstall(undo)
+    capsys.readouterr()
+    spans = tracer.spans
+    browns = [span for span in spans if span[0] == "ratfunc._brown"]
+    assert browns
+    outside = [span for span in browns if span[3] < 0 or spans[span[3]][0] != "ratfunc.poly_gcd"]
+    assert not outside, [spans[span[3]][0] if span[3] >= 0 else None for span in outside]
