@@ -1,10 +1,10 @@
 """The dynamical systems and their parameter groups.
 
 Families are identified by their CLI tags: ``p2 p3 p4 p5 p6 xc``.  The second
-family is stored as the first-order pair (y, y1); the third through fifth
-families are the usual (q, p) Hamiltonian systems with the 1/t factor moved
-to the right-hand side (t = 0 is a fixed singularity); ``xc`` is the planar
-field  x' = c*y + y - c,  y' = y*(y-1)/x.
+family is stored as the first-order pair (y, y1), the third through fifth as
+(q, p) pairs with any 1/t factor moved to the right-hand side (t = 0 is a
+fixed singularity).  The p2, p4 and p5 fields are Hamiltonian; the shipped p3
+field is not (divergence -2*v1/t).  ``xc`` is x' = c*y + y - c, y' = y*(y-1)/x.
 """
 
 from __future__ import annotations

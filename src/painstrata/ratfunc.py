@@ -3,9 +3,9 @@
 A variable is a :class:`Var`, whose tuple order is the variable order.  A
 monomial is a tuple of ``(var, exp)`` pairs with positive exponents, sorted
 by variable; :func:`_mono_mul` merges two such tuples, and lowering or
-dropping an exponent keeps the order.  Terms are ordered
-graded-lexicographically, highest first: higher total degree first, then
-the higher exponent of the earliest variable.
+dropping an exponent keeps the order.  Terms stay in the order their
+arithmetic made them; only the leading term and the printer order them, by
+one key, :func:`_mono_key`: graded-lexicographically, highest first.
 
 A coefficient is an ``int`` or a ``Fraction``, never a float.  Construction,
 substitution and every division store integral values as ``int``, integers
@@ -85,8 +85,8 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _mono_key(m: Monomial) -> tuple:
-    """Ascending sort key for the descending graded-lex order: the highest
-    term has the smallest key."""
+    """Ascending sort key for descending graded-lex order: higher total
+    degree first, then the higher exponent of the earliest variable."""
     return (-sum(e for _, e in m), [(v, -e) for v, e in m])
 
 
@@ -270,13 +270,13 @@ def _div_const(p: Polynomial, d) -> Polynomial:
 
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """The monic greatest common divisor h, and the cofactors f/h and g/h
-    with their terms highest first.  gcd(p, 0) is p made monic, and gcd(0,
-    0) is 0 with cofactors 0.  With no shared variable, or coprime
-    arguments, h is 1 and the cofactors are f and g themselves.  Else each
-    argument, its denominators cleared, loses its integer and monomial
-    content, the least exponents of the two monomial contents are h's
-    monomial part, and :func:`_brown` gives the rest and the quotients."""
+    """The monic greatest common divisor h, and the cofactors f/h and g/h.
+    gcd(p, 0) is p made monic, and gcd(0, 0) is 0 with cofactors 0.  With
+    no shared variable, or coprime arguments, h is 1 and the cofactors are
+    f and g themselves.  Else each argument, its denominators cleared, loses
+    its integer and monomial content, the least exponents of the two
+    monomial contents are h's monomial part, and :func:`_brown` gives the
+    rest and the quotients."""
     if f.is_zero() or g.is_zero():
         p = g if f.is_zero() else f
         if p.is_zero():
@@ -301,17 +301,16 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Poly
     low = list(map(min, low_a, low_b))
     if core is unit and not any(low):
         return ONE, f, g
-    h = _raw({tuple((v, e + k) for v, e, k in zip(names, m, low) if e + k): c
-              for m, c in core.items()})
-    lc = h.leading_coeff()
 
-    def cofactor(q: dict, low_q: tuple, content: int, lcm: int) -> Polynomial:
-        # q * x^(low_q - low) * content * lc / lcm, in graded-lex order
-        shift, k = [x - y for x, y in zip(low_q, low)], content * lc
-        terms = sorted(q.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    def lift(q: dict, shift, num, den) -> Polynomial:
+        # q * x^shift * num / den, its terms in q's order
         return _raw({tuple((v, e + s) for v, e, s in zip(names, m, shift) if e + s):
-                     _quo(c * k, lcm) for m, c in terms})
-    return _div_const(h, lc), cofactor(a, low_a, *scale_a), cofactor(b, low_b, *scale_b)
+                     _quo(c * num, den) for m, c in q.items()})
+    h = lift(core, low, 1, 1)
+    lc = h.leading_coeff()
+    cofactors = (lift(q, [x - y for x, y in zip(low_q, low)], content * lc, lcm)
+                 for q, low_q, content, lcm in ((a, low_a, *scale_a), (b, low_b, *scale_b)))
+    return _div_const(h, lc), *cofactors
 
 
 def _exponents(p: Polynomial, names: list) -> tuple[dict, tuple, int, int]:
@@ -626,12 +625,10 @@ class RationalFunction:
         if self.den.is_one() and other.den.is_one():
             return RationalFunction(self.num + other.num, reduced=True)
         # a/b + c/d = t/(b'*d) for g = gcd(b, d), b' = b/g, t = a*(d/g) + c*b',
-        # and gcd(t, b'*d) = gcd(t, g) (Henrici; Knuth, TAOCP 2, 4.5.1)
+        # and h = gcd(t, b'*d) = gcd(t, g) (Henrici; Knuth, TAOCP 2, 4.5.1)
         g, b1, d1 = poly_gcd(self.den, other.den)
         h, t, g1 = poly_gcd(self.num * d1 + other.num * b1, g)
-        # d/h = (d/g)*(g/h), sorted as a quotient is: compile_rf sums in term order
-        dh = other.den if h.is_one() else Polynomial(
-            dict(sorted((d1 * g1).terms.items(), key=lambda item: _mono_key(item[0]))))
+        dh = other.den if h.is_one() else d1 * g1
         return RationalFunction(t, b1 * dh, reduced=True)
 
     __radd__ = __add__

@@ -238,12 +238,10 @@ class _Parser:
         return base
 
     def integer(self) -> int:
-        self.skip_ws()
+        """The digits at pos, where peek() has just seen one."""
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
-        if start == self.pos:
-            self.error("expected an integer")
         digits = self.text[start:self.pos]
         try:
             return int(digits)
@@ -265,7 +263,6 @@ class _Parser:
         self.error("expected a number, a name or '('")
 
     def name(self) -> Builder:
-        self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
             self.pos += 1
@@ -357,6 +354,13 @@ def verify_subvariety(field_rhs: Mapping, variable: str,
     return derive(g, restricted) - field_rhs[variable].substitute({v: g})
 
 
+def _plane(f: RationalFunction, check: str) -> list:
+    """f's differential variables by name; a candidate that holds t is refused."""
+    if T in f.variables():
+        raise ConstraintError(f"{check} check expects an autonomous candidate")
+    return sorted((v for v in f.variables() if v.differential), key=lambda v: v.name)
+
+
 def verify_first_integral(f: RationalFunction,
                           field_rhs: Mapping) -> RationalFunction:
     """The derivative of f along the flow of an autonomous field: zero iff
@@ -364,9 +368,7 @@ def verify_first_integral(f: RationalFunction,
 
     ``field_rhs`` maps variable names to rational functions.
     """
-    if T in f.variables():
-        raise ConstraintError("first-integral check expects an autonomous candidate")
-    if not any(v.differential for v in f.variables()):
+    if not _plane(f, "first-integral"):
         raise ConstraintError("first-integral check expects a nonconstant candidate")
     return derive(f, {Var(True, name): rhs for name, rhs in field_rhs.items()})
 
@@ -377,8 +379,7 @@ def quotient_of_partials(f: RationalFunction) -> RationalFunction:
     The two order-zero variables are taken in name order, so the usual
     (x, y) naming gives the slope field dy/dx implied by level sets of f.
     """
-    plane = sorted((v for v in f.variables() if v.differential),
-                   key=lambda v: v.name)
+    plane = _plane(f, "quotient-of-partials")
     if len(plane) != 2 or any(v.order != 0 for v in plane):
         raise ConstraintError("expected exactly two order-zero plane variables")
     xv, yv = plane

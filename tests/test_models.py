@@ -231,6 +231,23 @@ class TestDivergence:
         assert div.is_zero(), div
 
 
+class TestHamiltonian:
+    """With the parameters symbolic, (dH/dp, -dH/dq)/m is the shipped field
+    exactly, for the conjugate pair (q, p) or (y, y1)."""
+
+    @pytest.mark.parametrize("family, hamiltonian, m", [
+        ("p2", "y1^2/2 - y^4/2 - t*y^2/2 - a*y", "1"),
+        ("p4", "p^2*q - p*q^2 - 2*t*p*q + 2*(v1 - v2)*p - 2*(v1 - v3)*q", "1"),
+        ("p5", "q^2*p^2 - q*p^2 + t*q^2*p - t*q*p + (v1 - v2 - v3 + v4)*q*p"
+               " + (v2 - v1)*p + (v1 - v3)*t*q", "t"),
+    ])
+    def test_field_from_hamiltonian(self, family, hamiltonian, m):
+        system = generic_system(family)
+        q, p = (Var(True, name) for name in system.variables)
+        h = rf(hamiltonian, params=("a",) + PARAMS, variables=system.variables)
+        assert system.rhs == (oracles.partial(h, p) / rf(m), -oracles.partial(h, q) / rf(m))
+
+
 class TestGenerators:
     def test_printed_maps(self):
         assert apply_generator(P3Generator.S3, crs(1, 1)) == crs(2, 0)

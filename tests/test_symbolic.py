@@ -410,6 +410,9 @@ class TestQuotientOfPartials:
             quotient_of_partials(rf("x + y - y"))
         with pytest.raises(ConstraintError):
             quotient_of_partials(rf("x*y*z"))
+        # t is no plane variable, and a slope at fixed t is no first integral
+        with pytest.raises(ConstraintError, match="autonomous"):
+            quotient_of_partials(rf("t*x*y"))
 
 
 class TestLowering:
