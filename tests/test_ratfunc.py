@@ -155,21 +155,34 @@ class TestGcd:
         g = (X + Y) * X
         assert gcd(f, g) == X + Y
         assert poly_gcd(f, g)[1:] == (X - Y, X)
+        # the heuristic's first candidate, (x + 1)(y - 1) from xi = 4, does not
+        # divide f; xi = 10 gives x + 1
+        f, g = (X + 1) * (Y + 2), -3 * X * Y * (X + 1) * (Y - 1)
+        assert gcd(f, g) == X + 1 == oracles.prs_gcd(f, g)
 
     def test_coprime(self):
         assert gcd(X + 1, Y + 1).is_one()
         assert gcd(X ** 2 + 1, X).is_one()
+        # the heuristic's first xi, 4, is a root of y - 4: a zero image
+        f, g = (Y - 4) * (X + 1), X ** 2 - Y ** 2
+        assert gcd(f, g).is_one() and oracles.prs_gcd(f, g).is_one()
 
     def test_monic_output(self):
         f = (2 * X + 2 * Y) * X
         g = (2 * X + 2 * Y) * Y
         assert gcd(f, g) == X + Y
         assert poly_gcd(f, g)[1:] == (2 * X, 2 * Y)
+        # primitive norms 10^30 and 1: xi = 4 follows the smaller
+        f, g = (2 * X + 2 * Y) * (X + 10 ** 30), (2 * X + 2 * Y) * (X - 1)
+        assert gcd(f, g) == X + Y == oracles.prs_gcd(f, g)
 
     def test_univariate(self):
         f = (X + 1) ** 2 * (X - 2)
         g = (X + 1) * (X + 3)
         assert gcd(f, g) == X + 1
+        # xi = 10 has 4 bits, and 4 * 6,003 passes the heuristic's size limit
+        f = (X + 1) ** 2 * (X ** 6000 + 2)
+        assert gcd(f, g) == X + 1 == oracles.prs_gcd(f, g)
 
     def test_zero_arguments(self):
         # gcd(p, 0) is p made monic, with cofactors 0 and p's leading
@@ -336,7 +349,11 @@ def oracle_pairs(seed: int, count: int):
     - ``huge`` (planted or divides): r in one variable, with an exponent
       past 10^6;
     - ``collision`` (planted): p = (u + c*v + d)^i and q = (u + c*w + d)^j with r in u,
-      whose images coincide wherever v and w take the same value.
+      whose images coincide wherever v and w take the same value;
+    - ``steep`` (every fifth pair, not huge): f and g with u^6000 put for u,
+      which takes their gcd to its own image, past the heuristic gcd's size
+      limit, so the modular images take the pair; no random draw decides it,
+      so the other pairs stay as they were.
     """
     rng = random.Random(seed)
     made = 0
@@ -372,6 +389,10 @@ def oracle_pairs(seed: int, count: int):
             top = tuple((v, p.degree_in(v) + 1) for v in sorted(variables))
             p = p + Polynomial({top: (2 ** 61 - 1) * rng.randint(1, 5)})
         f, g = p * r, q * r
+        if made % 5 == 1 and "huge" not in kinds:
+            kinds.add("steep")
+            f, g = (Polynomial({tuple((v, e * 6000 if v == variables[0] else e) for v, e in m): c
+                                for m, c in h.terms.items()}) for h in (f, g))
         if rng.random() < 0.2:
             kinds.add("monomial")
             f, g = (h * Polynomial({tuple((v, rng.randint(1, 3)) for v in sorted(variables)
@@ -386,8 +407,22 @@ class TestSympyOracle:
     """``poly_gcd`` against the primitive PRS and sympy's ``gcd``, and the
     canonical form against sympy's ``cancel``, on 2,100 seeded pairs."""
 
-    def test_gcd_and_canonical_form(self, within):
+    def test_gcd_and_canonical_form(self, within, monkeypatch):
         sympy = pytest.importorskip("sympy")
+        # whether the heuristic answered each outermost call, or left it to
+        # the modular images
+        heuristic, depth, answers = ratfunc._heuristic, [0], []
+
+        def counted(a, b):
+            depth[0] += 1
+            try:
+                found = heuristic(a, b)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                answers.append(found is not None)
+            return found
+        monkeypatch.setattr(ratfunc, "_heuristic", counted)
         symbols = {v: sympy.Symbol(str(v)) for v in ORACLE_VARS}
 
         def to_sympy(p: Polynomial, variables):
@@ -399,15 +434,17 @@ class TestSympyOracle:
             return sympy.Poly.from_dict(rep, *(symbols[v] for v in variables),
                                         domain="QQ")
 
-        seen = collections.Counter()
+        seen, paths = collections.Counter(), collections.Counter()
         with within(120):
             for f, g, kinds, variables in oracle_pairs(53, 2100):
+                answers.clear()
                 h = gcd(f, g)
+                paths.update(("heuristic" if answer else "modular") for answer in answers)
                 assert h == oracles.prs_gcd(f, g), (f, g)
                 seen.update(kinds)
                 seen["coprime"] += h.is_one()
                 seen["digits40"] -= "digits40" in kinds and max(map(len, map(str, _coefficients(h)))) < 40
-                if "huge" in kinds:
+                if kinds & {"huge", "steep"}:
                     continue   # sympy's dense form cannot hold the exponent
                 sf, sg = to_sympy(f, variables), to_sympy(g, variables)
                 # equal to sympy's gcd up to a constant
@@ -418,7 +455,8 @@ class TestSympyOracle:
                 assert to_sympy(canon.den, variables).monic() == q.monic(), (f, g)
                 assert to_sympy(canon.num, variables) * q == p * to_sympy(canon.den, variables)
         assert min(seen[k] for k in ("planted", "unplanted", "divides", "coprime")) >= 400, seen
-        assert min(seen.values()) >= 100 and len(seen) == 11, seen
+        assert min(seen.values()) >= 100 and len(seen) == 12, seen
+        assert paths["heuristic"] >= 800 and paths["modular"] >= 300, paths
 
 
 def _coefficients(value):
@@ -478,6 +516,11 @@ class TestCoefficientTypes:
         assert all(type(c) is int for c in _coefficients(f))
         assert all(type(c) is int for p in poly_gcd(4 * X ** 2 - 4, 6 * X + 6)
                    for c in _coefficients(p))
+        # integral sums and products of fractions
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        for p in (rf("x/2*2").num, (half * X + Y) * 2, (third * X) * (3 * Y),
+                  half * X + half * X):
+            assert all(type(c) is int for c in p.terms.values()), p
 
 
 class TestRationalFunction:
