@@ -7,29 +7,28 @@ dropping an exponent keeps the order.  Terms stay in the order their
 arithmetic made them; only the leading term and the printer order them, by
 one key, :func:`_mono_key`: graded-lexicographically, highest first.
 
-A coefficient is an ``int`` or a ``Fraction``, never a float.  Construction,
-substitution, sums, products and every division store integral values as
-``int``, and every division is exact.  ``int`` and ``Fraction`` compare, hash
-and print alike, so the choice shows neither in ``==`` nor in the printed
-form.  No coefficient is zero: ``+``, ``-`` and ``*`` drop a zero as it
-arises, so the internal constructor ``_raw`` takes its terms as given.
+A coefficient is an ``int`` or a ``Fraction``, never a float; every
+operation stores an integral value as ``int``, and every division is exact.
+``int`` and ``Fraction`` compare, hash and print alike, so the choice shows
+neither in ``==`` nor in the printed form.  No coefficient is zero: ``+``,
+``-`` and ``*`` drop a zero as it arises, so the internal constructor
+``_raw`` takes its terms as given.
 
-The gcd is taken on the arguments with their denominators, integer contents
-and monomial contents divided out.  The heuristic gcd (GCDHEU: Char, Geddes
-and Gonnet, JSC 7, 1989) sets the last variable to an integer xi >= 2
-min(|a|, |b|) + 2, one variable at a time down to one integer gcd, and
-reads a candidate from the symmetric base-xi digits; by their theorem, one
-that divides both arguments is the gcd.  When the images would pass 16,000
-bits, or six values of xi fail, Brown's modular algorithm (JACM 18, 1971)
-runs: images mod primes near 2^61 are univariate in the variable of largest
-degree, and stay sparse in it; the other variables are evaluated and
-Newton-interpolated until one more image changes nothing.  Images combine
-by CRT, a candidate that one more prime leaves unchanged, or whose
-coefficients are small, is returned if it divides both arguments exactly
-over Z, and an image of degree 0 proves them coprime.  Either way the trial
-division is the one exact division here: :func:`poly_gcd` returns its
-quotients, scaled back, as the cofactors f/h and g/h beside the gcd h, so no
-caller divides again.
+The gcd is taken on the arguments with their denominators, integer and
+monomial contents divided out.  The heuristic gcd (GCDHEU: Char, Geddes and
+Gonnet, JSC 7, 1989) sets one variable at a time to an integer xi >= 2
+min(|a|, |b|) + 2, down to one integer gcd, and reads a candidate from the
+symmetric base-xi digits; by their theorem, one that divides both arguments
+is the gcd.  Past 16,000 bits of image, or after three values of xi, Brown's
+modular algorithm (JACM 18, 1971) runs: images mod primes near 2^61 are
+univariate in the variable of largest degree, and stay sparse in it; the
+other variables are evaluated and Newton-interpolated until one more image
+changes nothing.  Images combine by CRT, a candidate that one more prime
+leaves unchanged, or whose coefficients are small, is returned if it divides
+both arguments exactly over Z, and an image of degree 0 proves them coprime.
+Either way that trial division is the one exact division: :func:`poly_gcd`
+returns its quotients, scaled back, as the cofactors f/h and g/h beside the
+gcd h, so no caller divides again.
 
 Rational functions are kept fully reduced, with a monic denominator, so two
 equal rational functions have structurally identical fields and ``==`` is a
@@ -183,10 +182,10 @@ class Polynomial:
         for m, c in other.terms.items():
             s = out.get(m, 0) + c
             if s:
-                out[m] = s if s.__class__ is int or s.denominator != 1 else s.numerator
+                out[m] = s
             else:
                 out.pop(m, None)
-        return _raw(out)
+        return _settled(out)
 
     __radd__ = __add__
 
@@ -215,10 +214,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        for m, s in out.items():
-            if s.__class__ is not int and s.denominator == 1:
-                out[m] = s.numerator
-        return _raw(out)
+        return _settled(out)
 
     __rmul__ = __mul__
 
@@ -243,7 +239,7 @@ class Polynomial:
                     lowered = ((v, e - 1),) if e > 1 else ()
                     out[m[:i] + lowered + m[i + 1:]] = c * e
                     break
-        return _raw(out)
+        return _settled(out)
 
     def __str__(self) -> str:
         return poly_to_str(self)
@@ -257,6 +253,14 @@ def _raw(terms: dict) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+def _settled(terms: dict) -> Polynomial:
+    """``_raw(terms)``, each ``Fraction`` stored by :func:`_coeff`."""
+    for m, c in terms.items():
+        if c.__class__ is not int:
+            terms[m] = _coeff(c)
+    return _raw(terms)
 
 
 def _as_poly(value):
@@ -404,17 +408,17 @@ def _brown(a: dict, b: dict) -> tuple[dict, dict, dict] | None:
             return found, qa, qb
 
 
-# Over the 11,886 gcds of the ratfunc and symbolic tests, 16,000 bits took the
-# least time of 2,000 to 32,000, and no gcd needed more than three values of xi.
+# From test-suite timing: over 12,304 gcds, 8,000 and 16,000 bits took the least
+# time of 2,000 to 32,000, and none needed a fourth xi.  exact_ops needs two xi
+# at most, far below the bits, so the benchmark cannot tell other bounds apart.
 _HEU_BITS = 16000   # xi's bits * (degree + 1) past which Brown's images run
-_HEU_TRIES = 6      # values of xi, as in sympy's dmp_zz_heu_gcd
+_HEU_TRIES = 3      # values of xi before Brown's images run
 
 
 def _heuristic(a: dict, b: dict) -> tuple[dict, dict, dict] | None:
-    """As :func:`_brown`, but the gcd 1 with a and b when they are coprime,
-    or None when it gives up: the images at the last variable = xi go one
-    variable down as primitive parts, their gcd there times the gcd of their
-    contents, and the candidate is read from its symmetric base-xi digits."""
+    """As :func:`_brown` (the gcd 1 for coprime a and b), or None on giving up:
+    the images at last variable = xi give their contents' gcd times the gcd of
+    their primitive parts, one variable down, read in symmetric base-xi digits."""
     top = max(m[-1] for p in (a, b) for m in p)
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
     for _ in range(_HEU_TRIES):
@@ -427,15 +431,12 @@ def _heuristic(a: dict, b: dict) -> tuple[dict, dict, dict] | None:
         ia, ib = ({m: c for m, c in image.items() if c} for image in images)
         if ia and ib:   # else xi is a root of each coefficient of a or of b
             ca, cb = math.gcd(*ia.values()), math.gcd(*ib.values())
-            gamma, half = {(): 1}, xi // 2
-            if len(max(a)) > 1:
-                found = _heuristic({m: c // ca for m, c in ia.items()},
-                                   {m: c // cb for m, c in ib.items()})
-                if not found:
-                    return None
-                gamma = found[0]
-            g = {}
-            for m, c in gamma.items():
+            found = [{(): 1}] if len(max(a)) == 1 else _heuristic(
+                {m: c // ca for m, c in ia.items()}, {m: c // cb for m, c in ib.items()})
+            if not found:
+                return None
+            g, half = {}, xi // 2
+            for m, c in found[0].items():
                 c, e = c * math.gcd(ca, cb), 0
                 while c:
                     if d := (c + half) % xi - half:

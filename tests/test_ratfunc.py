@@ -349,11 +349,13 @@ def oracle_pairs(seed: int, count: int):
     - ``huge`` (planted or divides): r in one variable, with an exponent
       past 10^6;
     - ``collision`` (planted): p = (u + c*v + d)^i and q = (u + c*w + d)^j with r in u,
-      whose images coincide wherever v and w take the same value;
-    - ``steep`` (every fifth pair, not huge): f and g with u^6000 put for u,
-      which takes their gcd to its own image, past the heuristic gcd's size
-      limit, so the modular images take the pair; no random draw decides it,
-      so the other pairs stay as they were.
+      whose images coincide wherever v and w take the same value.
+
+    After every fifth pair that is not huge comes one more, of kind
+    ``steep`` alone and not counted in ``count``: that pair with u^6000 put
+    for u (see :func:`steep`), which maps its gcd to its image and passes
+    the heuristic gcd's size limit, so the modular images take it.  No
+    random draw decides it, so the counted pairs stay as they were.
     """
     rng = random.Random(seed)
     made = 0
@@ -389,10 +391,6 @@ def oracle_pairs(seed: int, count: int):
             top = tuple((v, p.degree_in(v) + 1) for v in sorted(variables))
             p = p + Polynomial({top: (2 ** 61 - 1) * rng.randint(1, 5)})
         f, g = p * r, q * r
-        if made % 5 == 1 and "huge" not in kinds:
-            kinds.add("steep")
-            f, g = (Polynomial({tuple((v, e * 6000 if v == variables[0] else e) for v, e in m): c
-                                for m, c in h.terms.items()}) for h in (f, g))
         if rng.random() < 0.2:
             kinds.add("monomial")
             f, g = (h * Polynomial({tuple((v, rng.randint(1, 3)) for v in sorted(variables)
@@ -400,12 +398,21 @@ def oracle_pairs(seed: int, count: int):
         if f.is_zero() or g.is_zero():
             continue
         yield f, g, kinds, variables
+        if made % 5 == 1 and "huge" not in kinds:
+            yield steep(f, variables[0]), steep(g, variables[0]), {"steep"}, variables
         made += 1
+
+
+def steep(p: Polynomial, u) -> Polynomial:
+    """p with u^6000 put for u."""
+    return Polynomial({tuple((v, e * 6000 if v == u else e) for v, e in m): c
+                       for m, c in p.terms.items()})
 
 
 class TestSympyOracle:
     """``poly_gcd`` against the primitive PRS and sympy's ``gcd``, and the
-    canonical form against sympy's ``cancel``, on 2,100 seeded pairs."""
+    canonical form against sympy's ``cancel``, on 2,100 seeded pairs; their
+    ``steep`` copies against the PRS and the images of those results."""
 
     def test_gcd_and_canonical_form(self, within, monkeypatch):
         sympy = pytest.importorskip("sympy")
@@ -442,15 +449,26 @@ class TestSympyOracle:
                 paths.update(("heuristic" if answer else "modular") for answer in answers)
                 assert h == oracles.prs_gcd(f, g), (f, g)
                 seen.update(kinds)
+                if kinds == {"steep"}:
+                    # the pair before with u^6000 for u: its gcd and its reduced
+                    # quotient are the images of that pair's, which sympy
+                    # checked, made monic again
+                    u, canon = variables[0], RationalFunction(f, g)
+                    gcd_image, num, den = (steep(p, u) for p in before)
+                    lc = Fraction(den.leading_coeff())
+                    assert h == gcd_image * (1 / Fraction(gcd_image.leading_coeff())), (f, g)
+                    assert (canon.num, canon.den) == (num * (1 / lc), den * (1 / lc)), (f, g)
+                    continue
                 seen["coprime"] += h.is_one()
                 seen["digits40"] -= "digits40" in kinds and max(map(len, map(str, _coefficients(h)))) < 40
-                if kinds & {"huge", "steep"}:
+                if "huge" in kinds:
                     continue   # sympy's dense form cannot hold the exponent
+                canon = RationalFunction(f, g)
+                before = h, canon.num, canon.den
                 sf, sg = to_sympy(f, variables), to_sympy(g, variables)
                 # equal to sympy's gcd up to a constant
                 assert to_sympy(h, variables).monic() == sympy.gcd(sf, sg).monic(), (f, g)
                 # the canonical quotient is sympy's cancelled quotient
-                canon = RationalFunction(f, g)
                 p, q = sf.cancel(sg, include=True)
                 assert to_sympy(canon.den, variables).monic() == q.monic(), (f, g)
                 assert to_sympy(canon.num, variables) * q == p * to_sympy(canon.den, variables)
@@ -516,10 +534,10 @@ class TestCoefficientTypes:
         assert all(type(c) is int for c in _coefficients(f))
         assert all(type(c) is int for p in poly_gcd(4 * X ** 2 - 4, 6 * X + 6)
                    for c in _coefficients(p))
-        # integral sums and products of fractions
+        # integral sums, products and derivatives of fractions
         half, third = Fraction(1, 2), Fraction(1, 3)
         for p in (rf("x/2*2").num, (half * X + Y) * 2, (third * X) * (3 * Y),
-                  half * X + half * X):
+                  half * X + half * X, (half * X ** 2 + Y).partial(VX)):
             assert all(type(c) is int for c in p.terms.values()), p
 
 
