@@ -22,7 +22,6 @@ from .models import (
     FamilyInstance,
     Related,
     coord_to_str,
-    imp_slope_rhs,
     in_fundamental_region_p4,
     orbit_search,
     parse_coord,
@@ -109,6 +108,32 @@ def _event_json(events) -> list[dict]:
     return [{"kind": e.kind, "t": e.t} for e in events]
 
 
+def _verdict(check: str, holds: bool, words: tuple[str, str], **fields) -> int:
+    """Print a check's verdict document, ``words`` naming the verdict when the
+    check holds and when it fails; return its exit code."""
+    _emit({"check": check, "verdict": words[not holds], **fields})
+    return EXIT_OK if holds else EXIT_NEGATIVE
+
+
+def _xc_system(c):
+    """The planar field at coupling c, an ``int`` or a ``float``, read exactly."""
+    return system_rhs(FamilyInstance(Family.XC, (ComplexRational(Fraction(c)),)))
+
+
+def _xc_candidate(args, convention: str = "y_minus_one"):
+    """The candidate of ``integral`` and ``qop``: ``--expr`` in x and y, or
+    the shipped first integral at ``--c``.  The checks print c + 1 and its
+    products with the candidate's coefficients; a bound on c keeps each
+    printable."""
+    if args.expr is not None:
+        candidate = rf(args.expr, variables=("x", "y"))
+    else:
+        candidate = xc_first_integral(args.c, convention)
+    if abs(args.c) >= 10 ** MAX_COUPLING_DIGITS:
+        raise ConstraintError(f"--c must have at most {MAX_COUPLING_DIGITS} digits")
+    return candidate
+
+
 # --------------------------------------------------------------------------
 # Subcommand handlers.
 # --------------------------------------------------------------------------
@@ -157,6 +182,7 @@ def cmd_sweep(args) -> int:
 
 
 _RICCATI_FIBER = {"plus": Fraction(1, 2), "minus": Fraction(-1, 2)}
+_CONTAINED = ("contained", "not_contained")
 
 
 def cmd_verify_riccati(args) -> int:
@@ -167,77 +193,39 @@ def cmd_verify_riccati(args) -> int:
 
     def residual_in(sign, fiber):
         return verify_subvariety(fields[fiber], "y1", riccati_curve(sign))
-    results = []
-    all_contained = True
-    for sign in signs:
-        residual = residual_in(sign, sign)
-        contained = residual.is_zero()
-        all_contained = all_contained and contained
-        results.append({
-            "sign": sign,
-            "fiber": str(_RICCATI_FIBER[sign]),
-            "verdict": "contained" if contained else "not_contained",
-            "residual": str(residual),
-        })
+    residuals = {sign: residual_in(sign, sign) for sign in signs}
+    results = [{"sign": sign, "fiber": str(_RICCATI_FIBER[sign]),
+                "verdict": _CONTAINED[not residual.is_zero()], "residual": str(residual)}
+               for sign, residual in residuals.items()]
     crossed = {}
     for sign, other in (("plus", "minus"), ("minus", "plus")):
         residual = residual_in(sign, other)
         crossed[f"{sign}_curve_in_{other}_fiber"] = str(residual)
-    _emit({
-        "check": "riccati",
-        "verdict": "contained" if all_contained else "not_contained",
-        "results": results,
-        "crossed_residuals": crossed,
-        "settings": {"signs": list(signs)},
-    })
-    return EXIT_OK if all_contained else EXIT_NEGATIVE
-
-
-def _check_coupling(c: int) -> None:
-    """The exact checks print c + 1 and its products with the candidate's
-    coefficients; a bound on c keeps each printable."""
-    if abs(c) >= 10 ** MAX_COUPLING_DIGITS:
-        raise ConstraintError(f"--c must have at most {MAX_COUPLING_DIGITS} digits")
+    return _verdict("riccati", all(r.is_zero() for r in residuals.values()), _CONTAINED,
+                    results=results, crossed_residuals=crossed,
+                    settings={"signs": list(signs)})
 
 
 def cmd_verify_integral(args) -> int:
     convention = "one_minus_y" if args.convention == "1-y" else "y_minus_one"
-    if args.expr is not None:
-        candidate = rf(args.expr, variables=("x", "y"))
-    else:
-        candidate = xc_first_integral(args.c, convention)
-    _check_coupling(args.c)
-    system = system_rhs(FamilyInstance(Family.XC, (ComplexRational(Fraction(args.c)),)))
-    residual = verify_first_integral(candidate, system.as_map())
-    conserved = residual.is_zero()
-    _emit({
-        "check": "integral",
-        "verdict": "conserved" if conserved else "not_conserved",
-        "residual": str(residual),
-        "settings": {"c": args.c, "convention": convention,
-                     "candidate": str(candidate)},
-    })
-    return EXIT_OK if conserved else EXIT_NEGATIVE
+    candidate = _xc_candidate(args, convention)
+    residual = verify_first_integral(candidate, _xc_system(args.c).as_map())
+    return _verdict("integral", residual.is_zero(), ("conserved", "not_conserved"),
+                    residual=str(residual),
+                    settings={"c": args.c, "convention": convention,
+                              "candidate": str(candidate)})
 
 
 def cmd_verify_qop(args) -> int:
-    if args.expr is not None:
-        candidate = rf(args.expr, variables=("x", "y"))
-    else:
-        candidate = xc_first_integral(args.c)
-    _check_coupling(args.c)
+    candidate = _xc_candidate(args)
     slope = quotient_of_partials(candidate)
-    expected = imp_slope_rhs(args.c)
+    dx, dy = _xc_system(args.c).rhs
+    expected = dy / dx
     residual = slope - expected
-    holds = residual.is_zero()
-    _emit({
-        "check": "qop",
-        "verdict": "holds" if holds else "fails",
-        "residual": str(residual),
-        "settings": {"c": args.c, "candidate": str(candidate),
-                     "expected_slope": str(expected)},
-    })
-    return EXIT_OK if holds else EXIT_NEGATIVE
+    return _verdict("qop", residual.is_zero(), ("holds", "fails"),
+                    residual=str(residual),
+                    settings={"c": args.c, "candidate": str(candidate),
+                              "expected_slope": str(expected)})
 
 
 def cmd_verify_log_relation(args) -> int:
@@ -255,8 +243,7 @@ def cmd_verify_log_relation(args) -> int:
         "abs_tol": args.tol,
         "max_drift_allowed": args.max_drift,
     }
-    system = system_rhs(FamilyInstance(Family.XC, (ComplexRational(Fraction(args.c)),)))
-    spec = IntegrationSpec(system, args.t0, args.t1, args.init, tol=args.tol)
+    spec = IntegrationSpec(_xc_system(args.c), args.t0, args.t1, args.init, tol=args.tol)
     traj = integrate(spec)
     if traj.events:
         _emit({
@@ -267,14 +254,9 @@ def cmd_verify_log_relation(args) -> int:
         })
         return EXIT_NUMERIC
     drift = log_relation_drift(traj, args.c)
-    within = drift < args.max_drift
-    _emit({
-        "check": "log-relation",
-        "verdict": "within_tolerance" if within else "exceeds_tolerance",
-        "residual": drift,
-        "settings": settings,
-    })
-    return EXIT_OK if within else EXIT_NEGATIVE
+    return _verdict("log-relation", drift < args.max_drift,
+                    ("within_tolerance", "exceeds_tolerance"),
+                    residual=drift, settings=settings)
 
 
 def cmd_simulate(args) -> int:

@@ -434,9 +434,3 @@ def xc_first_integral(c: int, convention: str = "y_minus_one") -> RationalFuncti
     x, y = (RationalFunction.variable(Var(True, name)) for name in ("x", "y"))
     integral = y ** c * (y - 1) / x
     return -integral if convention == "one_minus_y" else integral
-
-
-def imp_slope_rhs(c: int) -> RationalFunction:
-    """The slope field  y'/x'  of the planar field at c."""
-    dx, dy = system_rhs(FamilyInstance(Family.XC, (ComplexRational(Fraction(c)),))).rhs
-    return dy / dx

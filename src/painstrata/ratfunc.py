@@ -25,7 +25,11 @@ univariate in the variable of largest degree, and stay sparse in it; the
 other variables are evaluated and Newton-interpolated until one more image
 changes nothing.  Images combine by CRT, a candidate that one more prime
 leaves unchanged, or whose coefficients are small, is returned if it divides
-both arguments exactly over Z, and an image of degree 0 proves them coprime.
+both arguments exactly over Z, and an image of degree 0 proves them coprime
+when its interpolants are right.  Nothing checks an interpolant that one
+more image left unchanged; it is wrong only if a nonzero polynomial of
+degree at most deg vanishes at the new point, a chance of at most about
+deg/p.
 Either way that trial division is the one exact division: :func:`poly_gcd`
 returns its quotients, scaled back, as the cofactors f/h and g/h beside the
 gcd h, so no caller divides again.

@@ -28,7 +28,6 @@ from painstrata.models import (
     riccati_curve,
     system_rhs,
     xc_first_integral,
-    imp_slope_rhs,
 )
 from painstrata.numverify import (
     IntegrationSpec,
@@ -128,7 +127,8 @@ def test_criterion_3_first_integral_suite(capsys):
         F = xc_first_integral(c)
         field = system_rhs(FamilyInstance(Family.XC, crs(c))).as_map()
         assert verify_first_integral(F, field).is_zero(), c
-        assert quotient_of_partials(F) == imp_slope_rhs(c), c
+        dx, dy = field.values()
+        assert quotient_of_partials(F) == dy / dx, c
     sys2 = system_rhs(FamilyInstance(Family.XC, crs(2)))
     traj = integrate(IntegrationSpec(sys2, 0.0, 0.3, (1.0, 0.5)))
     drift = conservation_drift(traj, xc_first_integral(2))

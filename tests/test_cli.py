@@ -288,6 +288,14 @@ class TestVerify:
         assert code == EXIT_NUMERIC
         assert doc["error"]["kind"] == "numeric"
 
+    def test_log_relation_event(self, capsys):
+        # the flow from x = 0.1 reaches the pole line x = 0 before t1
+        code, (doc,) = run(capsys, ["verify", "log-relation", "--c", "2",
+                                    "--init", "0.1,0.5", "--t1", "1"])
+        assert code == EXIT_NUMERIC
+        assert doc["verdict"] == "event"
+        assert doc["events"]
+
     def test_log_relation_not_finite(self, capsys):
         # c*log(y) overflows to -inf at the first sample; the drift was NaN
         code, (doc,) = run(capsys, ["verify", "log-relation", "--c", "1e306",
@@ -437,6 +445,10 @@ class TestErrorTable:
          "--t0", "0", "--t1", "1"],
         ["simulate", "--family", "p3", "--params", "1,1", "--init", "1,1",
          "--t0=-1", "--t1", "1"],
+        ["verify", "integral", f"--c={10 ** 1000}"],
+        ["verify", "qop", f"--c={10 ** 1000}"],
+        ["simulate", "--family", "p2", "--params=1/2", "--init", "0,0,0",
+         "--t0=0", "--t1=1"],
     ])
     def test_constraint_raise_sites(self, capsys, argv):
         code, (doc,) = run(capsys, argv)
@@ -559,6 +571,12 @@ class TestInputValidation:
         assert doc["error"]["kind"] == "parse"
         assert "identically-zero" in doc["error"]["message"]
         assert "position 1" in doc["error"]["message"]
+
+    def test_expression_parsed_before_coupling_bound(self, capsys):
+        code, (doc,) = run(capsys, ["verify", "qop", f"--c={10 ** 1000}",
+                                    "--expr", "y +"])
+        assert code == EXIT_PARSE
+        assert doc["error"]["kind"] == "parse"
 
     def test_missing_operand(self, capsys, within):
         with within(5):

@@ -25,7 +25,6 @@ from painstrata.models import (
     SpecialValue,
     Unknown,
     apply_word,
-    imp_slope_rhs,
     in_fundamental_region_p4,
     orbit_search,
     reduce_to_fundamental_region_p4,
@@ -671,8 +670,9 @@ class TestTextEquivalence:
 
     def test_slope_field(self):
         for c in range(-5, 46):
-            assert imp_slope_rhs(c) == rf(f"y*(y-1)/(x*({c}*y + y - {c}))",
-                                          variables=("x", "y")), c
+            dx, dy = system_rhs(FamilyInstance(Family.XC, crs(c))).rhs
+            assert dy / dx == rf(f"y*(y-1)/(x*({c}*y + y - {c}))",
+                                 variables=("x", "y")), c
 
     def test_first_integral(self):
         for c in range(46):

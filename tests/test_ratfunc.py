@@ -150,7 +150,7 @@ class TestTermOrder:
 
 
 class TestGcd:
-    def test_shared_factor(self):
+    def test_shared_factor(self, monkeypatch):
         f = (X + Y) * (X - Y)
         g = (X + Y) * X
         assert gcd(f, g) == X + Y
@@ -159,6 +159,15 @@ class TestGcd:
         # divide f; xi = 10 gives x + 1
         f, g = (X + 1) * (Y + 2), -3 * X * Y * (X + 1) * (Y - 1)
         assert gcd(f, g) == X + 1 == oracles.prs_gcd(f, g)
+        # with one xi the heuristic gives up, and Brown's images give the
+        # same gcd and cofactors
+        pgcd, images = ratfunc._pgcd, []
+        monkeypatch.setattr(ratfunc, "_pgcd", lambda *a: images.append(a) or pgcd(*a))
+        default = poly_gcd(f, g)
+        assert not images
+        monkeypatch.setattr(ratfunc, "_HEU_TRIES", 1)
+        assert poly_gcd(f, g) == default
+        assert images
 
     def test_coprime(self):
         assert gcd(X + 1, Y + 1).is_one()
