@@ -15,12 +15,16 @@ import math
 import sys
 from fractions import Fraction
 
-from .exactnum import ComplexRational, ConstraintError, ParameterParseError
+from .exactnum import (ComplexRational, ConstraintError, ExprSyntaxError, ParameterParseError,
+                       PoleOnTrajectory, RegionViolation, SingularInitialState)
 from .models import (
     BudgetExceededError,
+    DEFAULT_BLOWUP_THRESHOLD,
+    DEFAULT_TOL,
     Family,
     FamilyInstance,
     Related,
+    _deferred,
     coord_to_str,
     in_fundamental_region_p4,
     orbit_search,
@@ -30,25 +34,19 @@ from .models import (
     system_rhs,
     xc_first_integral,
 )
-from .numverify import (
-    DEFAULT_BLOWUP_THRESHOLD,
-    DEFAULT_TOL,
-    IntegrationSpec,
-    PoleOnTrajectory,
-    RegionViolation,
-    SingularInitialState,
-    export_csv,
-    integrate,
-    log_relation_drift,
-)
 from .strata import classify, classify_xc
-from .symbolic import (
-    ExprSyntaxError,
-    quotient_of_partials,
-    rf,
-    verify_first_integral,
-    verify_subvariety,
-)
+
+# ``classify`` and ``sweep`` load no dynamics: each name below loads its module
+# on first call.  The benchmark's trace hooks rebind all but ``IntegrationSpec``
+# here by name; its stand-in spares each call an import statement.
+rf = _deferred("symbolic", "rf")
+verify_subvariety = _deferred("symbolic", "verify_subvariety")
+verify_first_integral = _deferred("symbolic", "verify_first_integral")
+quotient_of_partials = _deferred("symbolic", "quotient_of_partials")
+integrate = _deferred("numverify", "integrate")
+export_csv = _deferred("numverify", "export_csv")
+log_relation_drift = _deferred("numverify", "log_relation_drift")
+IntegrationSpec = _deferred("numverify", "IntegrationSpec")
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

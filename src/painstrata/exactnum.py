@@ -3,7 +3,7 @@
 Every parameter that enters a classification decision is a
 :class:`ComplexRational` of four ints, read and printed without building a
 ``Fraction``, so there is no floating tolerance anywhere in the
-classification path.
+classification path.  Every error class a user's input can raise is here too.
 """
 
 from __future__ import annotations
@@ -21,6 +21,26 @@ class ParameterParseError(ValueError):
 
 class ConstraintError(ValueError):
     """Input that parses but violates a constraint (dimension, plane, domain)."""
+
+
+class ExprSyntaxError(ValueError):
+    """Malformed expression text, with the offending position attached."""
+
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} (position {pos})")
+        self.pos = pos
+
+
+class SingularInitialState(ValueError):
+    """The right-hand side cannot be evaluated at the initial state."""
+
+
+class PoleOnTrajectory(ValueError):
+    """A candidate function hits a pole at a trajectory sample."""
+
+
+class RegionViolation(ValueError):
+    """A sample leaves the region where every logarithm is real."""
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import enum
 import functools
+import importlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .exactnum import (ComplexRational, ConstraintError, ParameterParseError, gaussian,
                        parse_cgauss, printable)
-from .ratfunc import RationalFunction, Var
-from .symbolic import T, rf
+
+if TYPE_CHECKING:
+    from .ratfunc import RationalFunction, Var
 
 
 class Family(enum.Enum):
@@ -339,8 +341,11 @@ class SystemRHS:
 
     def free_parameters(self) -> set[str]:
         return {v.name for f in self.rhs for v in f.variables()
-                if not v.differential and v != T}
+                if not v.differential and v.name != "t"}
 
+
+DEFAULT_TOL = 1e-10   # the step tolerance, relative and absolute alike
+DEFAULT_BLOWUP_THRESHOLD = 1e8
 
 _SYSTEM_TEMPLATES = {
     Family.PII: (
@@ -379,7 +384,19 @@ _SYSTEM_TEMPLATES = {
 }
 
 
+def _deferred(module: str, name: str):
+    """A stand-in for the callable ``name`` of the package module ``module``:
+    its first call imports the module, and it keeps what it found.  It never
+    rebinds the name it is bound to, so a hook wrapped around it stays."""
+    @functools.cache
+    def loaded():
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    return lambda *args, **kwargs: loaded()(*args, **kwargs)
+
+
+rf = _deferred("symbolic", "rf")
 _parsed = functools.cache(rf)   # the one parse of each text above, on first use
+_symbol = functools.cache(_deferred("ratfunc", "Var"))   # each parameter's Var, made once
 
 
 def system_rhs(inst: FamilyInstance) -> SystemRHS:
@@ -401,7 +418,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
             raise ConstraintError(
                 "system right-hand sides are built over the rationals; "
                 f"coordinate {name}={value} has a nonzero imaginary part")
-        env[Var(False, name)] = Fraction(value.rn, value.rd)
+        env[_symbol(False, name)] = Fraction(value.rn, value.rd)
     rhs = tuple(_parsed(text, params=param_names, variables=variables)
                 .substitute(env) for text in texts)
     return SystemRHS(inst.family, variables, rhs, sing)
@@ -431,6 +448,7 @@ def xc_first_integral(c: int, convention: str = "y_minus_one") -> RationalFuncti
         raise ConstraintError("the exact first integral is shipped for integer c >= 0")
     if convention not in ("y_minus_one", "one_minus_y"):
         raise ValueError("convention must be 'y_minus_one' or 'one_minus_y'")
+    from .ratfunc import RationalFunction, Var
     x, y = (RationalFunction.variable(Var(True, name)) for name in ("x", "y"))
     integral = y ** c * (y - 1) / x
     return -integral if convention == "one_minus_y" else integral

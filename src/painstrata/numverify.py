@@ -16,34 +16,20 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .exactnum import ConstraintError, printable
-from .models import SystemRHS
+from .exactnum import (ConstraintError, PoleOnTrajectory, RegionViolation,
+                       SingularInitialState, printable)
+from .models import DEFAULT_BLOWUP_THRESHOLD, DEFAULT_TOL, SystemRHS
 from .ratfunc import RationalFunction, Var
 from .symbolic import T
 
 BLOWUP = "BlowUp"
 POLE_PROXIMITY = "PoleProximity"
 
-DEFAULT_TOL = 1e-10   # the step tolerance, relative and absolute alike
-DEFAULT_BLOWUP_THRESHOLD = 1e8
-
 # step-size collapse bound, relative to the window length
 _MIN_STEP_FACTOR = 1e-13
 # the smallest relative tolerance an RK45 step can honour in double precision
 # (the floor scipy's RK45 applies)
 _MIN_TOL = 100 * sys.float_info.epsilon
-
-
-class SingularInitialState(ValueError):
-    """The right-hand side cannot be evaluated at the initial state."""
-
-
-class PoleOnTrajectory(ValueError):
-    """A candidate function hits a pole at a trajectory sample."""
-
-
-class RegionViolation(ValueError):
-    """A sample leaves the region where every logarithm is real."""
 
 
 @dataclass(frozen=True)

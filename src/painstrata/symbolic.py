@@ -13,19 +13,11 @@ import operator
 import string
 from typing import Callable, Mapping, Sequence
 
-from .exactnum import ConstraintError
+from .exactnum import ConstraintError, ExprSyntaxError
 from . import ratfunc
 from .ratfunc import ONE, Polynomial, RationalFunction, Var
 
 T = Var(False, "t")
-
-
-class ExprSyntaxError(ValueError):
-    """Malformed expression text, with the offending position attached."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (position {pos})")
-        self.pos = pos
 
 
 class UnsupportedExponentError(ExprSyntaxError):

@@ -6,8 +6,10 @@ from hypothesis import HealthCheck, settings
 
 # Hypothesis draws from a pool that includes the literals of every loaded
 # package module; loading the whole package before any test runs makes that
-# pool, and so every draw, the same whichever test files are collected.
+# pool, and so every draw, the same whichever test files are collected.  The
+# CLI loads the dynamics only on first use, so numverify is named as well.
 import painstrata.cli  # noqa: F401
+import painstrata.numverify  # noqa: F401
 
 settings.register_profile(
     "ci",
