@@ -13,10 +13,9 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
-from .exactnum import (ComplexRational, ConstraintError, ExprSyntaxError, ParameterParseError,
-                       PoleOnTrajectory, RegionViolation, SingularInitialState)
+from .exactnum import (ConstraintError, ExprSyntaxError, ParameterParseError, PoleOnTrajectory,
+                       RegionViolation, SingularInitialState, gaussian)
 from .models import (
     BudgetExceededError,
     DEFAULT_BLOWUP_THRESHOLD,
@@ -39,14 +38,14 @@ from .strata import classify, classify_xc
 # ``classify`` and ``sweep`` load no dynamics: each name below loads its module
 # on first call.  The benchmark's trace hooks rebind all but ``IntegrationSpec``
 # here by name; its stand-in spares each call an import statement.
-rf = _deferred("symbolic", "rf")
-verify_subvariety = _deferred("symbolic", "verify_subvariety")
-verify_first_integral = _deferred("symbolic", "verify_first_integral")
-quotient_of_partials = _deferred("symbolic", "quotient_of_partials")
-integrate = _deferred("numverify", "integrate")
-export_csv = _deferred("numverify", "export_csv")
-log_relation_drift = _deferred("numverify", "log_relation_drift")
-IntegrationSpec = _deferred("numverify", "IntegrationSpec")
+rf = _deferred(".symbolic", "rf")
+verify_subvariety = _deferred(".symbolic", "verify_subvariety")
+verify_first_integral = _deferred(".symbolic", "verify_first_integral")
+quotient_of_partials = _deferred(".symbolic", "quotient_of_partials")
+integrate = _deferred(".numverify", "integrate")
+export_csv = _deferred(".numverify", "export_csv")
+log_relation_drift = _deferred(".numverify", "log_relation_drift")
+IntegrationSpec = _deferred(".numverify", "IntegrationSpec")
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -114,8 +113,8 @@ def _verdict(check: str, holds: bool, words: tuple[str, str], **fields) -> int:
 
 
 def _xc_system(c):
-    """The planar field at coupling c, an ``int`` or a ``float``, read exactly."""
-    return system_rhs(FamilyInstance(Family.XC, (ComplexRational(Fraction(c)),)))
+    """The planar field at coupling c, an ``int`` or a finite ``float``, read exactly."""
+    return system_rhs(FamilyInstance(Family.XC, (gaussian(*c.as_integer_ratio(), 0, 1),)))
 
 
 def _xc_candidate(args, convention: str = "y_minus_one"):
@@ -179,14 +178,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_RICCATI_FIBER = {"plus": Fraction(1, 2), "minus": Fraction(-1, 2)}
+_RICCATI_FIBER = {"plus": gaussian(1, 2, 0, 1), "minus": gaussian(-1, 2, 0, 1)}
 _CONTAINED = ("contained", "not_contained")
 
 
 def cmd_verify_riccati(args) -> int:
     signs = ("plus", "minus") if args.sign == "both" else (args.sign,)
     # the (y, y1) field of each fiber; the curve y1 = g of ``sign`` checked in it
-    fields = {fiber: system_rhs(FamilyInstance(Family.PII, (ComplexRational(alpha),))).as_map()
+    fields = {fiber: system_rhs(FamilyInstance(Family.PII, (alpha,))).as_map()
               for fiber, alpha in _RICCATI_FIBER.items()}
 
     def residual_in(sign, fiber):

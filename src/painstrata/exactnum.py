@@ -9,10 +9,9 @@ classification path.  Every error class a user's input can raise is here too.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 
 class ParameterParseError(ValueError):
@@ -43,8 +42,35 @@ class RegionViolation(ValueError):
     """A sample leaves the region where every logarithm is real."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ComplexRational:
+class _Record:
+    """An immutable record: a subclass names its fields in ``__slots__`` and
+    sets each once, through its slot's own setter in ``_set``.  A record
+    equals and hashes as its class and its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter("__class__", *cls.__slots__)   # one C call
+        cls._set = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}{tuple(map(self.__getattribute__, self.__slots__))}"
+
+
+class ComplexRational(_Record):
     """An element of Q(i): real part rn/rd and imaginary part jn/jd, each in
     lowest terms with a positive denominator, so equality and hashing are
     exact and canonical.
@@ -53,12 +79,9 @@ class ComplexRational:
     already in that form.
     """
 
-    rn: int
-    rd: int
-    jn: int
-    jd: int
+    __slots__ = ("rn", "rd", "jn", "jd")
 
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+    def __init__(self, re=0, im=0):
         _set_rn(self, re.numerator)
         _set_rd(self, re.denominator)
         _set_jn(self, im.numerator)
@@ -75,9 +98,8 @@ class ComplexRational:
         return format_cgauss(self)
 
 
-# the slots' own setters, which a frozen dataclass leaves usable
-_set_rn, _set_rd, _set_jn, _set_jd = (ComplexRational.__dict__[f].__set__
-                                      for f in ("rn", "rd", "jn", "jd"))
+# gaussian builds a value without __init__, through the slots' own setters
+_set_rn, _set_rd, _set_jn, _set_jd = ComplexRational._set
 _new = object.__new__
 
 

@@ -13,15 +13,13 @@ import enum
 import functools
 import importlib
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .exactnum import (ComplexRational, ConstraintError, ParameterParseError, gaussian,
+from .exactnum import (ComplexRational, ConstraintError, ParameterParseError, _Record, gaussian,
                        parse_cgauss, printable)
 
 if TYPE_CHECKING:
-    from .ratfunc import RationalFunction, Var
+    from .ratfunc import RationalFunction
 
 
 class Family(enum.Enum):
@@ -66,34 +64,34 @@ def coord_to_str(c: Coord) -> str:
     return c.value if isinstance(c, SpecialValue) else str(c)
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(_Record):
     """A family tag plus its exact parameter vector."""
 
-    family: Family
-    params: tuple[Coord, ...]
+    __slots__ = ("family", "params")
 
-    def __post_init__(self):
-        expected = PARAM_COUNT[self.family]
-        if len(self.params) != expected:
+    def __init__(self, family: Family, params: tuple[Coord, ...]):
+        expected = PARAM_COUNT[family]
+        if len(params) != expected:
             raise ConstraintError(
-                f"{self.family.value} takes {expected} parameter(s), "
-                f"got {len(self.params)}")
-        if (self.family in (Family.PIV, Family.PV)
-                and not any(isinstance(p, SpecialValue) for p in self.params)):
-            dr = math.lcm(*(p.rd for p in self.params))
-            di = math.lcm(*(p.jd for p in self.params))
-            re = sum(p.rn * (dr // p.rd) for p in self.params)
-            im = sum(p.jn * (di // p.jd) for p in self.params)
+                f"{family.value} takes {expected} parameter(s), got {len(params)}")
+        if (family in (Family.PIV, Family.PV)
+                and not any(isinstance(p, SpecialValue) for p in params)):
+            dr = math.lcm(*(p.rd for p in params))
+            di = math.lcm(*(p.jd for p in params))
+            re = sum(p.rn * (dr // p.rd) for p in params)
+            im = sum(p.jn * (di // p.jd) for p in params)
             if re or im:
                 raise ConstraintError(
-                    f"{self.family.value} parameters must sum to zero exactly "
+                    f"{family.value} parameters must sum to zero exactly "
                     f"(got {printable(gaussian(re, dr, im, di))})")
-        if self.family is Family.XC:
-            c = self.params[0]
+        if family is Family.XC:
+            c = params[0]
             if isinstance(c, ComplexRational) and not c.is_real:
                 raise ConstraintError("the coupling constant must be a real "
                                       "rational or tagged nonrational")
+        set_family, set_params = self._set
+        set_family(self, family)
+        set_params(self, params)
 
     @classmethod
     def from_strings(cls, family: Family | str, tokens: Iterable[str]) -> "FamilyInstance":
@@ -129,18 +127,18 @@ def _generator_family(g: Generator) -> Family:
     return Family.PIII if isinstance(g, P3Generator) else Family.PIV
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(_Record):
     """An ordered list of generators, applied left to right."""
 
-    family: Family
-    generators: tuple[Generator, ...] = ()
+    __slots__ = ("family", "generators")
 
-    def __post_init__(self):
-        for g in self.generators:
-            if _generator_family(g) is not self.family:
-                raise ConstraintError(f"generator {g.value} does not act on "
-                                      f"{self.family.value}")
+    def __init__(self, family: Family, generators: tuple[Generator, ...] = ()):
+        for g in generators:
+            if _generator_family(g) is not family:
+                raise ConstraintError(f"generator {g.value} does not act on {family.value}")
+        set_family, set_generators = self._set
+        set_family(self, family)
+        set_generators(self, generators)
 
     def names(self) -> list[str]:
         return [g.value for g in self.generators]
@@ -279,14 +277,17 @@ MAX_WORD_LENGTH = 100   # the search holds about 2n^2 values at word length n;
                         # a p3 search takes about 0.2 s at 100 and 5 s at 400
 
 
-@dataclass(frozen=True)
-class Related:
-    word: GroupWord
+class Related(_Record):
+    __slots__ = ("word",)
+
+    def __init__(self, word: GroupWord):
+        self._set[0](self, word)
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(_Record):
     """No word up to the searched length reaches the target."""
+
+    __slots__ = ()
 
 
 def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
@@ -327,14 +328,18 @@ def orbit_search(a: Sequence[ComplexRational], b: Sequence[ComplexRational],
 # Right-hand sides.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SystemRHS:
+class SystemRHS(_Record):
     """First-order system with exact rational right-hand sides."""
 
-    family: Family
-    variables: tuple[str, ...]
-    rhs: tuple[RationalFunction, ...]
-    t_singularities: tuple[Fraction, ...] = ()
+    __slots__ = ("family", "variables", "rhs", "t_singularities")
+
+    def __init__(self, family: Family, variables: tuple[str, ...],
+                 rhs: tuple[RationalFunction, ...], t_singularities: tuple[int, ...] = ()):
+        set_family, set_variables, set_rhs, set_t_singularities = self._set
+        set_family(self, family)
+        set_variables(self, variables)
+        set_rhs(self, rhs)
+        set_t_singularities(self, t_singularities)
 
     def as_map(self) -> dict[str, RationalFunction]:
         return dict(zip(self.variables, self.rhs))
@@ -359,7 +364,7 @@ _SYSTEM_TEMPLATES = {
         ("v1", "v2"),
         ("(2*q^2*p - q^2 - v1*q + t)/t",
          "(-2*q*p^2 + 2*q*p - v1*p + (v1 + v2)/2)/t"),
-        (Fraction(0),),
+        (0,),
     ),
     Family.PIV: (
         ("q", "p"),
@@ -373,7 +378,7 @@ _SYSTEM_TEMPLATES = {
         ("v1", "v2", "v3", "v4"),
         ("(2*q^2*p - 2*q*p + t*q^2 - t*q + (v1 - v2 - v3 + v4)*q + v2 - v1)/t",
          "(-2*q*p^2 + p^2 - 2*t*p*q + t*p - (v1 - v2 - v3 + v4)*p + (v3 - v1)*t)/t"),
-        (Fraction(0),),
+        (0,),
     ),
     Family.XC: (
         ("x", "y"),
@@ -385,18 +390,19 @@ _SYSTEM_TEMPLATES = {
 
 
 def _deferred(module: str, name: str):
-    """A stand-in for the callable ``name`` of the package module ``module``:
-    its first call imports the module, and it keeps what it found.  It never
-    rebinds the name it is bound to, so a hook wrapped around it stays."""
+    """A stand-in for the callable ``name`` of ``module``, which a dot starts
+    in this package: its first call imports the module, and it keeps what it
+    found.  It never rebinds its name, so a hook wrapped around it stays."""
     @functools.cache
     def loaded():
-        return getattr(importlib.import_module(f"{__package__}.{module}"), name)
+        return getattr(importlib.import_module(module, __package__), name)
     return lambda *args, **kwargs: loaded()(*args, **kwargs)
 
 
-rf = _deferred("symbolic", "rf")
+rf = _deferred(".symbolic", "rf")
 _parsed = functools.cache(rf)   # the one parse of each text above, on first use
-_symbol = functools.cache(_deferred("ratfunc", "Var"))   # each parameter's Var, made once
+_symbol = functools.cache(_deferred(".ratfunc", "Var"))   # each parameter's Var, made once
+_fraction = _deferred("fractions", "Fraction")
 
 
 def system_rhs(inst: FamilyInstance) -> SystemRHS:
@@ -410,7 +416,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
             "no explicit first-order system is shipped for the sixth family; "
             "only classification is available")
     variables, param_names, texts, sing = _SYSTEM_TEMPLATES[inst.family]
-    env: dict[Var, Fraction] = {}
+    env = {}   # each parameter's Var to its value
     for name, value in zip(param_names, inst.params):
         if isinstance(value, SpecialValue):
             continue
@@ -418,7 +424,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
             raise ConstraintError(
                 "system right-hand sides are built over the rationals; "
                 f"coordinate {name}={value} has a nonzero imaginary part")
-        env[_symbol(False, name)] = Fraction(value.rn, value.rd)
+        env[_symbol(False, name)] = _fraction(value.rn, value.rd)
     rhs = tuple(_parsed(text, params=param_names, variables=variables)
                 .substitute(env) for text in texts)
     return SystemRHS(inst.family, variables, rhs, sing)

@@ -13,11 +13,10 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .exactnum import (ConstraintError, PoleOnTrajectory, RegionViolation,
-                       SingularInitialState, printable)
+                       SingularInitialState, _Record, printable)
 from .models import DEFAULT_BLOWUP_THRESHOLD, DEFAULT_TOL, SystemRHS
 from .ratfunc import RationalFunction, Var
 from .symbolic import T
@@ -32,19 +31,24 @@ _MIN_STEP_FACTOR = 1e-13
 _MIN_TOL = 100 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: str
-    t: float
+class Event(_Record):
+    __slots__ = ("kind", "t")
+
+    def __init__(self, kind: str, t: float):
+        set_kind, set_t = self._set
+        set_kind(self, kind)
+        set_t(self, t)
 
 
-@dataclass
 class Trajectory:
-    variables: tuple[str, ...]
-    samples: list[tuple[float, tuple[float, ...]]]
-    events: list[Event] = field(default_factory=list)
-    error_estimate: float = 0.0
-    drifts: list[float] | None = None
+    __slots__ = ("variables", "samples", "events", "error_estimate", "drifts")
+
+    def __init__(self, variables: tuple[str, ...], samples: list[tuple[float, tuple]]):
+        self.variables = variables
+        self.samples = samples
+        self.events: list[Event] = []
+        self.error_estimate = 0.0
+        self.drifts: list[float] | None = None
 
     @property
     def completed(self) -> bool:
@@ -59,41 +63,42 @@ class Trajectory:
         return self.samples[-1][1]
 
 
-@dataclass(frozen=True)
-class IntegrationSpec:
-    system: SystemRHS
-    t0: float
-    t1: float
-    initial_state: tuple[float, ...]
-    tol: float = DEFAULT_TOL
-    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
+class IntegrationSpec(_Record):
+    __slots__ = ("system", "t0", "t1", "initial_state", "tol", "blowup_threshold")
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial_state",
-                           tuple(float(x) for x in self.initial_state))
-        if not _finite((self.t0, self.t1, *self.initial_state)):
+    def __init__(self, system: SystemRHS, t0: float, t1: float,
+                 initial_state: Sequence[float], tol: float = DEFAULT_TOL,
+                 blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD):
+        initial_state = tuple(float(x) for x in initial_state)
+        if not _finite((t0, t1, *initial_state)):
             raise ConstraintError("the window and the initial state must be finite")
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if not (math.isfinite(tol) and tol > 0):
             raise ConstraintError("the tolerance must be positive and finite")
-        if self.tol < _MIN_TOL:
+        if tol < _MIN_TOL:
             raise ConstraintError(f"the tolerance must be at least {_MIN_TOL!r}")
-        if not self.blowup_threshold > 0:
+        if not blowup_threshold > 0:
             raise ConstraintError("the blow-up threshold must be positive")
-        if math.isinf(self.blowup_threshold):
+        if math.isinf(blowup_threshold):
             raise ConstraintError("the blow-up threshold must be finite")
-        if not self.t1 > self.t0:
+        if not t1 > t0:
             raise ConstraintError("need t1 > t0")
-        if not math.isfinite(self.t1 - self.t0):
+        if not math.isfinite(t1 - t0):
             raise ConstraintError("the window length t1 - t0 must be finite")
-        if len(self.initial_state) != len(self.system.variables):
+        if len(initial_state) != len(system.variables):
             raise ConstraintError("initial state does not match the system arity")
-        free = self.system.free_parameters()
-        if free:
+        if free := system.free_parameters():
             raise ConstraintError(f"system still has symbolic parameters {sorted(free)}; "
                                   "substitute concrete values before integrating")
-        for s in self.system.t_singularities:
-            if self.t0 <= float(s) <= self.t1:
+        for s in system.t_singularities:
+            if t0 <= float(s) <= t1:
                 raise ConstraintError(f"window contains the fixed singularity t = {s}")
+        set_system, set_t0, set_t1, set_initial_state, set_tol, set_threshold = self._set
+        set_system(self, system)
+        set_t0(self, t0)
+        set_t1(self, t1)
+        set_initial_state(self, initial_state)
+        set_tol(self, tol)
+        set_threshold(self, blowup_threshold)
 
 
 # terms per generated line: the compiler recurses once per ``+`` of a line

@@ -482,17 +482,24 @@ def _pgcd(a: dict, b: dict, p: int, level: int) -> dict:
     Z_p[x1..x_level] (Brown's PGCD): the contents in x_level are split off,
     x_level is set to points where the leading coefficients' gcd s is not
     zero, and the images, scaled to s there, are Newton-interpolated until
-    one more image leaves the interpolant unchanged, or deg(s) +
-    min(degrees in x_level) + 1 of them agree in degree; when s is not
-    constant, the monic images are interpolated alongside, and used if they
-    stop changing first."""
+    one more image leaves the interpolant unchanged and it divides a and b,
+    or deg(s) + min(degrees in x_level) + 1 of them agree in degree; when s
+    is not constant, the monic images are interpolated alongside, and used
+    if they stop changing first and divide a and b."""
     if level == 1:
         h = _ugcd({m[0]: c for m, c in a.items()}, {m[0]: c for m, c in b.items()}, p)
         return {(e,): c for e, c in h.items()}
-    a, b = _split(a), _split(b)
+    given, (a, b) = (a, b), (_split(a), _split(b))
     ca, cb = _content(a, p), _content(b, p)
     content = _ugcd(ca, cb, p)
     a, b = _divide(a, ca, p), _divide(b, cb, p)
+
+    def candidate(h: dict) -> dict:   # the monic gcd the interpolant h gives
+        h = _divide(h, _content(h, p), p)
+        out = {m + (e,): c for m, u in h.items() for e, c in _umul(u, content, p).items()}
+        inv = pow(out[max(out)], -1, p)
+        return {m: c * inv % p for m, c in out.items()}
+
     s = _ugcd(a[max(a)], b[max(b)], p)
     bound = min(max(map(max, a.values())), max(map(max, b.values()))) + max(s)
     lead = None
@@ -515,20 +522,40 @@ def _pgcd(a: dict, b: dict, p: int, level: int) -> dict:
         # the gcd's leading coefficient divides s, so the images scaled to s
         # lie on a polynomial in x_level; when s is not constant, the monic
         # images do too if that coefficient is free of x_level, and then on
-        # one of lower degree
-        if max(s) and not _newton(monic, master, image, x, p):
-            h = monic
-            break
-        if not _newton(h, master, {k: v * scale % p for k, v in image.items()}, x, p):
-            break
+        # one of lower degree.  An image can also leave a wrong interpolant
+        # unchanged (their difference vanishes at x), so each early stop is
+        # checked by division
+        if (max(s) and not _newton(monic, master, image, x, p)
+                and _pdivides(out := candidate(monic), p, *given)):
+            return out
+        if (not _newton(h, master, {k: v * scale % p for k, v in image.items()}, x, p)
+                and _pdivides(out := candidate(h), p, *given)):
+            return out
         # prod (x_level - x) over the points, lowest degree first
         master = [(lo - x * hi) % p for lo, hi in zip([0] + master, master + [0])]
         if len(master) > bound + 1:
             break
-    h = _divide(h, _content(h, p), p)
-    out = {m + (e,): c for m, u in h.items() for e, c in _umul(u, content, p).items()}
-    inv = pow(out[max(out)], -1, p)
-    return {m: c * inv % p for m, c in out.items()}
+    return candidate(h)
+
+
+def _pdivides(g: dict, p: int, *polys: dict) -> bool:
+    """Whether g, monic in lex order, divides each of polys in Z_p[x1..x_k]:
+    the division of :func:`_divides`, mod p and without the quotient."""
+    lead = max(g)
+    for r in map(dict, polys):
+        while r:
+            m = max(r)
+            shift = tuple(x - y for x, y in zip(m, lead))
+            if min(shift) < 0:
+                return False
+            q = r[m]
+            for k, c in g.items():
+                k = tuple(x + y for x, y in zip(shift, k))
+                if v := (r.get(k, 0) - q * c) % p:
+                    r[k] = v
+                else:
+                    del r[k]
+    return True
 
 
 def _newton(h: dict, master: list, image: dict, x: int, p: int) -> bool:

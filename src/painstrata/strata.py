@@ -10,10 +10,9 @@ are reported as a conflict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
-from .exactnum import ComplexRational
+from .exactnum import ComplexRational, _Record
 from .models import (
     ConstraintError,
     Coord,
@@ -27,21 +26,28 @@ from .models import (
 OUT_OF_SCOPE = "outside_paper_scope"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """One table entry, its rank and degree in the form the document prints.
 
     The degree is ``{"exact": n}``, ``{"range": [lo, hi]}``,
     ``{"conflict": [a, b, ...]}`` or ``OUT_OF_SCOPE``.
     """
 
-    family: Family
-    params: tuple[Coord, ...]
-    stratum: str
-    morley_rank: int | str
-    morley_degree: dict | str
-    citation: str
-    notes: tuple[str, ...] = ()
+    __slots__ = ("family", "params", "stratum", "morley_rank", "morley_degree",
+                 "citation", "notes")
+
+    def __init__(self, family: Family, params: tuple[Coord, ...], stratum: str,
+                 morley_rank: int | str, morley_degree: dict | str, citation: str,
+                 notes: tuple[str, ...] = ()):
+        (set_family, set_params, set_stratum, set_morley_rank, set_morley_degree,
+         set_citation, set_notes) = self._set
+        set_family(self, family)
+        set_params(self, params)
+        set_stratum(self, stratum)
+        set_morley_rank(self, morley_rank)
+        set_morley_degree(self, morley_degree)
+        set_citation(self, citation)
+        set_notes(self, notes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,8 +272,7 @@ def classify(inst: FamilyInstance) -> Classification:
 # The planar field family: rank table per coupling constant.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XcReport:
+class XcReport(_Record):
     """Fiber and family ranks for the planar field  x' = c*y + y - c,
     y' = y*(y-1)/x.
 
@@ -276,11 +281,16 @@ class XcReport:
     gives a strongly minimal fiber.
     """
 
-    c: Coord
-    c_kind: str
-    fiber_lascar: int | str
-    fiber_morley: int | str
-    notes: tuple[str, ...] = ()
+    __slots__ = ("c", "c_kind", "fiber_lascar", "fiber_morley", "notes")
+
+    def __init__(self, c: Coord, c_kind: str, fiber_lascar: int | str,
+                 fiber_morley: int | str, notes: tuple[str, ...] = ()):
+        set_c, set_c_kind, set_fiber_lascar, set_fiber_morley, set_notes = self._set
+        set_c(self, c)
+        set_c_kind(self, c_kind)
+        set_fiber_lascar(self, fiber_lascar)
+        set_fiber_morley(self, fiber_morley)
+        set_notes(self, notes)
 
     def to_json_dict(self) -> dict:
         return {

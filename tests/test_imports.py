@@ -2,10 +2,12 @@
 
 ``classify`` and ``sweep`` import only ``exactnum``, ``models`` and
 ``strata``; ``ratfunc``, ``symbolic`` and ``numverify`` load on the first call
-that needs them.  The tests that watch modules load run a fresh interpreter,
-because this one has loaded the whole package.
+that needs them, and no record class is a dataclass.  The tests that watch
+modules load run a fresh interpreter, because this one has loaded the whole
+package.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -19,6 +21,8 @@ from test_tracing import BATCH, SPANS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DYNAMICS = ("painstrata.ratfunc", "painstrata.symbolic", "painstrata.numverify")
+# standard modules whose import costs a classification's cold start some 8 ms
+STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
 
 # Runs each argv of the JSON list in sys.argv[1] through ``cli.main`` and
 # prints, per command, its exit code and the dynamics modules then loaded.
@@ -80,6 +84,23 @@ def test_classification_loads_no_dynamics(tmp_path, argv, loads):
     commands = [["classify", "--family", "p3", "--params", "1,1"], sweep_argv(tmp_path), argv]
     runs = fresh(LOADED, json.dumps(commands), *DYNAMICS)
     assert runs == [[0, []], [0, []], [0, sorted(loads)]]
+
+
+def test_classification_loads_no_dataclasses_or_fractions(tmp_path):
+    commands = [["classify", "--family", "p3", "--params", "1,1"], sweep_argv(tmp_path)]
+    assert fresh(LOADED, json.dumps(commands), *STDLIB) == [[0, []], [0, []]]
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((ROOT / "src" / "painstrata").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.name}, line {node.lineno}"
 
 
 def test_moved_error_classes_keep_their_import_paths():

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -300,6 +301,24 @@ class TestGcd:
         with within(2):
             assert gcd(f, g) == X + Y
             assert gcd(f * (X - 1), g * (X - 1)) == (X + Y) * (X - 1)
+
+    def test_early_stops_are_checked(self, monkeypatch, within):
+        # with primes near 100, one more image can leave a wrong interpolant
+        # unchanged; kept unchecked, it stayed in Brown's CRT and the gcd
+        # never returned
+        f = -92 * X ** 4 * Y ** 3 - 575 * X ** 3 * Y * Z ** 2 - 345 * X ** 4 * Y \
+            - 644 * X ** 3 * Y * Z
+        g = -84 * X ** 2 * Y ** 4 * Z ** 2 - 525 * X * Y ** 2 * Z ** 4 \
+            - 84 * X ** 3 * Y ** 2 * Z - 315 * X ** 2 * Y ** 2 * Z ** 2 \
+            - 588 * X * Y ** 2 * Z ** 3 - 525 * X ** 2 * Z ** 3 - 315 * X ** 3 * Z \
+            - 588 * X ** 2 * Z ** 2 - 96 * X * Y ** 2 - 600 * Z ** 2 - 360 * X - 672 * Z
+        small = [n for n in range(101, 400) if all(n % d for d in range(2, 20))][:40]
+        shipped = ratfunc._primes
+        monkeypatch.setattr(ratfunc, "_primes", lambda: itertools.chain(small, shipped()))
+        monkeypatch.setattr(ratfunc, "_HEU_TRIES", 0)
+        with within(1):
+            h = gcd(f, g)
+        assert 4 * h == 4 * X * Y ** 2 + 25 * Z ** 2 + 15 * X + 28 * Z
 
     def test_single_term_argument(self, within):
         # the PRS on a 9-term polynomial against a^15*t^16 took 3 s
