@@ -2,9 +2,8 @@
 
 Families are identified by their CLI tags: ``p2 p3 p4 p5 p6 xc``.  The second
 family is stored as the first-order pair (y, y1), the third through fifth as
-(q, p) pairs with any 1/t factor moved to the right-hand side (t = 0 is a
-fixed singularity).  The p2, p4 and p5 fields are Hamiltonian; the shipped p3
-field is not (divergence -2*v1/t).  ``xc`` is x' = c*y + y - c, y' = y*(y-1)/x.
+(q, p) pairs with any 1/t factor in the right-hand side (t = 0 is a fixed
+singularity).  ``xc`` is x' = c*y + y - c, y' = y*(y-1)/x.
 """
 
 from __future__ import annotations
@@ -352,11 +351,14 @@ class SystemRHS(_Record):
 DEFAULT_TOL = 1e-10   # the step tolerance, relative and absolute alike
 DEFAULT_BLOWUP_THRESHOLD = 1e8
 
+# Each row: the variables (q, p), the parameters, the right sides' texts or one
+# text H for q' = dH/dp and p' = -dH/dq, and the fixed singularities in t.  The
+# shipped p3 field is not Hamiltonian (divergence -2*v1/t), nor is xc's.
 _SYSTEM_TEMPLATES = {
     Family.PII: (
         ("y", "y1"),
         ("a",),
-        ("y1", "2*y^3 + t*y + a"),
+        "y1^2/2 - y^4/2 - t*y^2/2 - a*y",
         (),
     ),
     Family.PIII: (
@@ -369,15 +371,14 @@ _SYSTEM_TEMPLATES = {
     Family.PIV: (
         ("q", "p"),
         ("v1", "v2", "v3"),
-        ("2*p*q - q^2 - 2*t*q + 2*(v1 - v2)",
-         "2*p*q - p^2 + 2*t*p + 2*(v1 - v3)"),
+        "p^2*q - p*q^2 - 2*t*p*q + 2*(v1 - v2)*p - 2*(v1 - v3)*q",
         (),
     ),
     Family.PV: (
         ("q", "p"),
         ("v1", "v2", "v3", "v4"),
-        ("(2*q^2*p - 2*q*p + t*q^2 - t*q + (v1 - v2 - v3 + v4)*q + v2 - v1)/t",
-         "(-2*q*p^2 + p^2 - 2*t*p*q + t*p - (v1 - v2 - v3 + v4)*p + (v3 - v1)*t)/t"),
+        "(q^2*p^2 - q*p^2 + t*q^2*p - t*q*p + (v1 - v2 - v3 + v4)*q*p"
+        " + (v2 - v1)*p + (v1 - v3)*t*q)/t",
         (0,),
     ),
     Family.XC: (
@@ -405,6 +406,18 @@ _symbol = functools.cache(_deferred(".ratfunc", "Var"))   # each parameter's Var
 _fraction = _deferred("fractions", "Fraction")
 
 
+@functools.cache
+def _field(family: Family) -> tuple:
+    """The right sides with the parameters symbolic; H's den is free of (q, p)."""
+    variables, names, texts, _ = _SYSTEM_TEMPLATES[family]
+    if isinstance(texts, tuple):
+        return tuple(_parsed(text, params=names, variables=variables) for text in texts)
+    from .ratfunc import RationalFunction, Var
+    h = _parsed(texts, params=names, variables=variables)
+    q, p = (Var(True, name) for name in variables)
+    return RationalFunction(h.num.partial(p), h.den), RationalFunction(-h.num.partial(q), h.den)
+
+
 def system_rhs(inst: FamilyInstance) -> SystemRHS:
     """Exact right-hand sides with concrete parameters substituted in.
 
@@ -415,7 +428,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
         raise ConstraintError(
             "no explicit first-order system is shipped for the sixth family; "
             "only classification is available")
-    variables, param_names, texts, sing = _SYSTEM_TEMPLATES[inst.family]
+    variables, param_names, _, sing = _SYSTEM_TEMPLATES[inst.family]
     env = {}   # each parameter's Var to its value
     for name, value in zip(param_names, inst.params):
         if isinstance(value, SpecialValue):
@@ -425,8 +438,7 @@ def system_rhs(inst: FamilyInstance) -> SystemRHS:
                 "system right-hand sides are built over the rationals; "
                 f"coordinate {name}={value} has a nonzero imaginary part")
         env[_symbol(False, name)] = _fraction(value.rn, value.rd)
-    rhs = tuple(_parsed(text, params=param_names, variables=variables)
-                .substitute(env) for text in texts)
+    rhs = tuple(f.substitute(env) for f in _field(inst.family))
     return SystemRHS(inst.family, variables, rhs, sing)
 
 

@@ -17,8 +17,9 @@ groups act in Q(i) arithmetic (not on the package's integer coordinates),
 the wire parser, the printer and the lattice tests work on ``Fraction``
 parts (not on the package's reduced integer parts), Q(i) arithmetic is
 the ``QI`` type here (the package's ``ComplexRational`` has none), the
-gcd is the primitive PRS over Z (not the package's modular gcd), and exact
-division is long division over Q (not the gcd's trial division over Z).
+gcd is the primitive PRS over Z (not the package's modular gcd), exact
+division is long division over Q (not the gcd's trial division over Z), and
+the p2, p4 and p5 fields are written out (not derived from their Hamiltonians).
 Random parameter vectors come from seeded generators so frozen expectations
 stay stable.
 """
@@ -340,6 +341,20 @@ def coset_sample(rng: random.Random, n: int, sum_zero: bool = False) -> tuple:
     if sum_zero and not any(isinstance(c, SpecialValue) for c in out):
         out[-1] = (-sum(out[:-1], QI())).exact()
     return tuple(out)
+
+
+# --------------------------------------------------------------------------
+# The p2, p4 and p5 right sides written out, as the package shipped them
+# before it derived them from one Hamiltonian per family.
+# --------------------------------------------------------------------------
+
+HAMILTONIAN_FIELDS = {
+    Family.PII: ("y1", "2*y^3 + t*y + a"),
+    Family.PIV: ("2*p*q - q^2 - 2*t*q + 2*(v1 - v2)",
+                 "2*p*q - p^2 + 2*t*p + 2*(v1 - v3)"),
+    Family.PV: ("(2*q^2*p - 2*q*p + t*q^2 - t*q + (v1 - v2 - v3 + v4)*q + v2 - v1)/t",
+                "(-2*q*p^2 + p^2 - 2*t*p*q + t*p - (v1 - v2 - v3 + v4)*p + (v3 - v1)*t)/t"),
+}
 
 
 # --------------------------------------------------------------------------

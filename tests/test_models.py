@@ -32,6 +32,7 @@ from painstrata.models import (
     system_rhs,
     xc_first_integral,
 )
+from painstrata.strata import classify
 from painstrata.symbolic import derive, rf, verify_subvariety
 
 import oracles
@@ -231,20 +232,99 @@ class TestDivergence:
 
 
 class TestHamiltonian:
-    """With the parameters symbolic, (dH/dp, -dH/dq)/m is the shipped field
-    exactly, for the conjugate pair (q, p) or (y, y1)."""
+    """The p2, p4 and p5 rows each hold one H: with the parameters symbolic,
+    (dH/dp, -dH/dq) for the pair (q, p) or (y, y1) is exactly the field the
+    oracles write out, and an H with one sign flipped gives another field."""
 
-    @pytest.mark.parametrize("family, hamiltonian, m", [
-        ("p2", "y1^2/2 - y^4/2 - t*y^2/2 - a*y", "1"),
-        ("p4", "p^2*q - p*q^2 - 2*t*p*q + 2*(v1 - v2)*p - 2*(v1 - v3)*q", "1"),
-        ("p5", "q^2*p^2 - q*p^2 + t*q^2*p - t*q*p + (v1 - v2 - v3 + v4)*q*p"
-               " + (v2 - v1)*p + (v1 - v3)*t*q", "t"),
-    ])
-    def test_field_from_hamiltonian(self, family, hamiltonian, m):
-        system = generic_system(family)
-        q, p = (Var(True, name) for name in system.variables)
-        h = rf(hamiltonian, params=("a",) + PARAMS, variables=system.variables)
-        assert system.rhs == (oracles.partial(h, p) / rf(m), -oracles.partial(h, q) / rf(m))
+    @staticmethod
+    def written_out(family):
+        variables, names, _, _ = models._SYSTEM_TEMPLATES[family]
+        return tuple(rf(text, params=names, variables=variables)
+                     for text in oracles.HAMILTONIAN_FIELDS[family])
+
+    @pytest.mark.parametrize("family", oracles.HAMILTONIAN_FIELDS, ids=lambda f: f.value)
+    def test_field_from_hamiltonian(self, family):
+        assert generic_system(family.value).rhs == self.written_out(family)
+
+    @pytest.mark.parametrize("family, flipped", [
+        (Family.PII, "y1^2/2 - y^4/2 + t*y^2/2 - a*y"),
+        (Family.PIV, "p^2*q - p*q^2 - 2*t*p*q + 2*(v1 - v2)*p + 2*(v1 - v3)*q"),
+        (Family.PV, "(q^2*p^2 - q*p^2 + t*q^2*p - t*q*p + (v1 - v2 - v3 + v4)*q*p"
+                    " + (v2 - v1)*p - (v1 - v3)*t*q)/t"),
+    ], ids=["p2", "p4", "p5"])
+    def test_flipped_sign_gives_another_field(self, monkeypatch, family, flipped):
+        variables, names, _, sing = models._SYSTEM_TEMPLATES[family]
+        monkeypatch.setitem(models._SYSTEM_TEMPLATES, family, (variables, names, flipped, sing))
+        models._field.cache_clear()
+        try:
+            assert generic_system(family.value).rhs != self.written_out(family)
+        finally:
+            models._field.cache_clear()
+
+
+class TestSpecialSolutions:
+    """Exact rational solutions of the shipped p2 and p4 systems."""
+
+    @staticmethod
+    def solves(family, params, solution) -> bool:
+        """Whether the field along ``solution`` is its derivative exactly."""
+        system = system_rhs(FamilyInstance.from_strings(family, params))
+        return all((f.substitute(solution) - derive(solution[Var(True, v)], {})).is_zero()
+                   for v, f in system.as_map().items())
+
+    @staticmethod
+    def yablonskii_vorobev(n):
+        """Q_0 = 1, Q_1 = t and Q_{k+1}*Q_{k-1} = t*Q_k^2 - 4*(Q_k*Q_k'' - Q_k'^2)."""
+        qs = [rf("1"), rf("t")]
+        while len(qs) <= n:
+            q, dq = qs[-1], derive(qs[-1], {})
+            qs.append((rf("t") * q ** 2 - 4 * (q * derive(dq, {}) - dq ** 2)) / qs[-2])
+        return qs
+
+    def test_yablonskii_vorobev(self, within):
+        # y_n = Q_{n-1}'/Q_{n-1} - Q_n'/Q_n solves P_II at a = n, and (-y_n, -n) too
+        with within(2):
+            qs = self.yablonskii_vorobev(8)
+            assert all(q.den.is_one() for q in qs)
+            assert qs[2:4] == [rf("t^3 + 4"), rf("t^6 + 20*t^3 - 80")]
+            curves = []
+            for n in range(1, 9):
+                y = derive(qs[n - 1], {}) / qs[n - 1] - derive(qs[n], {}) / qs[n]
+                curves.append({Var(True, "y"): y, Var(True, "y1"): derive(y, {})})
+                assert self.solves("p2", [str(n)], curves[-1]), n
+                assert not self.solves("p2", [str(n + 1)], curves[-1]), n
+            assert self.solves("p2", ["-3"], {v: -f for v, f in curves[2].items()})
+
+    def test_p4_seed(self):
+        seed = {Var(True, "q"): rf("-2*t"), Var(True, "p"): rf("0")}
+        on_seed = ["-1/3", "2/3", "-1/3"]
+        assert self.solves("p4", on_seed, seed)
+        for moved in (["2/3", "-1/3", "-1/3"], ["-2/15", "7/15", "-1/3"]):
+            assert not self.solves("p4", moved, seed), moved
+        found = classify(FamilyInstance.from_strings("p4", on_seed))
+        assert (found.stratum, found.morley_degree) == ("D", {"exact": 3})
+
+
+class TestCrossRatio:
+    """Four solutions a, b, c, d of one P_II Riccati curve y' = +-(y^2 + t/2)
+    have a constant cross-ratio; moving one copy off the curve breaks it."""
+
+    CROSS_RATIO = rf("(a - c)*(b - d)/((a - d)*(b - c))")
+
+    @staticmethod
+    def copies(sign, shift=0):
+        """The curve's field for each of a, b, c, d, with ``shift`` added to a's."""
+        g = riccati_curve(sign)
+        field = {Var(True, name): g.substitute({Var(True, "y"): rf(name)}) for name in "abcd"}
+        field[Var(True, "a")] += shift
+        return field
+
+    @pytest.mark.parametrize("sign, unit", [("plus", 1), ("minus", -1)])
+    def test_cross_ratio_is_constant(self, sign, unit):
+        assert derive(self.CROSS_RATIO, self.copies(sign)).is_zero()
+        assert derive(rf("(a - c)/(b - c)"), self.copies(sign)) == \
+            unit * rf("(a^2 - a*b - a*c + b*c)/(b - c)")
+        assert not derive(self.CROSS_RATIO, self.copies(sign, shift=1)).is_zero()
 
 
 class TestGenerators:
@@ -643,6 +723,7 @@ class TestTextEquivalence:
     @staticmethod
     def fresh(inst):
         variables, names, texts, _ = models._SYSTEM_TEMPLATES[inst.family]
+        texts = oracles.HAMILTONIAN_FIELDS.get(inst.family, texts)
         env = {Var(False, name): qi(c).re for name, c in zip(names, inst.params)
                if isinstance(c, CR)}
         return tuple(rf(text, params=names, variables=variables).substitute(env)
@@ -663,8 +744,10 @@ class TestTextEquivalence:
         rng = random.Random(f"order-{family.value}")
         first, second = self.vector(rng, family), self.vector(rng, family)
         models._parsed.cache_clear()
+        models._field.cache_clear()
         forward = [system_rhs(first).rhs, system_rhs(second).rhs]
         models._parsed.cache_clear()
+        models._field.cache_clear()
         backward = [system_rhs(second).rhs, system_rhs(first).rhs]
         assert forward == backward[::-1] == [self.fresh(first), self.fresh(second)]
 
