@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import functools
 import json
 import math
@@ -319,25 +318,45 @@ def cmd_orbit(args) -> int:
 # Parser wiring.
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that hands argv naming one of its subcommands
+    straight to that subcommand's parser: argparse's own pass does the same
+    after a scan for ``-h`` in which no token after the name can act."""
+
+    _commands = None   # the action ``add_subparsers`` returned, if any
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        sub = self._commands
+        if namespace is None and sub and args and args[0] in sub.choices:
+            namespace, extras = sub.choices[args[0]].parse_known_args(args[1:])
+            setattr(namespace, sub.dest, args[0])
+            return namespace, extras
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A fresh top-level parser over the tree built once per process.
 
-    The copy is shallow: argparse does not mutate a parser while parsing,
-    so every copy shares the sub-parsers, and a caller may rebind an
-    attribute such as ``parse_args`` on the copy without touching the tree.
+    The new object shares the tree's attributes: argparse does not mutate a
+    parser while parsing, and a caller may rebind an attribute such as
+    ``parse_args`` on it without touching the tree.
     """
-    return copy.copy(_parser())
+    tree = _parser()
+    parser = object.__new__(type(tree))
+    parser.__dict__.update(tree.__dict__)
+    return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Handlers are named, not bound, so that ``main`` sees a rebound
     # ``cmd_*`` even after the tree is built.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="painstrata",
         description="Classify parameter strata and verify the underlying "
                     "differential-algebraic identities.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser._commands = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one parameter vector")
     p.add_argument("--family", required=True,
@@ -355,7 +374,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(handler="cmd_sweep")
 
     verify = sub.add_parser("verify", help="run one verification check")
-    vsub = verify.add_subparsers(dest="check", required=True)
+    vsub = verify._commands = verify.add_subparsers(dest="check", required=True)
 
     p = vsub.add_parser("riccati", help="order-one curve containment in the "
                                         "half-integer second-family fibers")

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, batch mode and schema validation."""
 
+import argparse
 import contextlib
 import errno
 import fractions
@@ -522,6 +523,100 @@ class TestParserReuse:
         assert simulate[0] == EXIT_NUMERIC
         assert json.loads(reduce_p4[1])["settings"] == {"max_steps": 200}
         assert [len(strict_docs(out)) for _, out in (sweep_a, sweep_b)] == [3, 2]
+
+
+def _joined(argv):
+    """``argv`` with each ``--opt value`` pair written as ``--opt=value``."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+class TestParserShortcut:
+    """argv that names a subcommand goes straight to that subcommand's
+    parser; the result must be argparse's own two-pass parse, byte for byte."""
+
+    SUBCOMMANDS = (   # each option once, in its ``--opt value`` form
+        ["classify", "--family", "p3", "--params", "1,1"],
+        ["sweep", "--in", "-"],
+        ["verify", "riccati", "--sign", "plus"],
+        ["verify", "integral", "--c", "2", "--expr", "y", "--convention", "1-y"],
+        ["verify", "qop", "--c", "2", "--expr", "y"],
+        ["verify", "log-relation", "--c", "1.5", "--t0", "0", "--t1", "1",
+         "--init", "1,0.5", "--tol", "1e-9", "--max-drift", "1e-3"],
+        ["simulate", "--family", "p2", "--params", "0", "--init", "2,0", "--t0", "0",
+         "--t1", "2", "--tol", "1e-9", "--blowup-threshold", "1e6", "--out", "t.csv"],
+        ["reduce-p4", "--params", "1,-1,0", "--max-steps", "3"],
+        ["orbit", "--family", "p3", "--from", "1,1", "--to", "2,0", "--max-len", "3"],
+    )
+    LEVELS = ([], ["classify"], ["sweep"], ["verify"], ["verify", "riccati"],
+              ["verify", "integral"], ["verify", "qop"], ["verify", "log-relation"],
+              ["simulate"], ["reduce-p4"], ["orbit"])
+    OTHERS = (
+        [], ["nope"], ["classify", "--family", "p3"],
+        ["classify", "--family", "p9", "--params", "1"],
+        ["verify"], ["verify", "nope"], ["verify", "--c", "2", "integral"],
+        ["--family", "p3", "classify"], ["-h", "classify"],
+        ["--", "classify", "--family", "p3", "--params", "1,1"],
+        ["classify", "--", "--family", "p3", "--params", "1,1"],
+        ["classify", "--family", "p3", "--params", "1,1", "extra", "--bogus"],
+        ["verify", "riccati", "extra"],
+        ["classify", "--fam", "p3", "--par", "1,1"],
+        ["verify", "log-relation", "--c", "1", "--max", "1e-3"],
+        ["simulate", "--t", "0"],
+        ["classify", "--family", "p2", "--family", "p3", "--params", "1,1"],
+        ["classify", "--family", "p4", "--params", "-1,1,0"],
+        ["classify", "--family", "p4", "--params=-1,1,0"],
+        ["classify", "--family", "p3", "--help", "--params", "1,1"],
+    )
+    CORPUS = (
+        [argv for argv, _ in TestParserReuse.COMMANDS]
+        + list(SUBCOMMANDS)
+        + [_joined(argv) for argv in SUBCOMMANDS]
+        + [level + ["--help"] for level in LEVELS]
+        + list(OTHERS)
+    )
+
+    @staticmethod
+    def parse(parser, argv):
+        """(namespace vars or exit code, stdout, stderr) of one parse."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    def test_same_parse_as_argparse_alone(self, monkeypatch):
+        # the reference tree: the same ``_parser`` with plain ArgumentParsers
+        monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+        reference = cli._parser.__wrapped__()
+        monkeypatch.undo()
+        shipped = cli.build_parser()
+        assert type(reference) is argparse.ArgumentParser
+        assert type(shipped) is cli._Parser
+        for argv in self.CORPUS:
+            assert self.parse(shipped, argv) == self.parse(reference, argv), argv
+
+    def test_one_argparse_pass_per_command(self, monkeypatch):
+        passes = []
+        real = argparse.ArgumentParser._parse_known_args
+
+        def spy(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return real(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", spy)
+        for argv, prog in (
+                (self.SUBCOMMANDS[6], "painstrata simulate"),
+                (["verify", "integral", "--c", "2"], "painstrata verify integral")):
+            passes.clear()
+            cli.build_parser().parse_args(argv)
+            assert passes == [prog]
 
 
 class TestEntryPoint:

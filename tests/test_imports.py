@@ -21,8 +21,9 @@ from test_tracing import BATCH, SPANS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DYNAMICS = ("painstrata.ratfunc", "painstrata.symbolic", "painstrata.numverify")
-# standard modules whose import costs a classification's cold start some 8 ms
-STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
+# standard modules whose import costs a classification's cold start some 8 ms,
+# and ``copy``, which the front end no longer needs; ``site`` loads none of them
+STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "copy")
 
 # Runs each argv of the JSON list in sys.argv[1] through ``cli.main`` and
 # prints, per command, its exit code and the dynamics modules then loaded.

@@ -446,6 +446,50 @@ class TestResiduals:
             conservation_drift(traj, rf("y1") - riccati_curve("minus"))
 
 
+TOLS = (1e-8, 1e-10, 1e-12)
+
+
+class TestClosedForms:
+    """The integrator against solutions known in closed form (ROADMAP items
+    19 and 21, numeric halves)."""
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_yablonskii_vorobev_blowup(self, tol):
+        # y_2 = 1/t - 3t^2/(t^3 + 4) solves p2 at a = 2, with a pole at r
+        def y2(t):
+            return 1 / t - 3 * t ** 2 / (t ** 3 + 4)
+
+        def dy2(t):
+            return -1 / t ** 2 + (3 * t ** 4 - 24 * t) / (t ** 3 + 4) ** 2
+        r = -4 ** (1 / 3)
+        system = system_rhs(FamilyInstance.from_strings("p2", ["2"]))
+        traj = integrate(IntegrationSpec(system, -3.0, -1.0, (y2(-3.0), dy2(-3.0)), tol=tol))
+        (event,) = traj.events
+        # reported about 9.9e-5 early at every tol: |y1| ~ (r - t)^-2 crosses
+        # the threshold there (item 8)
+        assert event.kind == BLOWUP and r - 2e-4 < event.t < r
+        far = [(t, y) for t, (y, _) in traj.samples if t < r - 0.05]
+        assert far and all(abs(y - y2(t)) < 20 * tol * abs(y2(t)) for t, y in far)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_riccati_cross_ratio_is_constant(self, tol):
+        def cross_ratio(a, b, c, d):
+            return (a - c) * (b - d) / ((a - d) * (b - c))
+
+        def end(g, start):
+            traj = integrate(IntegrationSpec(SystemRHS(Family.XC, ("y",), (g,)),
+                                             0.0, 0.5, (start,), tol=tol))
+            assert traj.completed
+            return traj.terminal_state[0]
+        g = riccati_curve("plus")
+        starts = (0.1, 0.3, -0.2, 0.55)   # cross-ratio 1/3
+        ends = [end(g, start) for start in starts]
+        assert abs(cross_ratio(*ends) - 1 / 3) < 100 * tol / 3
+        # the first copy on y' = y^2 + t/2 + 1 instead: no constant relation
+        moved = cross_ratio(end(g + 1, starts[0]), *ends[1:])
+        assert abs(moved - 1 / 3) > 1 / 3
+
+
 class TestDrift:
     def test_conserved_candidate(self):
         traj = integrate(IntegrationSpec(xc_system(2), 0.0, 0.3, (1.0, 0.5)))
