@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from .exactnum import ConstraintError, ExprSyntaxError
 from . import ratfunc
-from .ratfunc import ONE, Polynomial, RationalFunction, Var
+from .ratfunc import ONE, Polynomial, RationalFunction, Var, _as_rf
 
 T = Var(False, "t")
 
@@ -49,11 +49,12 @@ _DIGITS = frozenset(string.digits)
 _NAME_START = frozenset(string.ascii_letters + "_")
 _NAME_CHARS = _NAME_START | _DIGITS
 
-Builder = Callable[[], RationalFunction]
+# A builder's value is a Polynomial until a division makes it a RationalFunction.
+Builder = Callable[[], Polynomial | RationalFunction]
 
 
 def _leaf(value) -> Builder:
-    return lambda: RationalFunction.variable(value)
+    return lambda: Polynomial.variable(value)
 
 
 # Bounds on the predicted size of each power and each polynomial product an
@@ -135,10 +136,19 @@ def _chain(first: Builder, rest: list) -> Builder:
             value = right()
             if op == "/" and value.is_zero():
                 raise ExprSyntaxError("division by an identically-zero expression", pos)
-            if not all(_product_fits(getattr(acc, a), getattr(value, b))
-                       for a, b in _PRODUCTS[op]):
+            apply = _BINARY[op]
+            if acc.__class__ is value.__class__ is Polynomial:
+                # over 1 every other product has the factor 1, so only num*num
+                # can outgrow the bounds; a quotient takes one gcd
+                fits = op != "*" or _product_fits(acc, value)
+                apply = RationalFunction if op == "/" else apply
+            else:
+                acc, value = _as_rf(acc), _as_rf(value)
+                fits = all(_product_fits(getattr(acc, a), getattr(value, b))
+                           for a, b in _PRODUCTS[op])
+            if not fits:
                 raise ExprSyntaxError(f"'{op}' forms a product {_TOO_LARGE}", pos)
-            acc = _BINARY[op](acc, value)
+            acc = apply(acc, value)
         return acc
     return build
 
@@ -146,7 +156,8 @@ def _chain(first: Builder, rest: list) -> Builder:
 def _power_at(pos: int, base: Builder, exp: int) -> Builder:
     def build():
         value = base()
-        if exp > 1 and not (_power_fits(value.num, exp) and _power_fits(value.den, exp)):
+        parts = (value,) if value.__class__ is Polynomial else (value.num, value.den)
+        if exp > 1 and not all(_power_fits(p, exp) for p in parts):
             raise ExprSyntaxError(f"power {_TOO_LARGE}", pos)
         return value ** exp
     return build
@@ -158,6 +169,9 @@ class _Parser:
     Each rule returns a zero-argument builder rather than a value, and
     :meth:`parse` runs the root builder only once the whole text has been
     read, so a syntax error is reported before any polynomial arithmetic.
+    A value is a ``Polynomial`` until a division: a quotient of two
+    polynomials takes one gcd, and only then does a ``RationalFunction``
+    carry the arithmetic on.
     """
 
     def __init__(self, text: str, params: Sequence[str], variables):
@@ -188,7 +202,7 @@ class _Parser:
         build = self.expr()
         if self.peek():
             self.error(f"unexpected {self.peek()!r}")
-        return build()
+        return _as_rf(build())
 
     def expr(self) -> Builder:
         return self.operations(self.term, ("+", "-"))
@@ -249,7 +263,7 @@ class _Parser:
             return build
         if ch in _DIGITS:
             value = self.integer()
-            return lambda: RationalFunction.constant(value)
+            return lambda: Polynomial.constant(value)
         if ch in _NAME_START:
             return self.name()
         self.error("expected a number, a name or '('")
@@ -281,6 +295,9 @@ def rf(text: str, params: Sequence[str] = (),
        variables: Sequence[str] | None = None) -> RationalFunction:
     """Parse the documented grammar straight to canonical form.
 
+    Sub-expressions without a division are computed as polynomials, and a
+    quotient of two polynomials is reduced by one gcd; the result is always
+    a canonical ``RationalFunction``.
     ``t`` and the declared ``params`` stay symbolic; other names become
     differential variables unless an explicit ``variables`` whitelist is
     given.  Every malformed input, division by an identically-zero

@@ -295,6 +295,18 @@ class TestSpecialSolutions:
                 assert not self.solves("p2", [str(n + 1)], curves[-1]), n
             assert self.solves("p2", ["-3"], {v: -f for v, f in curves[2].items()})
 
+    def test_backlund_along_the_chain(self, within):
+        # Gromak's map y -> -y - (2a+1)/(2y' + 2y^2 + t) at a = n sends y_n to
+        # y_{n+1}; with +(2a+1) it sends none of them there
+        with within(2):
+            qs = self.yablonskii_vorobev(9)
+            ys = [derive(qs[n - 1], {}) / qs[n - 1] - derive(qs[n], {}) / qs[n]
+                  for n in range(1, 10)]
+            for n, (y, following) in enumerate(zip(ys, ys[1:]), start=1):
+                shift = (2 * n + 1) / (2 * derive(y, {}) + 2 * y ** 2 + rf("t"))
+                assert -y - shift == following, n
+                assert -y + shift != following, n
+
     def test_p4_seed(self):
         seed = {Var(True, "q"): rf("-2*t"), Var(True, "p"): rf("0")}
         on_seed = ["-1/3", "2/3", "-1/3"]
@@ -306,8 +318,9 @@ class TestSpecialSolutions:
 
 
 class TestCrossRatio:
-    """Four solutions a, b, c, d of one P_II Riccati curve y' = +-(y^2 + t/2)
-    have a constant cross-ratio; moving one copy off the curve breaks it."""
+    """Four solutions a, b, c, d of one Riccati curve, P_II's y' = +-(y^2 + t/2)
+    or P_IV's on a wall, have a constant cross-ratio; moving one copy off the
+    curve breaks it."""
 
     CROSS_RATIO = rf("(a - c)*(b - d)/((a - d)*(b - c))")
 
@@ -325,6 +338,17 @@ class TestCrossRatio:
         assert derive(rf("(a - c)/(b - c)"), self.copies(sign)) == \
             unit * rf("(a^2 - a*b - a*c + b*c)/(b - c)")
         assert not derive(self.CROSS_RATIO, self.copies(sign, shift=1)).is_zero()
+
+    def test_p4_wall(self):
+        # on v2 = v1 the curve q = 0 is invariant, and p' on it is a Riccati field
+        wall = {Var(True, "q"): 0, Var(False, "v2"): rf("v1", params=PARAMS)}
+        g = generic_system("p4").as_map()["p"].substitute(wall)
+        assert g == rf("-p^2 + 2*t*p + 2*(v1 - v3)", params=PARAMS)
+        field = {Var(True, name): g.substitute({Var(True, "p"): rf(name)}) for name in "abcd"}
+        assert derive(self.CROSS_RATIO, field).is_zero()
+        assert derive(rf("(a - c)/(b - c)"), field) == rf("(-a^2 + a*b + a*c - b*c)/(b - c)")
+        field[Var(True, "a")] += 1
+        assert not derive(self.CROSS_RATIO, field).is_zero()
 
 
 class TestGenerators:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from painstrata import ratfunc
 from painstrata.ratfunc import DivisionByZeroExpression, RationalFunction, Var
 from painstrata.exactnum import ConstraintError
 from painstrata.symbolic import (
@@ -143,6 +144,58 @@ class TestParser:
         assert err.value.pos == 17
 
 
+class TestPolynomialPath:
+    """A division-free sub-expression is parsed as a polynomial, and a
+    quotient of two polynomials takes one gcd; the size bounds refuse the
+    same inputs at the same positions on both paths."""
+
+    F = "(2*x^2 + x*y - 2*y + 1)"
+    BIG = "(3^1100*y + 1)"   # height about 10^525: two of them pass 1000 digits
+
+    @staticmethod
+    def count_gcds(monkeypatch) -> list:
+        calls = []
+        gcd = ratfunc.poly_gcd
+        monkeypatch.setattr(ratfunc, "poly_gcd", lambda f, g: calls.append(1) or gcd(f, g))
+        return calls
+
+    def test_gcd_counts(self, monkeypatch):
+        calls = self.count_gcds(monkeypatch)
+        product = rf(f"y^2*(y-1)*{self.F}^2")
+        assert not calls
+        assert product.den.is_one()
+        quotient = rf(f"y^2*(y-1)*{self.F}^2/(x*{self.F}^2)")
+        assert len(calls) == 1
+        assert quotient == rf("y^2*(y-1)/x")
+
+    @pytest.mark.parametrize("text", [
+        f"{BIG}*{BIG}",          # two polynomials
+        f"{BIG}/x*{BIG}",        # the left operand holds a quotient
+        f"{BIG}*({BIG}/x)",      # the right operand does
+    ])
+    def test_product_bound(self, text):
+        with pytest.raises(ExprSyntaxError, match="'\\*' forms a product too large") as err:
+            rf(text)
+        assert err.value.pos == text.rindex("*(")
+
+    def test_long_sum_forms_no_product(self):
+        # 600 terms with 846-digit coefficients: checked as products, the
+        # partial sums would pass the 1000-digit bound
+        text = " + ".join(f"7^1000*x^{i}*y^{j}" for i in range(25) for j in range(24))
+        assert len(rf(text).num.terms) == 600
+
+    def test_quotient_power_bound(self):
+        # squared, 31 terms predict 496 terms and 32 terms 528, in the
+        # numerator or the denominator alike
+        fits, grows = (" + ".join(f"y^{k}" for k in range(n)) for n in (31, 32))
+        for num, den in ((fits, "x"), ("x", fits)):
+            rf(f"(({num})/({den}))^2")
+        for text in (f"(({grows})/x)^2", f"(x/({grows}))^2"):
+            with pytest.raises(ExprSyntaxError, match="power too large") as err:
+                rf(text)
+            assert err.value.pos == len(text) - 1
+
+
 def _wrap(template):
     return lambda ab: template.format(*ab)
 
@@ -156,6 +209,7 @@ def grammar_texts(leaves):
             st.tuples(children, children).map(_wrap("({}) + ({})")),
             st.tuples(children, children).map(_wrap("({}) - ({})")),
             st.tuples(children, children).map(_wrap("({})*({})")),
+            st.tuples(children, children).map(_wrap("({})/({})")),
             children.map(lambda a: f"({a})^2"),
             children.map(lambda a: f"-({a})"),
         ),
