@@ -14,8 +14,9 @@ neither in ``==`` nor in the printed form.  No coefficient is zero: ``+``,
 ``-`` and ``*`` drop a zero as it arises, so the internal constructor
 ``_raw`` takes its terms as given.
 
-The gcd is taken on the arguments with their denominators, integer and
-monomial contents divided out.  The heuristic gcd (GCDHEU: Char, Geddes and
+The gcd reads each argument once into {exponent tuple: int}, with its
+denominators, integer and monomial contents divided out, and each result
+back in one pass.  The heuristic gcd (GCDHEU: Char, Geddes and
 Gonnet, JSC 7, 1989) sets one variable at a time to an integer xi >= 2
 min(|a|, |b|) + 2, down to one integer gcd, and reads a candidate from the
 symmetric base-xi digits; by their theorem, one that divides both arguments
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -288,10 +290,10 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Poly
     """The monic greatest common divisor h, and the cofactors f/h and g/h.
     gcd(p, 0) is p made monic, and gcd(0, 0) is 0 with cofactors 0.  With
     no shared variable, or coprime arguments, h is 1 and the cofactors are
-    f and g themselves.  Else each argument, its denominators cleared, loses
-    its integer and monomial content, the least exponents of the two
-    monomial contents are h's monomial part, and :func:`_brown` gives the
-    rest and the quotients."""
+    f and g themselves.  Else each argument is read once into exponent
+    tuples over Z, and the least exponents and :func:`_brown` on the
+    primitive parts give h.  A one-term argument, whose primitive part is
+    1, gives h the least exponents."""
     if f.is_zero() or g.is_zero():
         p = g if f.is_zero() else f
         if p.is_zero():
@@ -303,47 +305,55 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Poly
     if not fv & gv:
         return ONE, f, g
     names = sorted(fv | gv)
-    (a, low_a, *scale_a), (b, low_b, *scale_b) = _exponents(f, names), _exponents(g, names)
-    deg_a, deg_b = (list(map(max, zip(*p))) for p in (a, b))
-    core = unit = {(0,) * len(names): 1}
-    if any(map(min, deg_a, deg_b)):
-        # the variable of largest degree first: its images stay sparse
-        order = sorted(range(len(names)), key=lambda i: -max(deg_a[i], deg_b[i]))
-        found = _brown(*({tuple(m[i] for i in order): c for m, c in p.items()} for p in (a, b)))
-        if found:
-            back = sorted(range(len(order)), key=order.__getitem__)
-            core, a, b = ({tuple(m[i] for i in back): c for m, c in p.items()} for p in found)
+    (a, lcm_a), (b, lcm_b) = _exponents(f, names), _exponents(g, names)
+    low_a, low_b = (list(map(min, zip(*p))) for p in (a, b))
+    deg_a, deg_b = (list(map(operator.sub, map(max, zip(*p)), low))
+                    for p, low in ((a, low_a), (b, low_b)))
     low = list(map(min, low_a, low_b))
-    if core is unit and not any(low):
-        return ONE, f, g
+    # the variable of largest degree first: its images stay sparse
+    order = sorted(range(len(names)), key=lambda i: -max(deg_a[i], deg_b[i]))
+    pick, unpick = (tuple, tuple) if order == sorted(order) else (
+        operator.itemgetter(*order),
+        operator.itemgetter(*sorted(range(len(order)), key=order.__getitem__)))
+    contents = math.gcd(*a.values()), math.gcd(*b.values())
+    found = any(map(min, deg_a, deg_b)) and _brown(
+        *({tuple(map(operator.sub, pick(m), shift)): c // content for m, c in p.items()}
+          for p, shift, content in zip((a, b), map(pick, (low_a, low_b)), contents)))
+    if not found:
+        # h is the monomial of the least exponents, and each cofactor its
+        # argument with the exponents shifted, in its own term order
+        least = {v: e for v, e in zip(names, low) if e}
+        if not least:
+            return ONE, f, g
+        return _raw({tuple(least.items()): 1}), *(
+            _raw({tuple((v, e - least.get(v, 0)) for v, e in m if e != least.get(v, 0)): c
+                  for m, c in p.terms.items()}) for p in (f, g))
 
     def lift(q: dict, shift, num, den) -> Polynomial:
-        # q * x^shift * num / den, its terms in q's order
-        return _raw({tuple((v, e + s) for v, e, s in zip(names, m, shift) if e + s):
+        # q * x^shift * num / den over names, its terms in q's order
+        return _raw({tuple((v, e) for v, e in zip(names, map(operator.add, unpick(m), shift)) if e):
                      _quo(c * num, den) for m, c in q.items()})
-    h = lift(core, low, 1, 1)
-    lc = h.leading_coeff()
-    cofactors = (lift(q, [x - y for x, y in zip(low_q, low)], content * lc, lcm)
-                 for q, low_q, content, lcm in ((a, low_a, *scale_a), (b, low_b, *scale_b)))
-    return _div_const(h, lc), *cofactors
+    core, *quotients = found
+    lc = core[max(core, key=lambda m: (sum(m), unpick(m)))]   # h's graded-lex leader
+    return lift(core, low, 1, lc), *(
+        lift(q, list(map(operator.sub, low_q, low)), content * lc, lcm)
+        for q, low_q, content, lcm in zip(quotients, (low_a, low_b), contents, (lcm_a, lcm_b)))
 
 
-def _exponents(p: Polynomial, names: list) -> tuple[dict, tuple, int, int]:
-    """p times the lcm of its denominators, over its integer content and its
-    monomial content, as {exponent tuple over names: int}; the exponents of
-    that monomial content, the integer content and the lcm."""
+def _exponents(p: Polynomial, names: list) -> tuple[dict, int]:
+    """p times the lcm of its denominators, as {exponent tuple over names:
+    int}, and that lcm."""
     index = {v: i for i, v in enumerate(names)}
-    lcm = math.lcm(*(c.denominator for c in p.terms.values()))
+    coeffs = p.terms.values()
+    lcm = 1 if all(c.__class__ is int for c in coeffs) else math.lcm(
+        *(c.denominator for c in coeffs))
     out = {}
     for m, c in p.terms.items():
         exps = [0] * len(names)
         for v, e in m:
             exps[index[v]] = e
-        out[tuple(exps)] = c.numerator * (lcm // c.denominator)
-    low = tuple(map(min, zip(*out)))
-    content = math.gcd(*out.values())
-    return ({tuple(e - k for e, k in zip(m, low)): c // content for m, c in out.items()},
-            low, content, lcm)
+        out[tuple(exps)] = c if lcm == 1 else c.numerator * (lcm // c.denominator)
+    return out, lcm
 
 
 # Brown's modular gcd (JACM 18, 1971) on {exponent tuple: int}, the first
@@ -463,13 +473,13 @@ def _divides(g: dict, a: dict) -> dict | None:
     r, out = dict(a), {}
     while r:
         m = max(r)
-        shift = tuple(x - y for x, y in zip(m, lead))
+        shift = tuple(map(operator.sub, m, lead))
         q, rem = divmod(r[m], g[lead])
         if rem or min(shift) < 0:
             return None
         out[shift] = q
         for k, c in g.items():
-            k = tuple(x + y for x, y in zip(shift, k))
+            k = tuple(map(operator.add, shift, k))
             if v := r.get(k, 0) - q * c:
                 r[k] = v
             else:
@@ -545,12 +555,12 @@ def _pdivides(g: dict, p: int, *polys: dict) -> bool:
     for r in map(dict, polys):
         while r:
             m = max(r)
-            shift = tuple(x - y for x, y in zip(m, lead))
+            shift = tuple(map(operator.sub, m, lead))
             if min(shift) < 0:
                 return False
             q = r[m]
             for k, c in g.items():
-                k = tuple(x + y for x, y in zip(shift, k))
+                k = tuple(map(operator.add, shift, k))
                 if v := (r.get(k, 0) - q * c) % p:
                     r[k] = v
                 else:

@@ -74,6 +74,8 @@ def _height(p: Polynomial) -> int:
     log10 of the product of the heights as digits; so has a power's.
     """
     coeffs = p.terms.values()
+    if all(c.__class__ is int for c in coeffs):
+        return sum(map(abs, coeffs))
     lcm = math.lcm(*(c.denominator for c in coeffs))
     return lcm * sum(abs(c.numerator) * (lcm // c.denominator) for c in coeffs)
 
@@ -98,10 +100,10 @@ def _product_fits(p: Polynomial, q: Polynomial) -> bool:
     """
     if len(p.terms) > len(q.terms):
         p, q = q, p
-    if len(p.terms) > 1:
+    if len(p.terms) > 1 and len(p.terms) * len(q.terms) > _MAX_TERMS:
         k = len(p.variables() | q.variables())
         d = sum(max(sum(e for _, e in m) for m in f.terms) for f in (p, q))
-        if min(len(p.terms) * len(q.terms), math.comb(d + k, k)) > _MAX_TERMS:
+        if math.comb(d + k, k) > _MAX_TERMS:
             return False
     hp = _height(p)   # the shorter factor, often the denominator 1
     if hp < 2:

@@ -219,6 +219,35 @@ class TestGcd:
         assert poly_gcd(f, g)[1:] == (Y ** 2 + 3 * X * Y + Fraction(1, 2),
                                       4 * X ** 2 * Y + 6 * X * Y ** 3)
 
+    def test_one_term_argument_matches_the_oracle(self):
+        # seeded 3-variable pairs, the one-term argument first or second
+        rng = random.Random(35)
+        checked = 0
+        for _ in range(60):
+            f = small_polys(rng, 3, nterms=5, max_deg=3)
+            term = small_polys(rng, 3, nterms=1, max_deg=3)
+            if f.is_zero() or term.is_zero():
+                continue
+            for a, b in ((f, term), (term, f)):
+                h = gcd(a, b)
+                z = oracles._zgcd(oracles._cleared(a), oracles._cleared(b))
+                assert h == oracles.exact_div(z, Polynomial.constant(z.leading_coeff()))
+                checked += 1
+        assert checked > 80
+
+    def test_one_term_cofactors_keep_term_order(self):
+        # each cofactor is its argument's monomials shifted, in its order
+        f = X * Y ** 2 * Z + 3 * X ** 4 * Y + Fraction(2, 3) * X ** 2 * Y ** 5
+        term = 6 * X ** 2 * Y ** 3
+        h, f_h, term_h = poly_gcd(f, term)
+        assert h == X * Y
+        assert list(f_h.terms) == [((VY, 1), (VZ, 1)), ((VX, 3),), ((VX, 1), (VY, 4))]
+        assert list(term_h.terms) == [((VX, 1), (VY, 2))]
+        h, term_h, f_h = poly_gcd(term, f)
+        assert h == X * Y and list(f_h.terms)[0] == ((VY, 1), (VZ, 1))
+        assert_cofactor(f, h, f_h)
+        assert_cofactor(term, h, term_h)
+
     def test_exact_div_roundtrip(self):
         rng = random.Random(7)
         for _ in range(25):
